@@ -13,7 +13,7 @@ import csv
 import os
 import sys
 
-from d2ssl.cli import ExperimentConfig, build_dataset
+from d2ssl.cli import ExperimentConfig, build_dataset, parse_config
 from d2ssl.trainer import run_r2d2, run_supervised_baseline, write_metrics
 
 
@@ -26,17 +26,21 @@ def parse_args():
     return ap.parse_known_args()
 
 
+def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> ExperimentConfig:
+    """The config of one seed: the dataset's defaults, then the --key value
+    flags, parsed and validated like the d2ssl command line's."""
+    base = {"dataset": dataset}
+    if dataset == "two_moons":
+        base.update(layer_sizes="2,64,2,2", stage2_epochs="100,100,100,100")
+    return parse_config("", {**base, **overrides, "seed": str(seed)})
+
+
 def main():
     args, extra = parse_args()
     overrides = dict(zip([k.lstrip("-") for k in extra[::2]], extra[1::2]))
     rows = []
     for seed in range(args.seeds):
-        cfg = ExperimentConfig(seed=seed, dataset=args.dataset)
-        if args.dataset == "two_moons":
-            cfg.layer_sizes = "2,64,2,2"
-            cfg.stage2_epochs = "100,100,100,100"
-        for key, value in overrides.items():
-            setattr(cfg, key, type(getattr(cfg, key))(value))
+        cfg = build_config(seed, args.dataset, overrides)
         ds = build_dataset(cfg)
         _, _, m = run_r2d2(ds, cfg.model_sizes(), cfg.activation,
                            cfg.d2_config(), cfg.schedule_plan(), seed)

@@ -167,9 +167,9 @@ def _convert(key: str, raw: str, line_no: int | None):
         ) from exc
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse a flat key=value document, then apply flag overrides."""
-    cfg = ExperimentConfig()
+def _entries(text: str) -> list[tuple[int, str, str]]:
+    """(line number, key, raw value) of each setting in a config document."""
+    out = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -177,7 +177,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
         if "=" not in stripped:
             raise ConfigurationError(f"line {line_no}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
-        key = key.strip()
+        out.append((line_no, key.strip(), raw))
+    return out
+
+
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse a flat key=value document, then apply flag overrides."""
+    cfg = ExperimentConfig()
+    for line_no, key, raw in _entries(text):
         setattr(cfg, key, _convert(key, raw, line_no))
     for key, raw in (overrides or {}).items():
         setattr(cfg, key, _convert(key, raw, None))
@@ -418,10 +425,11 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_IO
-        if "out" not in overrides and "out = " not in text:
-            env_root = os.environ.get("D2SSL_OUT")
-            if env_root:
-                overrides.setdefault("out", env_root)
+        env_root = os.environ.get("D2SSL_OUT")
+        if env_root and "out" not in overrides and all(
+            key != "out" for _, key, _ in _entries(text)
+        ):
+            overrides["out"] = env_root
         cfg = parse_config(text, overrides)
         out_dir = cfg.out
         os.makedirs(out_dir, exist_ok=True)

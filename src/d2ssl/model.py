@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .numerics import log_softmax, softmax
+from .numerics import softmax_pair
 
 CHECKPOINT_MAGIC = b"D2CK"
 CHECKPOINT_VERSION = 1
@@ -21,11 +21,11 @@ CHECKPOINT_VERSION = 1
 ACTIVATIONS = ("tanh", "relu", "linear")
 
 
-def _act(tag: str, z: np.ndarray) -> np.ndarray:
+def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if tag == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if tag == "linear":
         return z
     raise ConfigurationError(f"unknown activation {tag!r}")
@@ -132,12 +132,17 @@ def init_params(
     return ModelParams(layers=layers, head_w=head)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the backbone and head; x is (d_in,) or (B, d_in)."""
+def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     expected = params.layers[0].weight.shape[0] if params.layers else params.feature_dim
     if x.shape[1] != expected:
         raise DimensionError(f"input dim {x.shape[1]}, expected {expected}")
+    return x
+
+
+def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
+    """Run the backbone and head; x is (d_in,) or (B, d_in)."""
+    x = _as_input(params, x)
     pre, act = [], []
     a = x
     for layer in params.layers:
@@ -146,15 +151,28 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         pre.append(z)
         act.append(a)
     logits = a @ params.head_w
+    prediction, log_prediction = softmax_pair(logits)
     return ForwardTrace(
         inputs=x,
         pre_activations=pre,
         activations=act,
         feature=a,
         logits=logits,
-        prediction=softmax(logits),
-        log_prediction=log_softmax(logits),
+        prediction=prediction,
+        log_prediction=log_prediction,
     )
+
+
+def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The logits of forward(params, x), bit-equal, for inference: no
+    trace is kept, each activation is applied in place and no softmax
+    is taken."""
+    a = _as_input(params, x)
+    for layer in params.layers:
+        a = a @ layer.weight
+        a += layer.bias
+        _act(layer.activation, a, out=a)
+    return a @ params.head_w
 
 
 def backward(

@@ -37,6 +37,23 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def softmax_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(softmax(z), log_softmax(z)) from one shared max, shift, exp and sum.
+
+    Works in place on two arrays; both results are bit-equal to the
+    separate calls, which perform the same float operations.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.size == 0:
+        raise DimensionError("softmax of empty vector")
+    log_p = z - np.max(z, axis=-1, keepdims=True)
+    p = np.exp(log_p)
+    total = np.sum(p, axis=-1, keepdims=True)
+    p /= total
+    log_p -= np.log(total)
+    return p, log_p
+
+
 def entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
     """-sum p*log(p) along the last axis, with 0*log(0) = 0.
 
@@ -49,15 +66,21 @@ def entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
     return -np.sum(np.where(p > 0.0, p * log_p, 0.0), axis=-1)
 
 
-def kl_divergence(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """KL(p || q) from log-probabilities, along the last axis."""
+def kl_divergence(
+    log_p: np.ndarray, log_q: np.ndarray, p: np.ndarray | None = None
+) -> np.ndarray:
+    """KL(p || q) from log-probabilities, along the last axis.
+
+    Pass p = exp(log_p) when the caller already has it.
+    """
     log_p = np.asarray(log_p, dtype=np.float64)
     log_q = np.asarray(log_q, dtype=np.float64)
     if log_p.shape[-1] != log_q.shape[-1]:
         raise DimensionError(
             f"KL length mismatch: {log_p.shape[-1]} vs {log_q.shape[-1]}"
         )
-    p = np.exp(log_p)
+    if p is None:
+        p = np.exp(log_p)
     return np.sum(np.where(p > 0.0, p * (log_p - log_q), 0.0), axis=-1)
 
 

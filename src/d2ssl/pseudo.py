@@ -94,7 +94,7 @@ class PseudoLabelStore:
 def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
     """Labeled rows get frozen K*one_hot; unlabeled rows get the current
     head logits; test rows get zeros (never used in training)."""
-    from .model import forward  # local import to avoid cycle at module load
+    from .model import forward_logits  # local import to avoid cycle at module load
 
     n = params.n_classes
     if dataset.n_classes != n:
@@ -109,7 +109,7 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
         frozen[lab] = True
     unl = dataset.unlabeled_indices
     if unl.size:
-        logits[unl] = forward(params, dataset.features[unl]).logits
+        logits[unl] = forward_logits(params, dataset.features[unl])
     return PseudoLabelStore(logits, frozen, n, cfg.init_scale)
 
 
@@ -125,7 +125,7 @@ def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
         raise DimensionError("log-probability length mismatch")
     p_hat = np.exp(p_hat_log)
     if cfg.classification_loss == "forward_kl":
-        l_c = kl_divergence(p_hat_log, p_tilde_log)
+        l_c = kl_divergence(p_hat_log, p_tilde_log, p=p_hat)
     elif cfg.classification_loss == "reverse_kl":
         l_c = kl_divergence(p_tilde_log, p_hat_log)
     else:  # squared_l2
@@ -212,25 +212,33 @@ def d2_update_pseudo(
 
 
 def d2_update_pseudo_batch(
-    store: PseudoLabelStore, ids: np.ndarray, p_hat: np.ndarray, cfg: D2Config
+    store: PseudoLabelStore,
+    ids: np.ndarray,
+    p_hat: np.ndarray,
+    cfg: D2Config,
+    p_tilde: np.ndarray | None = None,
 ) -> None:
-    """Gradient step for several unfrozen samples at once."""
+    """Gradient step for several unfrozen samples at once.
+
+    Pass p_tilde = softmax(store.logits[ids]) when the caller already has it.
+    """
     ids = np.asarray(ids)
     if np.any(store.frozen[ids]):
         raise FrozenUpdateError("batch contains frozen samples")
-    p_tilde = softmax(store.logits[ids])
+    if p_tilde is None:
+        p_tilde = softmax(store.logits[ids])
     grad = grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
     store.logits[ids] -= cfg.lam * grad
 
 
 def repredict(store: PseudoLabelStore, params, dataset) -> PseudoLabelStore:
     """Overwrite every unfrozen row with the current head logits."""
-    from .model import forward
+    from .model import forward_logits
 
     unl = np.flatnonzero(~store.frozen)
     active = np.intersect1d(unl, dataset.unlabeled_indices)
     if active.size:
-        store.logits[active] = forward(params, dataset.features[active]).logits
+        store.logits[active] = forward_logits(params, dataset.features[active])
     return store
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import OOD_CLASS, SplitDataset
 from .errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from .model import GradientSet, ModelParams, backward, forward, init_params
-from .numerics import entropy, seeded_rng
+from .model import GradientSet, ModelParams, backward, forward, forward_logits, init_params
+from .numerics import entropy, log_softmax, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
     PseudoLabelStore,
@@ -90,6 +90,8 @@ class SchedulePlan:
             raise ConfigurationError("segment epoch counts must be non-negative")
         if not 0.0 <= self.discard_fraction < 1.0:
             raise ConfigurationError("discard_fraction must be in [0, 1)")
+        if self.batch_labeled < 1 or self.batch_unlabeled < 1:
+            raise ConfigurationError("batch sizes must be at least 1")
 
 
 @dataclass
@@ -158,12 +160,36 @@ def _check_finite(value: float, what: str) -> None:
         raise NumericError(f"non-finite {what}: {value}")
 
 
-def _accuracy(params: ModelParams, dataset: SplitDataset, ids: np.ndarray) -> float:
-    valid = ids[dataset.true_classes[ids] != OOD_CLASS]
-    if valid.size == 0:
-        return float("nan")
-    pred = np.argmax(forward(params, dataset.features[valid]).logits, axis=1)
-    return float(np.mean(pred == dataset.true_classes[valid]))
+@dataclass
+class _EvalRows:
+    """The rows scored after every epoch, gathered once per stage or
+    segment: the labeled and the test rows of a known class, then the
+    active unlabeled rows."""
+    features: np.ndarray
+    truth: np.ndarray  # true classes of the labeled and test rows
+    n_labeled: int
+
+
+def _eval_rows(dataset: SplitDataset, active_unl: np.ndarray | None = None) -> _EvalRows:
+    lab, test = (
+        ids[dataset.true_classes[ids] != OOD_CLASS]
+        for ids in (dataset.labeled_indices, dataset.test_indices)
+    )
+    scored = np.concatenate([lab, test])
+    ids = scored if active_unl is None else np.concatenate([scored, active_unl])
+    return _EvalRows(dataset.features[ids], dataset.true_classes[scored], lab.size)
+
+
+def _accuracy(params: ModelParams, rows: _EvalRows) -> tuple[float, float, np.ndarray]:
+    """Labeled and test accuracy from one logits-only forward over all
+    evaluation rows; also returns the logits of the unlabeled rows."""
+    logits = forward_logits(params, rows.features)
+    n_scored = rows.truth.size
+    hit = np.argmax(logits[:n_scored], axis=1) == rows.truth
+    n_lab = rows.n_labeled
+    acc_labeled = float(np.mean(hit[:n_lab])) if n_lab else float("nan")
+    acc_test = float(np.mean(hit[n_lab:])) if n_scored > n_lab else float("nan")
+    return acc_labeled, acc_test, logits[n_scored:]
 
 
 def _pseudo_accuracy(store: PseudoLabelStore, dataset: SplitDataset) -> float:
@@ -233,17 +259,18 @@ def stage1_supervised(
     feats = dataset.features[lab]
     targets = dataset.true_classes[lab]
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
+    rows = _eval_rows(dataset)
     records = []
     for epoch in range(plan.stage1_epochs):
         lr = cosine_lr(epoch, plan.stage1_horizon, plan.stage1_lr)
         ce, h_pred = _supervised_epoch(
             params, state, feats, targets, plan.batch_labeled, lr, rng
         )
+        acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
             "stage1", epoch, lr,
             loss_total=ce, loss_c=ce, loss_e=h_pred,
-            acc_labeled=_accuracy(params, dataset, lab),
-            acc_test=_accuracy(params, dataset, dataset.test_indices),
+            acc_labeled=acc_labeled, acc_test=acc_test,
             mean_h_pred=h_pred,
         ))
     return params, records
@@ -267,25 +294,50 @@ def open_world_filter(
     return keep
 
 
-def _stage2_epoch_metrics(
-    dataset, params, store, cfg, active_unl, drift_base
-) -> dict:
-    """Full-pool diagnostics computed once per epoch."""
+def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dict:
+    """Full-pool diagnostics computed once per epoch, from the network
+    logits of the active unlabeled rows."""
     out = {}
     if active_unl.size:
-        trace = forward(params, dataset.features[active_unl])
-        p_tilde_log = store.log_probs(active_unl)
-        l_c, l_e, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
-        t = convergence_residual(trace.log_prediction, p_tilde_log, total, cfg)
-        out["t_abs_p50"] = float(np.percentile(np.abs(t), 50))
-        out["t_abs_p95"] = float(np.percentile(np.abs(t), 95))
-        out["mean_h_pred"] = float(
-            np.mean(entropy(trace.prediction, log_p=trace.log_prediction))
-        )
-        out["mean_h_pseudo"] = float(np.mean(entropy(store.probs(active_unl))))
-        drift = np.abs(store.logits[active_unl].sum(axis=1) - drift_base[active_unl])
+        p_hat, p_hat_log = softmax_pair(unl_logits)
+        pseudo_logits = store.logits[active_unl]
+        p_tilde, p_tilde_log = softmax_pair(pseudo_logits)
+        _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
+        t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
+        p50, p95 = np.percentile(np.abs(t), [50, 95])
+        out["t_abs_p50"], out["t_abs_p95"] = float(p50), float(p95)
+        out["mean_h_pred"] = float(np.mean(entropy(p_hat, log_p=p_hat_log)))
+        out["mean_h_pseudo"] = float(np.mean(entropy(p_tilde)))
+        drift = np.abs(pseudo_logits.sum(axis=1) - drift_base)
         out["sum_drift_max"] = float(drift.max())
     return out
+
+
+def _labeled_config(cfg: D2Config) -> D2Config:
+    """The loss of labeled rows in joint training: the full loss, or
+    only the matching term when cfg.labeled_full_loss is false."""
+    if cfg.labeled_full_loss:
+        return cfg
+    return D2Config(
+        alpha=cfg.alpha, beta=0.0, lam=cfg.lam, init_scale=cfg.init_scale,
+        classification_loss=cfg.classification_loss,
+    )
+
+
+def _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled) -> np.ndarray:
+    """Loss gradient w.r.t. the network logits of a batch whose first
+    n_lab rows are labeled."""
+    if cfg_labeled is cfg:
+        return grad_wrt_network_logits(p, log_p, p_tilde_log, cfg)
+    dl = np.empty_like(p)
+    if n_lab:
+        dl[:n_lab] = grad_wrt_network_logits(
+            p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled,
+        )
+    dl[n_lab:] = grad_wrt_network_logits(
+        p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg,
+    )
+    return dl
 
 
 def stage2_d2(
@@ -301,10 +353,7 @@ def stage2_d2(
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
-    cfg_labeled = cfg if cfg.labeled_full_loss else D2Config(
-        alpha=cfg.alpha, beta=0.0, lam=cfg.lam, init_scale=cfg.init_scale,
-        classification_loss=cfg.classification_loss,
-    )
+    cfg_labeled = _labeled_config(cfg)
     for segment in plan.stage2_segments:
         if segment.repredict_at_start:
             repredict(store, params, dataset)
@@ -317,7 +366,8 @@ def stage2_d2(
                 f"unlabeled batch size {plan.batch_unlabeled} exceeds "
                 f"active pool {active_unl.size}"
             )
-        drift_base = store.logits.sum(axis=1).copy()
+        drift_base = store.logits[active_unl].sum(axis=1)
+        rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
         lab_cursor = 0
         for _ in range(segment.epochs):
@@ -342,38 +392,33 @@ def stage2_d2(
                 l_ids = np.concatenate(l_ids) if l_ids else np.array([], dtype=np.int64)
                 ids = np.concatenate([l_ids, u_ids])
                 trace = forward(params, dataset.features[ids])
-                p_tilde_log = store.log_probs(ids)
+                # The rows of u_ids keep these values until the pseudo step.
+                p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
                 n_lab = l_ids.size
-                dl = np.empty_like(trace.logits)
-                if n_lab:
-                    dl[:n_lab] = grad_wrt_network_logits(
-                        trace.prediction[:n_lab], trace.log_prediction[:n_lab],
-                        p_tilde_log[:n_lab], cfg_labeled,
-                    )
-                dl[n_lab:] = grad_wrt_network_logits(
-                    trace.prediction[n_lab:], trace.log_prediction[n_lab:],
-                    p_tilde_log[n_lab:], cfg,
+                dl = _network_logit_grad(
+                    trace.prediction, trace.log_prediction, p_tilde_log,
+                    n_lab, cfg, cfg_labeled,
                 )
                 grads = backward(params, trace, dl / ids.size)
                 sgd_nesterov_step(params, grads, state, segment.lr)
                 if cfg.lam > 0:
                     d2_update_pseudo_batch(
-                        store, u_ids, trace.prediction[n_lab:], cfg
+                        store, u_ids, trace.prediction[n_lab:], cfg, p_tilde[n_lab:]
                     )
                 l_c, l_e, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
                 loss_sums += [l_c.sum(), l_e.sum(), total.sum()]
                 n_seen += ids.size
             mean_losses = loss_sums / n_seen if n_seen else np.full(3, np.nan)
             _check_finite(float(mean_losses[2]) if n_seen else 0.0, "stage-2 loss")
+            acc_labeled, acc_test, unl_logits = _accuracy(params, rows)
             extra = _stage2_epoch_metrics(
-                dataset, params, store, cfg, active_unl, drift_base
+                store, cfg, active_unl, unl_logits, drift_base
             )
             records.append(_nan_record(
                 "stage2", epoch_global, segment.lr,
                 loss_total=float(mean_losses[2]),
                 loss_c=float(mean_losses[0]), loss_e=float(mean_losses[1]),
-                acc_labeled=_accuracy(params, dataset, lab),
-                acc_test=_accuracy(params, dataset, dataset.test_indices),
+                acc_labeled=acc_labeled, acc_test=acc_test,
                 acc_pseudo=_pseudo_accuracy(store, dataset),
                 **extra,
             ))
@@ -398,18 +443,20 @@ def stage3_finetune(
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
     feats = dataset.features[ids]
     batch = plan.batch_labeled + plan.batch_unlabeled
+    rows = _eval_rows(dataset)
+    # Stage 3 never changes the store, so its two columns are constant.
+    acc_pseudo = _pseudo_accuracy(store, dataset)
+    h_pseudo = float(np.mean(entropy(store.probs(unl)))) if unl.size else float("nan")
     records = []
     for epoch in range(plan.stage3_epochs):
         lr = cosine_lr(epoch, plan.stage3_horizon, plan.stage3_lr)
         ce, h_pred = _supervised_epoch(params, state, feats, targets, batch, lr, rng)
+        acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
             "stage3", epoch, lr,
             loss_total=ce, loss_c=ce, loss_e=h_pred,
-            acc_labeled=_accuracy(params, dataset, lab),
-            acc_test=_accuracy(params, dataset, dataset.test_indices),
-            acc_pseudo=_pseudo_accuracy(store, dataset),
-            mean_h_pred=h_pred,
-            mean_h_pseudo=float(np.mean(entropy(store.probs(unl)))) if unl.size else float("nan"),
+            acc_labeled=acc_labeled, acc_test=acc_test, acc_pseudo=acc_pseudo,
+            mean_h_pred=h_pred, mean_h_pseudo=h_pseudo,
         ))
     return params, records
 
@@ -438,31 +485,17 @@ def head_only_d2(
     n_lab = lab.size
     feats = forward(params, dataset.features[ids]).feature
     head = params.head_w.copy()
-    cfg_labeled = cfg if cfg.labeled_full_loss else D2Config(
-        alpha=cfg.alpha, beta=0.0, lam=cfg.lam, init_scale=cfg.init_scale,
-        classification_loss=cfg.classification_loss,
-    )
-    from .numerics import log_softmax, softmax
+    cfg_labeled = _labeled_config(cfg)
     for _ in range(steps):
-        logits = feats @ head
-        log_p = log_softmax(logits)
-        p = softmax(logits)
-        p_tilde_log = store.log_probs(ids)
-        dl = np.empty_like(logits)
-        if n_lab:
-            dl[:n_lab] = grad_wrt_network_logits(
-                p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled,
-            )
-        dl[n_lab:] = grad_wrt_network_logits(
-            p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg,
-        )
+        p, log_p = softmax_pair(feats @ head)
+        p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
+        dl = _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled)
         head -= lr * (feats.T @ (dl / ids.size))
         if cfg.lam > 0 and unl.size:
-            d2_update_pseudo_batch(store, unl, p[n_lab:], cfg)
+            d2_update_pseudo_batch(store, unl, p[n_lab:], cfg, p_tilde[n_lab:])
     out = params.copy()
     out.head_w[...] = head
-    logits = feats[n_lab:] @ head
-    log_p = log_softmax(logits)
+    log_p = log_softmax(feats[n_lab:] @ head)
     p_tilde_log = store.log_probs(unl)
     _, _, total = d2_loss(log_p, p_tilde_log, cfg)
     t = convergence_residual(log_p, p_tilde_log, total, cfg)

@@ -1,6 +1,8 @@
 """Config parsing, CLI modes, exit codes, and artifact replay."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,11 @@ def test_main_missing_config_file(tmp_path):
     assert main(["r2d2", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("key", ["batch_labeled", "batch_unlabeled"])
+def test_main_batch_size_below_one(tmp_path, key):
+    assert main(tiny_args("r2d2", tmp_path, {key: "0"})) == EXIT_CONFIG
+
+
 def test_main_numeric_abort(tmp_path):
     code = main(tiny_args("r2d2", tmp_path, {
         "stage1_lr": "1e12", "stage1_epochs": "30", "stage1_horizon": "30",
@@ -180,3 +187,29 @@ def test_out_env_var(tmp_path, monkeypatch):
         args += [f"--{k}", v]
     assert main(args) == EXIT_OK
     assert (tmp_path / "envout" / "metrics.csv").exists()
+
+
+def test_out_in_config_file_beats_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv("D2SSL_OUT", str(tmp_path / "envout"))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"out={tmp_path / 'fileout'}\n")
+    args = ["supervised_baseline", "--config", str(cfg_path)]
+    for k, v in TINY.items():
+        args += [f"--{k}", v]
+    assert main(args) == EXIT_OK
+    assert (tmp_path / "fileout" / "metrics.csv").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_reference_script_parses_flags_like_the_cli():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_reference.py"
+    spec = importlib.util.spec_from_file_location("run_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = script.build_config(3, "gaussians", {"open_world": "false", "alpha": "0.2"})
+    assert cfg.open_world is False
+    assert (cfg.seed, cfg.alpha) == (3, 0.2)
+    moons = script.build_config(0, "two_moons", {})
+    assert moons.layer_sizes == "2,64,2,2"
+    with pytest.raises(ConfigurationError):
+        script.build_config(0, "gaussians", {"open_world": "maybe"})

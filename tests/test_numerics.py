@@ -15,6 +15,7 @@ from d2ssl.numerics import (
     log_softmax,
     seeded_rng,
     softmax,
+    softmax_pair,
 )
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
@@ -53,6 +54,21 @@ def test_softmax_empty_raises():
         softmax(np.array([]))
     with pytest.raises(DimensionError):
         log_softmax(np.array([]))
+    with pytest.raises(DimensionError):
+        softmax_pair(np.array([]))
+
+
+@pytest.mark.parametrize("z", [
+    np.array([0.3, -1.2, 2.5, 0.0]),
+    seeded_rng(4).standard_normal((50, 7)) * 30.0,
+    np.array([[1e4, -1e4, 0.0], [-1e4, -1e4 + 1e-3, -1e4 - 7.0], [1e4, 1e4, 1e4]]),
+])
+def test_softmax_pair_bit_equal_to_separate_calls(z):
+    before = z.copy()
+    p, log_p = softmax_pair(z)
+    assert np.array_equal(p, softmax(z))
+    assert np.array_equal(log_p, log_softmax(z))
+    assert np.array_equal(z, before)
 
 
 def test_softmax_batched_rows_independent():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from d2ssl.data import gen_gaussians, split
+from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from d2ssl.model import init_params
-from d2ssl.numerics import entropy, seeded_rng, softmax
-from d2ssl.pseudo import D2Config, PseudoLabelStore, init_pseudo_labels
+from d2ssl.model import forward, init_params
+from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
+from d2ssl.pseudo import (
+    D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
+)
 from d2ssl.trainer import (
     METRICS_HEADER,
     OptimizerState,
@@ -20,6 +22,7 @@ from d2ssl.trainer import (
     run_supervised_baseline,
     sgd_nesterov_step,
     stage1_supervised,
+    stage2_d2,
     write_metrics,
 )
 
@@ -93,6 +96,10 @@ def test_schedule_plan_validation():
         SchedulePlan(stage1_epochs=-1)
     with pytest.raises(ConfigurationError):
         SchedulePlan(discard_fraction=1.0)
+    with pytest.raises(ConfigurationError):
+        SchedulePlan(batch_labeled=0)
+    with pytest.raises(ConfigurationError):
+        SchedulePlan(batch_unlabeled=0)
 
 
 def test_open_world_filter_drops_highest_entropy():
@@ -229,10 +236,69 @@ def test_repredict_segment_resets_pseudo_logits():
     cfg = D2Config(alpha=0.1, beta=0.03, lam=0.0)  # lam 0: only repredictions move them
     store = init_pseudo_labels(ds, params, cfg)
     before = store.logits.copy()
-    from d2ssl.trainer import stage2_d2
     plan = tiny_plan(stage2_segments=[
         Stage2Segment(2, 0.01, False), Stage2Segment(2, 0.01, True),
     ])
     _, store, _ = stage2_d2(ds, params, store, plan, cfg, seeded_rng(0))
     unl = ds.unlabeled_indices
     assert not np.allclose(store.logits[unl], before[unl])
+
+
+def _per_subset_stage2_metrics(ds, params, store, cfg, active, drift_base):
+    """The stage-2 metric columns as defined: one forward per row subset,
+    softmax and log_softmax taken separately, one percentile per call."""
+    def accuracy(ids):
+        valid = ids[ds.true_classes[ids] != OOD_CLASS]
+        pred = np.argmax(forward(params, ds.features[valid]).logits, axis=1)
+        return float(np.mean(pred == ds.true_classes[valid]))
+
+    unl = ds.unlabeled_indices
+    valid_unl = unl[ds.true_classes[unl] != OOD_CLASS]
+    logits = forward(params, ds.features[active]).logits
+    p_hat, p_hat_log = softmax(logits), log_softmax(logits)
+    p_tilde_log = store.log_probs(active)
+    _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
+    t = np.abs(convergence_residual(p_hat_log, p_tilde_log, total, cfg))
+    drift = np.abs(store.logits[active].sum(axis=1) - drift_base[active])
+    return {
+        "acc_labeled": accuracy(ds.labeled_indices),
+        "acc_test": accuracy(ds.test_indices),
+        "acc_pseudo": float(np.mean(
+            np.argmax(store.logits[valid_unl], axis=1) == ds.true_classes[valid_unl]
+        )),
+        "mean_h_pred": float(np.mean(entropy(p_hat, log_p=p_hat_log))),
+        "mean_h_pseudo": float(np.mean(entropy(store.probs(active)))),
+        "t_abs_p50": float(np.percentile(t, 50)),
+        "t_abs_p95": float(np.percentile(t, 95)),
+        "sum_drift_max": float(drift.max()),
+    }
+
+
+@pytest.mark.parametrize("case", ["closed_world", "open_world", "labeled_matching_only"])
+def test_stage2_metrics_equal_per_subset_formulas(case):
+    # One logits-only forward over all evaluation rows and one softmax
+    # pair per array must give the very bits of the per-subset formulas.
+    ds = tiny_dataset(per_class=150)
+    plan = tiny_plan(stage1_epochs=10, stage1_horizon=10,
+                     stage2_segments=[Stage2Segment(3, 0.01, False)])
+    if case == "open_world":
+        ood = gen_gaussians(1, 2, 100, np.zeros((1, 2)), 1.0, seeded_rng(9))
+        ds = inject_ood(ds, ood, 80, seeded_rng(9))
+        plan = tiny_plan(stage1_epochs=10, stage1_horizon=10,
+                         stage2_segments=[Stage2Segment(3, 0.01, False)],
+                         open_world=True, discard_fraction=0.2)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0,
+                   labeled_full_loss=case != "labeled_matching_only")
+    rng = seeded_rng(2)
+    params, _ = stage1_supervised(ds, init_params([2, 8, 3, 4], "tanh", rng), plan, rng)
+    store = init_pseudo_labels(ds, params, cfg)
+    drift_base = store.logits.sum(axis=1)
+    active = (open_world_filter(store, ds, plan.discard_fraction)
+              if plan.open_world else ds.unlabeled_indices)
+    params, store, records = stage2_d2(ds, params, store, plan, cfg, rng)
+    if case == "open_world":
+        assert np.any(ds.true_classes[active] == OOD_CLASS)
+    expected = _per_subset_stage2_metrics(ds, params, store, cfg, active, drift_base)
+    last = records[-1]
+    for key, value in expected.items():
+        assert getattr(last, key) == value, key
