@@ -242,17 +242,17 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
 
 
 def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
-    spec, frac = diag.t_histogram(dataset, params, store, d2cfg)
+    scores = diag.unlabeled_scores(dataset, params, store, d2cfg)
+    spec, frac = diag.t_histogram(dataset, params, store, d2cfg, scores=scores)
     diag.write_histogram_csv(spec, os.path.join(out_dir, "t_histogram.csv"))
     if d2cfg.beta > 0:
-        records, summary = diag.flatness_audit(dataset, params, store, d2cfg)
-        with open(os.path.join(out_dir, "flatness_audit.csv"), "w") as fh:
-            fh.write("id,p_hat_n,p_tilde_n,loss,bound,residual\n")
-            for row in records:
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        records, summary = diag.flatness_audit(dataset, params, store, d2cfg, scores=scores)
+        diag.write_flatness_csv(records, os.path.join(out_dir, "flatness_audit.csv"))
+        del records
         with open(os.path.join(out_dir, "flatness_summary.csv"), "w") as fh:
             fh.write(",".join(summary.keys()) + "\n")
             fh.write(",".join(f"{v:.9g}" for v in summary.values()) + "\n")
+    del scores  # released before the feature export, the peak of a diagnose run
     grid = np.linspace(0.0, np.log(store.n_classes) + 1e-9, 51)[1:]
     unl = dataset.unlabeled_indices
     cdf = diag.entropy_cdf(store.probs(unl), grid) if unl.size else np.zeros(50, int)
@@ -375,7 +375,21 @@ def run_mode_diagnose(cfg: ExperimentConfig, out_dir: str) -> None:
     params = load_checkpoint(cfg.checkpoint)
     store = load_snapshot(cfg.snapshot)
     n_classes = store.n_classes
+    if params.n_classes != n_classes:
+        raise FormatError(
+            f"checkpoint has {params.n_classes} classes, snapshot has {n_classes}"
+        )
     dataset = data_mod.SplitDataset.load_csv(cfg.dataset_csv, n_classes)
+    if store.n_samples != dataset.n_samples:
+        raise FormatError(
+            f"snapshot has {store.n_samples} rows, dataset has {dataset.n_samples}"
+        )
+    top = int(dataset.true_classes.max(initial=data_mod.OOD_CLASS))
+    if top >= n_classes:
+        raise FormatError(f"dataset has class {top}, snapshot has {n_classes} classes")
+    d_in = params.layer_sizes[0]
+    if dataset.dim != d_in:
+        raise FormatError(f"checkpoint takes {d_in} inputs, dataset has {dataset.dim}")
     _emit_diagnostics(out_dir, dataset, params, store, cfg.d2_config())
 
 

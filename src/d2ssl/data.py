@@ -9,9 +9,9 @@ OOD_CLASS and are excluded from accuracy denominators.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -68,33 +68,94 @@ class SplitDataset:
             self.n_classes, self.note,
         )
 
+    def label_columns(self) -> list[list[str]]:
+        """The id, role and class columns of the CSV layout, as text;
+        the class of an out-of-distribution row is empty."""
+        classes = self.true_classes.tolist()
+        class_names = {c: "" if c == OOD_CLASS else str(c) for c in set(classes)}
+        return [
+            list(map(str, range(self.n_samples))),
+            list(map(_ROLE_NAMES.__getitem__, self.roles.tolist())),
+            list(map(class_names.__getitem__, classes)),
+        ]
+
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "role", "class"] + [f"x{i}" for i in range(self.dim)])
-            for i in range(self.n_samples):
-                cls = "" if self.true_classes[i] == OOD_CLASS else int(self.true_classes[i])
-                w.writerow([i, _ROLE_NAMES[int(self.roles[i])], cls]
-                           + [repr(float(v)) for v in self.features[i]])
+        """Header id,role,class,x0..x{d-1}; one row per sample with
+        repr() floats, CRLF line ends."""
+        header = ["id", "role", "class"] + [f"x{i}" for i in range(self.dim)]
+        cols = self.label_columns()
+        cols += [list(map(repr, col)) for col in self.features.T.tolist()]
+        write_csv_columns(path, header, cols)
 
     @classmethod
     def load_csv(cls, path, n_classes: int) -> "SplitDataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
+        """Read a CSV written by save_csv. A row with the wrong field
+        count, an unknown role, or an id, class or feature that does not
+        parse raises FormatError, as do ids other than 0..n-1."""
+        try:
+            with open(path, newline="") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"dataset CSV is not text: {exc}") from None
+        if not lines:
             raise FormatError("empty dataset CSV")
-        dim = len(rows[0]) - 3
-        n = len(rows) - 1
-        feats = np.zeros((n, dim))
-        classes = np.zeros(n, dtype=np.int64)
-        roles = np.zeros(n, dtype=np.int64)
-        for i, row in enumerate(rows[1:]):
-            if int(row[0]) != i:
-                raise FormatError("dataset CSV ids not contiguous")
-            roles[i] = _ROLE_CODES[row[1]]
-            classes[i] = OOD_CLASS if row[2] == "" else int(row[2])
-            feats[i] = [float(v) for v in row[3:]]
-        return cls(feats, classes, roles, n_classes)
+        width = lines[0].count(",") + 1
+        if width < 3:
+            raise FormatError(f"dataset CSV header has {width} columns, needs at least 3")
+        for i, commas in enumerate(map(str.count, lines, repeat(","))):
+            if commas != width - 1:
+                raise FormatError(
+                    f"dataset CSV line {i + 1} has {commas + 1} fields, header has {width}"
+                )
+        fields = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+        ids, roles, classes, *feats = (fields[j::width] for j in range(width))
+        if _parse_column(ids, int, "id") != list(range(len(ids))):
+            raise FormatError("dataset CSV ids not contiguous")
+        roles = _parse_column(roles, _ROLE_CODES.__getitem__, "role", few=True)
+        classes = _parse_column(classes, _parse_class, "class", few=True)
+        features = np.empty((len(ids), width - 3))
+        for j, col in enumerate(feats):
+            features[:, j] = _parse_column(col, float, f"x{j}")
+        return cls(features, np.array(classes, dtype=np.int64),
+                   np.array(roles, dtype=np.int64), n_classes)
+
+
+def _parse_class(text: str) -> int:
+    if text == "":
+        return OOD_CLASS
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
+def _parse_column(col: list[str], parse, name: str, few: bool = False) -> list:
+    """parse() of every entry of a data column, or of each distinct entry
+    once when the column has few; the first entry it rejects raises
+    FormatError naming its line and column."""
+    try:
+        if few:
+            table = {text: parse(text) for text in set(col)}
+            return list(map(table.__getitem__, col))
+        return list(map(parse, col))
+    except (ValueError, KeyError, OverflowError):
+        for line, text in enumerate(col, start=2):
+            try:
+                parse(text)
+            except (ValueError, KeyError, OverflowError):
+                raise FormatError(
+                    f"dataset CSV line {line}: bad {name} {text!r}"
+                ) from None
+        raise
+
+
+def write_csv_columns(path, header: list[str], columns: list[list[str]]) -> None:
+    """Write equal-length columns of text fields as a CSV file: the bytes
+    csv.writer writes for them (comma-separated, CRLF line ends). No
+    field may contain a comma, a quote or a line break."""
+    rows = map(",".join, zip(*columns))
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
 def gen_gaussians(

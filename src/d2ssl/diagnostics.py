@@ -8,16 +8,15 @@ the model or the store.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OOD_CLASS, SplitDataset
+from .data import SplitDataset, write_csv_columns
 from .errors import ConfigurationError, NumericError
-from .model import ModelParams, forward
-from .numerics import entropy
+from .model import ModelParams, forward, forward_features, forward_logits
+from .numerics import entropy, softmax_pair
 from .pseudo import D2Config, PseudoLabelStore, d2_loss, convergence_residual
 
 
@@ -72,16 +71,18 @@ def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
     return out.reshape(point.shape)
 
 
-def _unlabeled_scores(dataset, params, store, cfg):
-    """Per-unlabeled-sample (p_hat_n, p_tilde_n, loss, residual)."""
+def unlabeled_scores(dataset, params, store, cfg):
+    """Per-unlabeled-sample (ids, p_hat_n, p_tilde_n, loss, residual) at
+    the arg-max class n of the prediction; t_histogram and
+    flatness_audit accept it precomputed."""
     unl = dataset.unlabeled_indices
-    trace = forward(params, dataset.features[unl])
+    p_hat, p_hat_log = softmax_pair(forward_logits(params, dataset.features[unl]))
     p_tilde_log = store.log_probs(unl)
-    _, _, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
-    t = convergence_residual(trace.log_prediction, p_tilde_log, total, cfg)
-    n = np.argmax(trace.log_prediction, axis=1)
+    _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
+    t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
+    n = np.argmax(p_hat_log, axis=1)
     rows = np.arange(unl.size)
-    p_hat_n = trace.prediction[rows, n]
+    p_hat_n = p_hat[rows, n]
     p_tilde_n = np.exp(p_tilde_log)[rows, n]
     return unl, p_hat_n, p_tilde_n, total, t
 
@@ -93,12 +94,18 @@ def t_histogram(
     cfg: D2Config,
     spec: HistogramSpec | None = None,
     tolerance: float = 1e-3,
+    scores=None,
 ) -> tuple[HistogramSpec, float]:
     """Histogram of the per-sample convergence residual over the
-    unlabeled pool, plus the fraction with |t| below tolerance."""
+    unlabeled pool, plus the fraction with |t| below tolerance.
+
+    Pass scores = unlabeled_scores(...) when the caller already has them.
+    """
     if spec is None:
         spec = HistogramSpec(-0.5, 0.5, 101)
-    _, _, _, _, t = _unlabeled_scores(dataset, params, store, cfg)
+    if scores is None:
+        scores = unlabeled_scores(dataset, params, store, cfg)
+    t = scores[-1]
     edges = np.linspace(spec.lower, spec.upper, spec.bins + 1)
     counts, _ = np.histogram(np.clip(t, spec.lower, spec.upper), bins=edges)
     spec.counts = counts
@@ -112,17 +119,21 @@ def flatness_audit(
     store: PseudoLabelStore,
     cfg: D2Config,
     converged_tol: float = 1e-4,
+    scores=None,
 ):
     """Per-sample records for the flatness inequalities.
 
     Returns (records, summary): records has columns
     (id, p_hat_n, p_tilde_n, loss, exp(-loss/beta), residual); the
     summary reports violation fractions among converged samples
-    (|residual| < converged_tol).
+    (|residual| < converged_tol). Pass scores = unlabeled_scores(...)
+    when the caller already has them.
     """
     if cfg.beta == 0:
         raise ConfigurationError("flatness bound undefined for beta == 0")
-    unl, p_hat_n, p_tilde_n, total, t = _unlabeled_scores(dataset, params, store, cfg)
+    if scores is None:
+        scores = unlabeled_scores(dataset, params, store, cfg)
+    unl, p_hat_n, p_tilde_n, total, t = scores
     bound = np.exp(-total / cfg.beta)
     converged = np.abs(t) < converged_tol
     viol_flat = (p_tilde_n > p_hat_n + 1e-6) & converged
@@ -187,42 +198,36 @@ def pseudo_grad_magnitudes(
     ])
 
 
-def export_features(dataset: SplitDataset, params: ModelParams, path=None):
-    """Rows (id, role, class, feature coords, predicted class) for the
-    penultimate-layer feature scatter. Exports the first two coordinates
-    with a flag when the feature dimension is not 2."""
-    from .data import _ROLE_NAMES
-
-    trace = forward(params, dataset.features)
-    feat = trace.feature
-    truncated = feat.shape[1] != 2
-    coords = feat[:, :2] if feat.shape[1] >= 2 else np.column_stack(
-        [feat[:, 0], np.zeros(feat.shape[0])]
-    )
-    pred = np.argmax(trace.logits, axis=1)
-    rows = []
-    for i in range(dataset.n_samples):
-        cls = "" if dataset.true_classes[i] == OOD_CLASS else int(dataset.true_classes[i])
-        rows.append([
-            i, _ROLE_NAMES[int(dataset.roles[i])], cls,
-            float(coords[i, 0]), float(coords[i, 1]), int(pred[i]),
-        ])
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["id", "role", "class", "f0", "f1", "predicted"]
-            if truncated:
-                header.append("truncated_to_2d")
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row + (["1"] if truncated else []))
-    return rows
+def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
+    """Write rows (id, role, class, feature coords, predicted class) for
+    the penultimate-layer feature scatter and return the row count.
+    Exports the first two coordinates with a flag when the feature
+    dimension is not 2; a 1-D feature gets a zero second coordinate."""
+    feat = forward_features(params, dataset.features)
+    pred = np.argmax(feat @ params.head_w, axis=1)
+    coords = feat[:, :2].T.tolist()
+    if len(coords) == 1:
+        coords.append([0.0] * dataset.n_samples)
+    header = ["id", "role", "class", "f0", "f1", "predicted"]
+    cols = dataset.label_columns()
+    cols += [list(map(repr, c)) for c in coords]
+    cols.append(list(map(str, pred.tolist())))
+    if feat.shape[1] != 2:
+        header.append("truncated_to_2d")
+        cols.append(["1"] * dataset.n_samples)
+    write_csv_columns(path, header, cols)
+    return dataset.n_samples
 
 
 def write_histogram_csv(spec: HistogramSpec, path) -> None:
-    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lower", "bin_upper", "count"])
-        for i in range(spec.bins):
-            w.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(spec.counts[i])])
+    edges = [f"{e:.9g}" for e in np.linspace(spec.lower, spec.upper, spec.bins + 1).tolist()]
+    counts = list(map(str, spec.counts.tolist()))
+    write_csv_columns(path, ["bin_lower", "bin_upper", "count"], [edges[:-1], edges[1:], counts])
+
+
+def write_flatness_csv(records: np.ndarray, path) -> None:
+    """Write flatness_audit records as CSV, each value as f"{v:.9g}"."""
+    line = ",".join(["%.9g"] * records.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("id,p_hat_n,p_tilde_n,loss,bound,residual\n")
+        fh.write((line * records.shape[0]) % tuple(records.ravel().tolist()))

@@ -163,16 +163,20 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     )
 
 
-def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The logits of forward(params, x), bit-equal, for inference: no
-    trace is kept, each activation is applied in place and no softmax
-    is taken."""
+def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The feature of forward(params, x), bit-equal, for inference: no
+    trace is kept and each activation is applied in place."""
     a = _as_input(params, x)
     for layer in params.layers:
         a = a @ layer.weight
         a += layer.bias
         _act(layer.activation, a, out=a)
-    return a @ params.head_w
+    return a
+
+
+def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The logits of forward(params, x), bit-equal, with no softmax."""
+    return forward_features(params, x) @ params.head_w
 
 
 def backward(

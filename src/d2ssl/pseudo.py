@@ -259,18 +259,28 @@ def convergence_residual(
     return (a - b) * p_hat_log[rows, n] - a * p_tilde_log[rows, n] - total
 
 
+def _snapshot_record(n_classes: int) -> np.dtype:
+    """One snapshot record, packed: a 64-bit id, a frozen byte and N
+    little-endian float64 logits."""
+    return np.dtype([("id", "<i8"), ("frozen", "u1"), ("logits", "<f8", (n_classes,))])
+
+
 def save_snapshot(store: PseudoLabelStore, path) -> None:
-    """Binary snapshot: magic, version, N, count; then per sample a
-    64-bit id, a frozen byte, and N little-endian float64 logits."""
+    """Binary snapshot: magic, version, N, count; then one record per
+    sample, in id order."""
+    records = np.empty(store.n_samples, dtype=_snapshot_record(store.n_classes))
+    records["id"] = np.arange(store.n_samples)
+    records["frozen"] = store.frozen
+    records["logits"] = store.logits
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", SNAPSHOT_VERSION, store.n_classes, store.n_samples))
-        for i in range(store.n_samples):
-            fh.write(struct.pack("<qB", i, int(store.frozen[i])))
-            fh.write(np.ascontiguousarray(store.logits[i], dtype="<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_snapshot(path) -> PseudoLabelStore:
+    """Read a snapshot; records may come in any order, but each id in
+    0..count-1 must appear exactly once and nothing may follow them."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -281,18 +291,27 @@ def load_snapshot(path) -> PseudoLabelStore:
         version, n_classes, count = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise FormatError(f"unsupported snapshot version {version}")
-        logits = np.zeros((count, n_classes))
-        frozen = np.zeros(count, dtype=bool)
-        for _ in range(count):
-            rec = fh.read(9)
-            if len(rec) < 9:
-                raise FormatError("truncated snapshot record")
-            sid, flag = struct.unpack("<qB", rec)
-            if not 0 <= sid < count:
-                raise FormatError(f"sample id {sid} out of range")
-            buf = fh.read(8 * n_classes)
-            if len(buf) < 8 * n_classes:
-                raise FormatError("truncated snapshot logits")
-            logits[sid] = np.frombuffer(buf, dtype="<f8")
-            frozen[sid] = bool(flag)
-        return PseudoLabelStore(logits, frozen, n_classes, init_scale=0.0)
+        body = fh.read()
+    try:
+        record = _snapshot_record(n_classes)
+    except ValueError:  # a record must fit in 2 GiB
+        raise FormatError(f"snapshot class count {n_classes} too large") from None
+    size = count * record.itemsize
+    if len(body) < size:
+        raise FormatError(f"truncated snapshot records: {len(body)} of {size} bytes")
+    if len(body) > size:
+        raise FormatError(f"{len(body) - size} trailing bytes after the snapshot records")
+    records = np.frombuffer(body, dtype=record, count=count)
+    ids = records["id"]
+    bad = (ids < 0) | (ids >= count)
+    if bad.any():
+        raise FormatError(f"sample id {ids[bad][0]} out of range")
+    seen = np.bincount(ids, minlength=count)
+    if np.any(seen > 1):
+        dup = int(np.argmax(seen > 1))
+        raise FormatError(f"sample id {dup} appears {seen[dup]} times")
+    logits = np.zeros((count, n_classes))
+    frozen = np.zeros(count, dtype=bool)
+    logits[ids] = records["logits"]
+    frozen[ids] = records["frozen"] != 0
+    return PseudoLabelStore(logits, frozen, n_classes, init_scale=0.0)

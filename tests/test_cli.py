@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,16 @@ from d2ssl.cli import (
     EXIT_OK,
     RESOLVED_NAME,
     ExperimentConfig,
+    build_dataset,
     dump_config,
     main,
     parse_config,
     strategy_cells,
 )
 from d2ssl.errors import ConfigurationError
+from d2ssl.model import init_params, save_checkpoint
+from d2ssl.numerics import seeded_rng
+from d2ssl.pseudo import init_pseudo_labels, save_snapshot
 
 TINY = {
     "gauss_per_class": "30",
@@ -167,6 +172,50 @@ def test_main_diagnose_from_r2d2_outputs(tmp_path):
 
 def test_main_diagnose_requires_inputs(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def diagnose_argv(tmp_path, sizes="2,64,2,4", store_rows=None, csv_line=None):
+    """Write checkpoint, snapshot and dataset CSV of the tiny config and
+    return the diagnose command line over them. sizes gives the
+    checkpoint's layer sizes, store_rows cuts the snapshot to its first
+    rows, and csv_line = (k, text) replaces line k of the dataset CSV."""
+    cfg = parse_config("", TINY)
+    ds = build_dataset(cfg)
+    params = init_params([int(v) for v in sizes.split(",")], "tanh", seeded_rng(0))
+    store = init_pseudo_labels(ds, init_params(cfg.model_sizes(), "tanh", seeded_rng(0)),
+                               cfg.d2_config())
+    if store_rows is not None:
+        store.logits, store.frozen = store.logits[:store_rows], store.frozen[:store_rows]
+    save_checkpoint(params, tmp_path / "model.d2ck")
+    save_snapshot(store, tmp_path / "pseudo.d2pl")
+    ds.save_csv(tmp_path / "dataset.csv")
+    if csv_line is not None:
+        lines = (tmp_path / "dataset.csv").read_text().splitlines()
+        lines[csv_line[0]] = csv_line[1]
+        (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+    return ["diagnose", "--out", str(tmp_path / "diag"),
+            "--checkpoint", str(tmp_path / "model.d2ck"),
+            "--snapshot", str(tmp_path / "pseudo.d2pl"),
+            "--dataset_csv", str(tmp_path / "dataset.csv")]
+
+
+def test_main_diagnose_consistent_inputs(tmp_path):
+    assert main(diagnose_argv(tmp_path)) == EXIT_OK
+    assert (tmp_path / "diag" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("case,message", [
+    ({"csv_line": (2, "1,trainer,0,0.5,0.5")}, r"line 3: bad role 'trainer'"),
+    ({"csv_line": (2, "1,test,0,0.5")}, r"line 3 has 4 fields, header has 5"),
+    ({"csv_line": (2, "1,test,0,0.5,half")}, r"line 3: bad x1 'half'"),
+    ({"store_rows": 10}, r"snapshot has 10 rows, dataset has 120"),
+    ({"sizes": "2,64,2,3"}, r"checkpoint has 3 classes, snapshot has 4"),
+    ({"csv_line": (2, "1,test,4,0.5,0.5")}, r"dataset has class 4, snapshot has 4 classes"),
+    ({"sizes": "3,64,2,4"}, r"checkpoint takes 3 inputs, dataset has 2"),
+])
+def test_main_diagnose_bad_inputs_exit_io(tmp_path, capsys, case, message):
+    assert main(diagnose_argv(tmp_path, **case)) == EXIT_IO
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_main_ablation(tmp_path):

@@ -1,5 +1,6 @@
-"""Dataset generator, split, and IDX-format tests."""
+"""Dataset generator, split, CSV and IDX-format tests."""
 
+import csv
 import struct
 
 import numpy as np
@@ -163,6 +164,121 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.features, ds.features)
     np.testing.assert_array_equal(loaded.true_classes, ds.true_classes)
     np.testing.assert_array_equal(loaded.roles, ds.roles)
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
+
+
+def save_csv_by_rows(ds, path):
+    """The row-by-row csv.writer writer, kept as the byte-level reference."""
+    names = {ROLE_LABELED: "labeled", ROLE_UNLABELED: "unlabeled", ROLE_TEST: "test"}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "role", "class"] + [f"x{i}" for i in range(ds.dim)])
+        for i in range(ds.n_samples):
+            cls = "" if ds.true_classes[i] == OOD_CLASS else int(ds.true_classes[i])
+            w.writerow([i, names[int(ds.roles[i])], cls]
+                       + [repr(float(v)) for v in ds.features[i]])
+
+
+def ood_dataset(dim=2, edge=False):
+    """A small split dataset with three OOD rows; with edge=True its first
+    rows carry nan, +-inf, -0.0 and the smallest subnormal."""
+    centers = np.zeros((4, dim))
+    centers[:, 0] = 3.0 * np.arange(4)
+    ds = split(gen_gaussians(4, dim, 15, centers, 1.0, seeded_rng(0)), 2, 0.3, seeded_rng(1))
+    ood = gen_gaussians(1, dim, 5, np.zeros((1, dim)), 1.0, seeded_rng(2))
+    ds = inject_ood(ds, ood, 3, seeded_rng(3))
+    if edge:
+        ds.features[:len(EDGE_FLOATS), 0] = EDGE_FLOATS
+    return ds
+
+
+@pytest.mark.parametrize("dim,edge", [(1, False), (2, True), (5, True)])
+def test_save_csv_bytes_match_csv_writer(tmp_path, dim, edge):
+    ds = ood_dataset(dim, edge)
+    ds.save_csv(tmp_path / "new.csv")
+    save_csv_by_rows(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = SplitDataset.load_csv(tmp_path / "new.csv", ds.n_classes)
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    assert loaded.true_classes.tobytes() == ds.true_classes.tobytes()
+    assert loaded.roles.tobytes() == ds.roles.tobytes()
+
+
+def test_csv_header_only(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("id,role,class,x0,x1\r\n")
+    loaded = SplitDataset.load_csv(path, 4)
+    assert loaded.features.shape == (0, 2) and loaded.n_samples == 0
+
+
+def write_csv_with(tmp_path, line, text):
+    """The dataset CSV of ood_dataset() with data line `line` replaced."""
+    path = tmp_path / "ds.csv"
+    ood_dataset().save_csv(path)
+    lines = path.read_text().splitlines()
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_csv_unknown_role(tmp_path):
+    path = write_csv_with(tmp_path, 3, "2,trainer,1,0.5,0.5")
+    with pytest.raises(FormatError, match=r"line 4: bad role 'trainer'"):
+        SplitDataset.load_csv(path, 4)
+
+
+def test_load_csv_row_one_feature_short(tmp_path):
+    path = write_csv_with(tmp_path, 3, "2,test,1,0.5")
+    with pytest.raises(FormatError, match=r"line 4 has 4 fields, header has 5"):
+        SplitDataset.load_csv(path, 4)
+
+
+@pytest.mark.parametrize("text,what", [
+    ("2x,test,1,0.5,0.5", "id"),
+    ("2,test,one,0.5,0.5", "class"),
+    ("2,test,-3,0.5,0.5", "class"),
+    ("2,test,1,0.5,half", "x1"),
+])
+def test_load_csv_unparsable_field(tmp_path, text, what):
+    path = write_csv_with(tmp_path, 3, text)
+    with pytest.raises(FormatError, match=rf"line 4: bad {what}"):
+        SplitDataset.load_csv(path, 4)
+
+
+def test_load_csv_ids_not_contiguous(tmp_path):
+    path = write_csv_with(tmp_path, 3, "7,test,1,0.5,0.5")
+    with pytest.raises(FormatError, match="not contiguous"):
+        SplitDataset.load_csv(path, 4)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_load_csv_mutated_file_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    ood_dataset().save_csv(path)
+    blob = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=20))
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        SplitDataset.load_csv(path, 4)
+    except FormatError:
+        pass
+
+
+def test_load_csv_empty_file(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("")
+    with pytest.raises(FormatError):
+        SplitDataset.load_csv(path, 4)
 
 
 # ---- IDX binary format ----

@@ -1,9 +1,11 @@
 """Diagnostics: oracle helpers, audits, and CSV exporters."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from d2ssl.data import gen_gaussians, split
+from d2ssl.data import OOD_CLASS, SplitDataset, gen_gaussians, inject_ood, split
 from d2ssl.diagnostics import (
     HistogramSpec,
     entropy_cdf,
@@ -14,12 +16,16 @@ from d2ssl.diagnostics import (
     pseudo_grad_magnitudes,
     sum_drift_audit,
     t_histogram,
+    unlabeled_scores,
+    write_flatness_csv,
     write_histogram_csv,
 )
 from d2ssl.errors import ConfigurationError, NumericError
-from d2ssl.model import init_params
+from d2ssl.model import forward, init_params
 from d2ssl.numerics import seeded_rng
-from d2ssl.pseudo import D2Config, PseudoLabelStore, init_pseudo_labels
+from d2ssl.pseudo import (
+    D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
+)
 
 CENTERS = 3.0 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
@@ -131,10 +137,11 @@ def test_export_features_2d(tmp_path):
     ds, _, store, cfg = setup_run()
     params = init_params([2, 8, 2, 4], "tanh", seeded_rng(0))  # 2-D feature
     path = tmp_path / "features.csv"
-    rows = export_features(ds, params, path)
-    assert len(rows) == ds.n_samples
-    header = path.read_text().splitlines()[0]
-    assert header == "id,role,class,f0,f1,predicted"
+    count = export_features(ds, params, path)
+    assert count == ds.n_samples
+    lines = path.read_text().splitlines()
+    assert len(lines) == ds.n_samples + 1
+    assert lines[0] == "id,role,class,f0,f1,predicted"
 
 
 def test_export_features_truncation_flag(tmp_path):
@@ -145,3 +152,107 @@ def test_export_features_truncation_flag(tmp_path):
     export_features(ds, params, path)
     header = path.read_text().splitlines()[0]
     assert header.endswith("truncated_to_2d")
+
+
+def test_unlabeled_scores_bit_equal_to_forward_trace():
+    ds, params, store, cfg = setup_run()
+    unl = ds.unlabeled_indices
+    trace = forward(params, ds.features[unl])
+    p_tilde_log = store.log_probs(unl)
+    _, _, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
+    t = convergence_residual(trace.log_prediction, p_tilde_log, total, cfg)
+    n = np.argmax(trace.log_prediction, axis=1)
+    rows = np.arange(unl.size)
+    want = (unl, trace.prediction[rows, n], np.exp(p_tilde_log)[rows, n], total, t)
+    got = unlabeled_scores(ds, params, store, cfg)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_precomputed_scores_give_the_same_audits():
+    ds, params, store, cfg = setup_run()
+    scores = unlabeled_scores(ds, params, store, cfg)
+    spec, frac = t_histogram(ds, params, store, cfg)
+    spec2, frac2 = t_histogram(ds, params, store, cfg, scores=scores)
+    np.testing.assert_array_equal(spec.counts, spec2.counts)
+    assert frac == frac2
+    records, summary = flatness_audit(ds, params, store, cfg)
+    records2, summary2 = flatness_audit(ds, params, store, cfg, scores=scores)
+    assert records.tobytes() == records2.tobytes()
+    assert summary == pytest.approx(summary2, nan_ok=True)
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
+
+
+def export_features_by_rows(dataset, params, path):
+    """The row-by-row csv.writer exporter, kept as the byte-level reference."""
+    names = {0: "labeled", 1: "unlabeled", 2: "test"}
+    trace = forward(params, dataset.features)
+    feat = trace.feature
+    coords = feat[:, :2] if feat.shape[1] >= 2 else np.column_stack(
+        [feat[:, 0], np.zeros(feat.shape[0])]
+    )
+    pred = np.argmax(trace.logits, axis=1)
+    truncated = feat.shape[1] != 2
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "role", "class", "f0", "f1", "predicted"]
+                   + (["truncated_to_2d"] if truncated else []))
+        for i in range(dataset.n_samples):
+            cls = "" if dataset.true_classes[i] == OOD_CLASS else int(dataset.true_classes[i])
+            w.writerow([i, names[int(dataset.roles[i])], cls,
+                        float(coords[i, 0]), float(coords[i, 1]), int(pred[i])]
+                       + (["1"] if truncated else []))
+
+
+def edge_dataset(dim):
+    """Gaussian rows plus three OOD rows, the first rows of feature 0
+    replaced by nan, +-inf, -0.0 and the smallest subnormal."""
+    centers = np.zeros((4, dim))
+    centers[:, 0] = 3.0 * np.arange(4)
+    ds = split(gen_gaussians(4, dim, 10, centers, 1.0, seeded_rng(0)), 2, 0.3, seeded_rng(1))
+    ood = gen_gaussians(1, dim, 5, np.zeros((1, dim)), 1.0, seeded_rng(2))
+    ds = inject_ood(ds, ood, 3, seeded_rng(3))
+    ds.features[:len(EDGE_FLOATS), 0] = EDGE_FLOATS
+    return ds
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sizes", [
+    [2, 8, 2, 4],   # 2-D feature
+    [2, 8, 1, 4],   # 1-D feature, zero second coordinate
+    [2, 8, 5, 4],   # 5-D feature, truncated
+    [2, 4],         # no hidden layer: the feature is the input, edge floats included
+])
+def test_export_features_bytes_match_csv_writer(tmp_path, sizes):
+    ds = edge_dataset(2)
+    params = init_params(sizes, "linear", seeded_rng(0))
+    assert export_features(ds, params, tmp_path / "new.csv") == ds.n_samples
+    export_features_by_rows(ds, params, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_flatness_csv_bytes_match_format(tmp_path):
+    ds, params, store, cfg = setup_run()
+    records, _ = flatness_audit(ds, params, store, cfg)
+    records[:len(EDGE_FLOATS), 1] = EDGE_FLOATS
+    records[len(EDGE_FLOATS):2 * len(EDGE_FLOATS), 3] = [-v for v in EDGE_FLOATS]
+    path = tmp_path / "flatness_audit.csv"
+    write_flatness_csv(records, path)
+    want = "id,p_hat_n,p_tilde_n,loss,bound,residual\n" + "".join(
+        ",".join(f"{v:.9g}" for v in row) + "\n" for row in records
+    )
+    assert path.read_bytes() == want.encode()
+
+
+def test_histogram_csv_bytes_match_csv_writer(tmp_path):
+    ds, params, store, cfg = setup_run()
+    spec, _ = t_histogram(ds, params, store, cfg, HistogramSpec(-1.0, 1.0, 10))
+    write_histogram_csv(spec, tmp_path / "new.csv")
+    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["bin_lower", "bin_upper", "count"])
+        for i in range(spec.bins):
+            w.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(spec.counts[i])])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

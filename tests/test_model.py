@@ -11,6 +11,8 @@ from d2ssl.model import (
     ModelParams,
     backward,
     forward,
+    forward_features,
+    forward_logits,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -53,6 +55,18 @@ def test_forward_accepts_1d_and_2d():
     np.testing.assert_allclose(t1.logits, t2.logits)
     assert t1.logits.shape == (1, 4)
     assert t1.prediction.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sizes,activation", [
+    ([2, 5, 3, 4], "tanh"), ([2, 5, 3, 4], "relu"), ([2, 5, 3, 4], "linear"), ([2, 4], "tanh"),
+])
+def test_inference_forwards_bit_equal_to_forward(sizes, activation):
+    p = init_params(sizes, activation, seeded_rng(1))
+    x = seeded_rng(2).standard_normal((50, 2))
+    trace = forward(p, x)
+    assert forward_features(p, x).tobytes() == trace.feature.tobytes()
+    assert forward_logits(p, x).tobytes() == trace.logits.tobytes()
+    np.testing.assert_array_equal(x, seeded_rng(2).standard_normal((50, 2)))  # input untouched
 
 
 def test_forward_dim_mismatch():

@@ -1,5 +1,7 @@
 """Joint-loss, gradient, update, and snapshot-format tests."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from d2ssl.pseudo import (
     SNAPSHOT_MAGIC,
     D2Config,
     LossBreakdown,
+    SNAPSHOT_VERSION,
     PseudoLabelStore,
     d2_loss,
     d2_update_pseudo,
@@ -239,3 +242,84 @@ def test_snapshot_truncated(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(FormatError):
         load_snapshot(path)
+
+
+def snapshot_by_records(store, order=None) -> bytes:
+    """The record-by-record writer, kept as the byte-level reference."""
+    order = range(store.n_samples) if order is None else order
+    out = [SNAPSHOT_MAGIC,
+           struct.pack("<III", SNAPSHOT_VERSION, store.n_classes, store.n_samples)]
+    for i in order:
+        out.append(struct.pack("<qB", i, int(store.frozen[i])))
+        out.append(np.ascontiguousarray(store.logits[i], dtype="<f8").tobytes())
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("classes", [1, 4])
+def test_snapshot_bytes_match_record_writer(tmp_path, classes):
+    store = make_store(n=7, classes=classes)
+    store.logits[1:6, 0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    path = tmp_path / "pseudo.d2pl"
+    save_snapshot(store, path)
+    assert path.read_bytes() == snapshot_by_records(store)
+    loaded = load_snapshot(path)
+    assert loaded.logits.tobytes() == store.logits.tobytes()
+    np.testing.assert_array_equal(loaded.frozen, store.frozen)
+
+
+def test_snapshot_records_in_any_order(tmp_path):
+    store = make_store(n=5, classes=3)
+    path = tmp_path / "pseudo.d2pl"
+    path.write_bytes(snapshot_by_records(store, order=[3, 0, 4, 2, 1]))
+    loaded = load_snapshot(path)
+    assert loaded.logits.tobytes() == store.logits.tobytes()
+    np.testing.assert_array_equal(loaded.frozen, store.frozen)
+
+
+def test_snapshot_trailing_bytes(tmp_path):
+    store = make_store()
+    path = tmp_path / "pseudo.d2pl"
+    save_snapshot(store, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        load_snapshot(path)
+
+
+def test_snapshot_duplicate_id(tmp_path):
+    store = make_store(n=3, classes=3)
+    path = tmp_path / "pseudo.d2pl"
+    path.write_bytes(snapshot_by_records(store, order=[0, 1, 0]))
+    with pytest.raises(FormatError, match="sample id 0 appears 2 times"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("sid", [-1, 3])
+def test_snapshot_id_out_of_range(tmp_path, sid):
+    store = make_store(n=3, classes=3)
+    blob = bytearray(snapshot_by_records(store))
+    blob[16:24] = struct.pack("<q", sid)  # the first record's id
+    path = tmp_path / "pseudo.d2pl"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="out of range"):
+        load_snapshot(path)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_snapshot_mutated_file_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("d2pl") / "pseudo.d2pl"
+    save_snapshot(make_store(n=4, classes=3), path)
+    blob = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=40))
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        load_snapshot(path)
+    except FormatError:
+        pass
