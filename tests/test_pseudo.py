@@ -14,9 +14,9 @@ from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
 from d2ssl.pseudo import (
     CLASSIFICATION_LOSSES,
     SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     D2Config,
     LossBreakdown,
-    SNAPSHOT_VERSION,
     PseudoLabelStore,
     d2_loss,
     d2_update_pseudo,
