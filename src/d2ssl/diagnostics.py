@@ -74,8 +74,12 @@ def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
 def unlabeled_scores(dataset, params, store, cfg):
     """Per-unlabeled-sample (ids, p_hat_n, p_tilde_n, loss, residual) at
     the arg-max class n of the prediction; t_histogram and
-    flatness_audit accept it precomputed."""
+    flatness_audit accept it precomputed. An empty pool gives empty
+    scores."""
     unl = dataset.unlabeled_indices
+    if unl.size == 0:
+        empty = np.zeros(0)
+        return unl, empty, empty, empty, empty
     p_hat, p_hat_log = softmax_pair(forward_logits(params, dataset.features[unl]))
     p_tilde_log = store.log_probs(unl)
     _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)

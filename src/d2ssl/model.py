@@ -3,11 +3,19 @@
 The backbone maps an input vector to a feature f of dimension D; the
 head computes logits = W.T @ f with W of shape (D, N) and no bias term.
 Forward keeps every intermediate needed for an exact backward pass.
+
+The parameters built here (init_params, ModelParams.copy,
+load_checkpoint) are views of one flat float64 buffer laid out in
+tensors() order, which is also the checkpoint's tensor layout, so the
+optimizer updates them with one expression per step.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +39,35 @@ def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
-def _act_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_grad(tag: str, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation from its output a alone; for relu,
+    a > 0 is z > 0 (NaN included, where both are false)."""
     if tag == "tanh":
         return 1.0 - a * a
     if tag == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if tag == "linear":
-        return np.ones_like(z)
+        return np.ones_like(a)
     raise ConfigurationError(f"unknown activation {tag!r}")
+
+
+def tensor_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
+    """Shapes of the tensors of a model, in tensors() order."""
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in zip(layer_sizes[:-2], layer_sizes[1:-1]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    shapes.append((layer_sizes[-2], layer_sizes[-1]))
+    return shapes
+
+
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of flat with the given shapes."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
 
 
 @dataclass
@@ -52,6 +81,9 @@ class Layer:
 class ModelParams:
     layers: list[Layer]
     head_w: np.ndarray  # (D, N), no bias
+    # The buffer the tensors are views of, when built packed; None for
+    # params assembled from separate arrays.
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def feature_dim(self) -> int:
@@ -77,28 +109,48 @@ class ModelParams:
         out.append(self.head_w)
         return out
 
+    def packed(self) -> np.ndarray | None:
+        """The flat buffer, if every tensor is still a view of it."""
+        flat = self.flat
+        if flat is None:
+            return None
+        for t in self.tensors():
+            if t.base is not flat:
+                return None
+        return flat
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            layers=[Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            head_w=self.head_w.copy(),
-        )
+        flat = np.concatenate([t.ravel() for t in self.tensors()])
+        return _packed(self.layer_sizes, [l.activation for l in self.layers], flat)
+
+
+def _packed(layer_sizes: list[int], activations: list[str], flat=None) -> ModelParams:
+    """ModelParams whose tensors are views of flat (zeros if not given)."""
+    shapes = tensor_shapes(layer_sizes)
+    if flat is None:
+        flat = np.zeros(sum(math.prod(s) for s in shapes))
+    views = flat_views(flat, shapes)
+    layers = [
+        Layer(w, b, act) for w, b, act in zip(views[:-1:2], views[1:-1:2], activations)
+    ]
+    return ModelParams(layers=layers, head_w=views[-1], flat=flat)
 
 
 @dataclass
 class ForwardTrace:
-    inputs: np.ndarray                 # (B, d_in)
-    pre_activations: list[np.ndarray]  # per backbone layer, (B, fan_out)
-    activations: list[np.ndarray]      # per backbone layer, (B, fan_out)
-    feature: np.ndarray                # (B, D)
-    logits: np.ndarray                 # (B, N)
-    prediction: np.ndarray             # (B, N), softmax of logits
-    log_prediction: np.ndarray = field(default=None)  # (B, N)
+    inputs: np.ndarray             # (B, d_in)
+    activations: list[np.ndarray]  # per backbone layer, (B, fan_out)
+    feature: np.ndarray            # (B, D)
+    logits: np.ndarray             # (B, N)
+    prediction: np.ndarray         # (B, N), softmax of logits
+    log_prediction: np.ndarray     # (B, N)
 
 
 @dataclass
 class GradientSet:
     layer_grads: list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per layer
     head_grad: np.ndarray                             # (D, N)
+    flat: np.ndarray | None = field(default=None, repr=False)  # as in ModelParams
 
     def tensors(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -107,6 +159,13 @@ class GradientSet:
             out.append(db)
         out.append(self.head_grad)
         return out
+
+    @classmethod
+    def for_params(cls, params: ModelParams) -> "GradientSet":
+        """A zero gradient of params' shapes, as views of one flat buffer."""
+        flat = np.zeros(sum(t.size for t in params.tensors()))
+        views = flat_views(flat, [t.shape for t in params.tensors()])
+        return cls(list(zip(views[:-1:2], views[1:-1:2])), views[-1], flat)
 
 
 def init_params(
@@ -123,13 +182,13 @@ def init_params(
         raise ConfigurationError(f"non-positive layer size in {layer_sizes}")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}")
-    layers = []
-    for fan_in, fan_out in zip(layer_sizes[:-2], layer_sizes[1:-1]):
-        w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        layers.append(Layer(w, np.zeros(fan_out), activation))
-    d, n = layer_sizes[-2], layer_sizes[-1]
-    head = rng.standard_normal((d, n)) / np.sqrt(d)
-    return ModelParams(layers=layers, head_w=head)
+    params = _packed(layer_sizes, [activation] * (len(layer_sizes) - 2))
+    for layer in params.layers:
+        fan_in = layer.weight.shape[0]
+        layer.weight[...] = rng.standard_normal(layer.weight.shape) / np.sqrt(fan_in)
+    d = layer_sizes[-2]
+    params.head_w[...] = rng.standard_normal(params.head_w.shape) / np.sqrt(d)
+    return params
 
 
 def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -140,23 +199,26 @@ def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _hidden(params: ModelParams, a: np.ndarray) -> Iterator[np.ndarray]:
+    """Each backbone layer's activation in turn, from input rows a; each
+    layer's product is the one array its bias and activation work in."""
+    for layer in params.layers:
+        a = a @ layer.weight
+        a += layer.bias
+        yield _act(layer.activation, a, out=a)
+
+
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Run the backbone and head; x is (d_in,) or (B, d_in)."""
     x = _as_input(params, x)
-    pre, act = [], []
-    a = x
-    for layer in params.layers:
-        z = a @ layer.weight + layer.bias
-        a = _act(layer.activation, z)
-        pre.append(z)
-        act.append(a)
-    logits = a @ params.head_w
+    act = list(_hidden(params, x))
+    feature = act[-1] if act else x
+    logits = feature @ params.head_w
     prediction, log_prediction = softmax_pair(logits)
     return ForwardTrace(
         inputs=x,
-        pre_activations=pre,
         activations=act,
-        feature=a,
+        feature=feature,
         logits=logits,
         prediction=prediction,
         log_prediction=log_prediction,
@@ -165,13 +227,11 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
 
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The feature of forward(params, x), bit-equal, for inference: no
-    trace is kept and each activation is applied in place."""
-    a = _as_input(params, x)
-    for layer in params.layers:
-        a = a @ layer.weight
-        a += layer.bias
-        _act(layer.activation, a, out=a)
-    return a
+    trace is kept."""
+    feature = _as_input(params, x)
+    for feature in _hidden(params, feature):  # ends as the last layer's
+        pass
+    return feature
 
 
 def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -180,26 +240,33 @@ def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray
+    params: ModelParams,
+    trace: ForwardTrace,
+    dl_dlogits: np.ndarray,
+    out: GradientSet | None = None,
 ) -> GradientSet:
     """Exact parameter gradients of the scalar whose logit-gradient rows
-    are dl_dlogits, summed over the batch."""
+    are dl_dlogits, summed over the batch; written into out when given
+    (GradientSet.for_params(params) makes one), else into a new set."""
     g = np.atleast_2d(np.asarray(dl_dlogits, dtype=np.float64))
     if g.shape != trace.logits.shape:
         raise DimensionError(
             f"logit-gradient shape {g.shape} does not match logits {trace.logits.shape}"
         )
-    head_grad = trace.feature.T @ g
+    if out is None:
+        out = GradientSet.for_params(params)
+    np.matmul(trace.feature.T, g, out=out.head_grad)
     delta = g @ params.head_w.T  # gradient w.r.t. feature
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        dz = delta * _act_grad(layer.activation, trace.pre_activations[i], trace.activations[i])
+        delta *= _act_grad(layer.activation, trace.activations[i])  # now dL/dz
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        layer_grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+        dw, db = out.layer_grads[i]
+        np.matmul(a_prev.T, delta, out=dw)
+        delta.sum(axis=0, out=db)
         if i > 0:
-            delta = dz @ layer.weight.T
-    return GradientSet(layer_grads=layer_grads, head_grad=head_grad)
+            delta = delta @ layer.weight.T
+    return out
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -218,7 +285,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; the tensor bytes the size list implies must be
+    exactly what follows the activation tag. Every length is checked
+    against the file size before it is read."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
@@ -228,23 +299,20 @@ def load_checkpoint(path) -> ModelParams:
         version, n_sizes = struct.unpack("<II", header)
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        raw = fh.read(4 * n_sizes)
-        if len(raw) < 4 * n_sizes:
-            raise FormatError("truncated layer-size list")
-        sizes = list(struct.unpack(f"<{n_sizes}I", raw))
-        act = fh.read(8).rstrip(b"\x00").decode()
-
-        def read_tensor(shape):
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) < 8 * count:
-                raise FormatError("truncated tensor data")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        layers = []
-        for fan_in, fan_out in zip(sizes[:-2], sizes[1:-1]):
-            w = read_tensor((fan_in, fan_out))
-            b = read_tensor((fan_out,))
-            layers.append(Layer(w, b, act))
-        head = read_tensor((sizes[-2], sizes[-1]))
-        return ModelParams(layers=layers, head_w=head)
+        if file_size - fh.tell() < 4 * n_sizes + 8:
+            raise FormatError("truncated layer-size list or activation tag")
+        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+        if n_sizes < 2 or 0 in sizes:
+            raise FormatError(f"bad layer sizes {sizes[:8]}")
+        tag = fh.read(8).rstrip(b"\x00")
+        act = tag.decode("ascii", errors="replace")
+        if act not in ACTIVATIONS:
+            raise FormatError(f"unknown activation tag {tag!r}")
+        count = sum(math.prod(s) for s in tensor_shapes(sizes))
+        have = file_size - fh.tell()
+        if have < 8 * count:
+            raise FormatError(f"truncated tensor data: {have} of {8 * count} bytes")
+        if have > 8 * count:
+            raise FormatError(f"{have - 8 * count} trailing bytes after the tensor data")
+        flat = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+    return _packed(sizes, [act] * (len(sizes) - 2), flat)

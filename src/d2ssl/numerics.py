@@ -22,9 +22,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty vector")
-    m = np.max(z, axis=-1, keepdims=True)
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -32,9 +32,8 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("log_softmax of empty vector")
-    m = np.max(z, axis=-1, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,9 +45,9 @@ def softmax_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty vector")
-    log_p = z - np.max(z, axis=-1, keepdims=True)
+    log_p = z - z.max(axis=-1, keepdims=True)
     p = np.exp(log_p)
-    total = np.sum(p, axis=-1, keepdims=True)
+    total = p.sum(axis=-1, keepdims=True)
     p /= total
     log_p -= np.log(total)
     return p, log_p
@@ -63,7 +62,7 @@ def entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if log_p is None:
         log_p = np.log(np.maximum(p, TINY))
-    return -np.sum(np.where(p > 0.0, p * log_p, 0.0), axis=-1)
+    return -np.where(p > 0.0, p * log_p, 0.0).sum(axis=-1)
 
 
 def kl_divergence(
@@ -81,7 +80,7 @@ def kl_divergence(
         )
     if p is None:
         p = np.exp(log_p)
-    return np.sum(np.where(p > 0.0, p * (log_p - log_q), 0.0), axis=-1)
+    return np.where(p > 0.0, p * (log_p - log_q), 0.0).sum(axis=-1)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

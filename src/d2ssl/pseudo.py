@@ -129,7 +129,7 @@ def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
     elif cfg.classification_loss == "reverse_kl":
         l_c = kl_divergence(p_tilde_log, p_hat_log)
     else:  # squared_l2
-        l_c = np.sum((np.exp(p_tilde_log) - p_hat) ** 2, axis=-1)
+        l_c = ((np.exp(p_tilde_log) - p_hat) ** 2).sum(axis=-1)
     l_e = entropy(p_hat, log_p=p_hat_log)
     total = cfg.alpha * l_c + cfg.beta * l_e
     if p_hat_log.ndim == 1:
@@ -157,7 +157,7 @@ def grad_wrt_network_logits(
     if cfg.classification_loss == "forward_kl":
         # d/dy_n [ sum_j p_j ((a-b) log p_j - a log q_j) ] = p_n (g_n - L)
         g = (a - b) * p_hat_log - a * p_tilde_log
-        loss = np.sum(p_hat * g, axis=-1, keepdims=True)
+        loss = (p_hat * g).sum(axis=-1, keepdims=True)
         return p_hat * (g - loss)
     p_tilde = np.exp(p_tilde_log)
     ent = entropy(p_hat, log_p=p_hat_log)[..., None]
@@ -168,7 +168,7 @@ def grad_wrt_network_logits(
         grad_c = p_hat - p_tilde
     else:  # squared_l2
         dl_dp = -2.0 * (p_tilde - p_hat)
-        inner = np.sum(p_hat * dl_dp, axis=-1, keepdims=True)
+        inner = (p_hat * dl_dp).sum(axis=-1, keepdims=True)
         grad_c = p_hat * (dl_dp - inner)
     return a * grad_c + b * grad_e
 
@@ -223,7 +223,7 @@ def d2_update_pseudo_batch(
     Pass p_tilde = softmax(store.logits[ids]) when the caller already has it.
     """
     ids = np.asarray(ids)
-    if np.any(store.frozen[ids]):
+    if store.frozen[ids].any():
         raise FrozenUpdateError("batch contains frozen samples")
     if p_tilde is None:
         p_tilde = softmax(store.logits[ids])

@@ -21,7 +21,9 @@ import numpy as np
 
 from .data import OOD_CLASS, SplitDataset
 from .errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from .model import GradientSet, ModelParams, backward, forward, forward_logits, init_params
+from .model import (
+    GradientSet, ModelParams, backward, flat_views, forward, forward_logits, init_params,
+)
 from .numerics import entropy, log_softmax, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
@@ -42,17 +44,25 @@ METRICS_HEADER = (
 
 @dataclass
 class OptimizerState:
-    buffers: list[np.ndarray]
+    """The momentum and the gradient the step reads, each one flat buffer
+    laid out like the parameters' tensors(); training writes each batch's
+    gradient straight into grads with backward(..., out=state.grads)."""
+    velocity: np.ndarray
+    grads: GradientSet
+    shapes: list[tuple[int, ...]]  # of the parameter tensors
     momentum: float = 0.9
     weight_decay: float = 0.0
 
+    @property
+    def buffers(self) -> list[np.ndarray]:
+        """The momentum of each tensor, as views of velocity."""
+        return flat_views(self.velocity, self.shapes)
+
     @classmethod
     def for_params(cls, params: ModelParams, momentum=0.9, weight_decay=0.0):
-        return cls(
-            buffers=[np.zeros_like(t) for t in params.tensors()],
-            momentum=momentum,
-            weight_decay=weight_decay,
-        )
+        grads = GradientSet.for_params(params)
+        shapes = [t.shape for t in params.tensors()]
+        return cls(np.zeros_like(grads.flat), grads, shapes, momentum, weight_decay)
 
 
 @dataclass
@@ -132,19 +142,38 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
 def sgd_nesterov_step(
     params: ModelParams, grads: GradientSet, state: OptimizerState, lr: float
 ) -> None:
-    """In-place Nesterov update; weight decay is folded into the gradient."""
+    """In-place Nesterov update; weight decay is folded into the gradient.
+
+    The update runs once over the flat parameter, gradient and momentum
+    vectors; element by element it is the per-tensor update. grads is
+    copied into state.grads unless it is that set. Params not built
+    packed are gathered, updated and written back into their own arrays.
+    """
     tensors = params.tensors()
-    gtensors = grads.tensors()
-    if len(tensors) != len(state.buffers):
+    shapes = [t.shape for t in tensors]
+    if shapes != state.shapes:
         raise DimensionError("optimizer state does not match parameters")
+    if grads is not state.grads:
+        gtensors = grads.tensors()
+        if len(gtensors) != len(tensors):
+            raise DimensionError(f"{len(gtensors)} gradients for {len(tensors)} tensors")
+        for t, g, dst in zip(tensors, gtensors, state.grads.tensors()):
+            if t.shape != g.shape:
+                raise DimensionError(f"gradient shape {g.shape} != param shape {t.shape}")
+            dst[...] = g
+    flat = params.packed()
+    packed = flat is not None
+    if not packed:
+        flat = np.concatenate([t.ravel() for t in tensors])
     mu = state.momentum
-    for t, g, buf in zip(tensors, gtensors, state.buffers):
-        if t.shape != g.shape:
-            raise DimensionError(f"gradient shape {g.shape} != param shape {t.shape}")
-        eff = g + state.weight_decay * t
-        buf *= mu
-        buf += eff
-        t -= lr * (eff + mu * buf)
+    buf = state.velocity
+    eff = state.grads.flat + state.weight_decay * flat
+    buf *= mu
+    buf += eff
+    flat -= lr * (eff + mu * buf)
+    if not packed:
+        for t, updated in zip(tensors, flat_views(flat, shapes)):
+            t[...] = updated
 
 
 def cosine_lr(t: int, horizon: int, lr0: float) -> float:
@@ -156,8 +185,16 @@ def cosine_lr(t: int, horizon: int, lr0: float) -> float:
 
 
 def _check_finite(value: float, what: str) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"non-finite {what}: {value}")
+
+
+def _check_loss(loss_sum: float, stage: str, epoch: int, batch: int) -> None:
+    """Stop at the batch whose loss made the epoch's running loss sum
+    non-finite. A non-finite addend keeps the sum non-finite, so this
+    also covers the epoch mean."""
+    if not math.isfinite(loss_sum):
+        raise NumericError(f"non-finite loss at {stage} epoch {epoch} batch {batch}: {loss_sum}")
 
 
 @dataclass
@@ -192,13 +229,19 @@ def _accuracy(params: ModelParams, rows: _EvalRows) -> tuple[float, float, np.nd
     return acc_labeled, acc_test, logits[n_scored:]
 
 
-def _pseudo_accuracy(store: PseudoLabelStore, dataset: SplitDataset) -> float:
+def _known_unlabeled(dataset: SplitDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The unlabeled rows of a known class and their true classes."""
     unl = dataset.unlabeled_indices
     valid = unl[dataset.true_classes[unl] != OOD_CLASS]
+    return valid, dataset.true_classes[valid]
+
+
+def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarray) -> float:
+    """Arg-max pseudo-label accuracy over _known_unlabeled's rows."""
     if valid.size == 0:
         return float("nan")
     pred = np.argmax(store.logits[valid], axis=1)
-    return float(np.mean(pred == dataset.true_classes[valid]))
+    return float(np.mean(pred == truth))
 
 
 def _supervised_epoch(
@@ -209,28 +252,33 @@ def _supervised_epoch(
     batch_size: int,
     lr: float,
     rng: np.random.Generator,
+    stage: str,
+    epoch: int,
 ) -> tuple[float, float]:
-    """One epoch of cross-entropy SGD; returns (mean CE, mean entropy)."""
+    """One epoch of cross-entropy SGD over full batches in a random
+    order; returns (mean CE, mean entropy). stage and epoch name the
+    epoch in a numeric abort."""
     n = features.shape[0]
     order = rng.permutation(n)
     bs = min(batch_size, n)
+    n_batches = n // bs
+    features, targets = features[order], targets[order]
+    rows = np.arange(bs)
     loss_sum = ent_sum = 0.0
-    count = 0
-    for start in range(0, n - bs + 1, bs):
-        ids = order[start:start + bs]
-        trace = forward(params, features[ids])
-        rows = np.arange(ids.size)
-        ce = -trace.log_prediction[rows, targets[ids]]
+    for b in range(n_batches):
+        batch = slice(b * bs, (b + 1) * bs)
+        trace = forward(params, features[batch])
+        target = targets[batch]
+        ce = -trace.log_prediction[rows, target]
         dl = trace.prediction.copy()
-        dl[rows, targets[ids]] -= 1.0
-        grads = backward(params, trace, dl / ids.size)
-        sgd_nesterov_step(params, grads, state, lr)
+        dl[rows, target] -= 1.0
+        dl /= bs
+        backward(params, trace, dl, out=state.grads)
+        sgd_nesterov_step(params, state.grads, state, lr)
         loss_sum += float(ce.sum())
+        _check_loss(loss_sum, stage, epoch, b)
         ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
-        count += ids.size
-    if count == 0:
-        return float("nan"), float("nan")
-    _check_finite(loss_sum, "cross-entropy loss")
+    count = n_batches * bs
     return loss_sum / count, ent_sum / count
 
 
@@ -264,7 +312,7 @@ def stage1_supervised(
     for epoch in range(plan.stage1_epochs):
         lr = cosine_lr(epoch, plan.stage1_horizon, plan.stage1_lr)
         ce, h_pred = _supervised_epoch(
-            params, state, feats, targets, plan.batch_labeled, lr, rng
+            params, state, feats, targets, plan.batch_labeled, lr, rng, "stage1", epoch
         )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
@@ -292,6 +340,23 @@ def open_world_filter(
     order = np.lexsort((unl, -ent))
     keep = np.sort(unl[order[n_drop:]])
     return keep
+
+
+def _draw_labeled(lab, order, cursor, need, rng):
+    """The next need labeled ids from order, starting at cursor; each
+    time order runs out it is replaced by a fresh permutation of lab.
+    Returns the ids and the new (order, cursor)."""
+    parts = []
+    while need > 0:
+        if cursor >= order.size:
+            order = rng.permutation(lab)
+            cursor = 0
+        take = min(need, order.size - cursor)
+        parts.append(order[cursor:cursor + take])
+        cursor += take
+        need -= take
+    ids = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+    return ids, order, cursor
 
 
 def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dict:
@@ -354,6 +419,7 @@ def stage2_d2(
     records = []
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
+    known_unl = _known_unlabeled(dataset)
     for segment in plan.stage2_segments:
         if segment.repredict_at_start:
             repredict(store, params, dataset)
@@ -370,56 +436,61 @@ def stage2_d2(
         rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
         lab_cursor = 0
+        n_lab = plan.batch_labeled if lab.size else 0
+        n_unl = plan.batch_unlabeled
         for _ in range(segment.epochs):
             unl_order = rng.permutation(active_unl)
-            n_batches = (
-                active_unl.size // plan.batch_unlabeled if active_unl.size else 0
+            n_batches = active_unl.size // n_unl
+            l_ids, lab_order, lab_cursor = _draw_labeled(
+                lab, lab_order, lab_cursor, n_batches * n_lab, rng
             )
-            loss_sums = np.zeros(3)
-            n_seen = 0
+            ids = np.concatenate([
+                l_ids.reshape(n_batches, n_lab),
+                unl_order[:n_batches * n_unl].reshape(n_batches, n_unl),
+            ], axis=1)
+            # Gathered once for the epoch. The pseudo-logits are exact
+            # for every batch: an active unlabeled row is in at most one
+            # batch per epoch, so it is read before its only update, and
+            # labeled rows are frozen.
+            feats = dataset.features[ids]
+            pseudo_logits = store.logits[ids]
+            sum_c = sum_e = sum_total = 0.0
             for b in range(n_batches):
-                u_ids = unl_order[b * plan.batch_unlabeled:(b + 1) * plan.batch_unlabeled]
-                l_ids = []
-                need = plan.batch_labeled if lab.size else 0
-                while need > 0:
-                    if lab_cursor >= lab_order.size:
-                        lab_order = rng.permutation(lab)
-                        lab_cursor = 0
-                    take = min(need, lab_order.size - lab_cursor)
-                    l_ids.append(lab_order[lab_cursor:lab_cursor + take])
-                    lab_cursor += take
-                    need -= take
-                l_ids = np.concatenate(l_ids) if l_ids else np.array([], dtype=np.int64)
-                ids = np.concatenate([l_ids, u_ids])
-                trace = forward(params, dataset.features[ids])
-                # The rows of u_ids keep these values until the pseudo step.
-                p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
-                n_lab = l_ids.size
+                trace = forward(params, feats[b])
+                p_tilde, p_tilde_log = softmax_pair(pseudo_logits[b])
                 dl = _network_logit_grad(
                     trace.prediction, trace.log_prediction, p_tilde_log,
                     n_lab, cfg, cfg_labeled,
                 )
-                grads = backward(params, trace, dl / ids.size)
-                sgd_nesterov_step(params, grads, state, segment.lr)
+                dl /= n_lab + n_unl
+                backward(params, trace, dl, out=state.grads)
+                sgd_nesterov_step(params, state.grads, state, segment.lr)
                 if cfg.lam > 0:
                     d2_update_pseudo_batch(
-                        store, u_ids, trace.prediction[n_lab:], cfg, p_tilde[n_lab:]
+                        store, ids[b, n_lab:], trace.prediction[n_lab:], cfg,
+                        p_tilde[n_lab:],
                     )
+                # Not trace.prediction: softmax is not bit-equal to exp of
+                # log_softmax, and the loss columns are kept bit-stable.
                 l_c, l_e, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
-                loss_sums += [l_c.sum(), l_e.sum(), total.sum()]
-                n_seen += ids.size
-            mean_losses = loss_sums / n_seen if n_seen else np.full(3, np.nan)
-            _check_finite(float(mean_losses[2]) if n_seen else 0.0, "stage-2 loss")
+                sum_c += float(l_c.sum())
+                sum_e += float(l_e.sum())
+                sum_total += float(total.sum())
+                _check_loss(sum_total, "stage2", epoch_global, b)
+            n_seen = ids.size
+            mean_c, mean_e, mean_total = (
+                (sum_c / n_seen, sum_e / n_seen, sum_total / n_seen)
+                if n_seen else (float("nan"),) * 3
+            )
             acc_labeled, acc_test, unl_logits = _accuracy(params, rows)
             extra = _stage2_epoch_metrics(
                 store, cfg, active_unl, unl_logits, drift_base
             )
             records.append(_nan_record(
                 "stage2", epoch_global, segment.lr,
-                loss_total=float(mean_losses[2]),
-                loss_c=float(mean_losses[0]), loss_e=float(mean_losses[1]),
+                loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
                 acc_labeled=acc_labeled, acc_test=acc_test,
-                acc_pseudo=_pseudo_accuracy(store, dataset),
+                acc_pseudo=_pseudo_accuracy(store, *known_unl),
                 **extra,
             ))
             epoch_global += 1
@@ -445,12 +516,14 @@ def stage3_finetune(
     batch = plan.batch_labeled + plan.batch_unlabeled
     rows = _eval_rows(dataset)
     # Stage 3 never changes the store, so its two columns are constant.
-    acc_pseudo = _pseudo_accuracy(store, dataset)
+    acc_pseudo = _pseudo_accuracy(store, *_known_unlabeled(dataset))
     h_pseudo = float(np.mean(entropy(store.probs(unl)))) if unl.size else float("nan")
     records = []
     for epoch in range(plan.stage3_epochs):
         lr = cosine_lr(epoch, plan.stage3_horizon, plan.stage3_lr)
-        ce, h_pred = _supervised_epoch(params, state, feats, targets, batch, lr, rng)
+        ce, h_pred = _supervised_epoch(
+            params, state, feats, targets, batch, lr, rng, "stage3", epoch
+        )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
             "stage3", epoch, lr,

@@ -218,6 +218,26 @@ def test_main_diagnose_bad_inputs_exit_io(tmp_path, capsys, case, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+def test_main_diagnose_without_unlabeled_rows(tmp_path):
+    argv = diagnose_argv(tmp_path)
+    csv_path = tmp_path / "dataset.csv"
+    csv_path.write_bytes(csv_path.read_bytes().replace(b",unlabeled,", b",test,"))
+    assert main(argv) == EXIT_OK
+    for name in ("t_histogram.csv", "flatness_audit.csv", "flatness_summary.csv",
+                 "entropy_cdf.csv", "features.csv", "t_converged_fraction.csv"):
+        assert (tmp_path / "diag" / name).exists(), name
+    audit = (tmp_path / "diag" / "flatness_audit.csv").read_text()
+    assert audit == "id,p_hat_n,p_tilde_n,loss,bound,residual\n"
+
+
+def test_main_diagnose_checkpoint_trailing_bytes_exit_io(tmp_path, capsys):
+    argv = diagnose_argv(tmp_path)
+    with open(tmp_path / "model.d2ck", "ab") as fh:
+        fh.write(b"junk")
+    assert main(argv) == EXIT_IO
+    assert "4 trailing bytes after the tensor data" in capsys.readouterr().err
+
+
 def test_main_ablation(tmp_path):
     assert main(tiny_args("ablation", tmp_path)) == EXIT_OK
     lines = (tmp_path / "ablation_summary.csv").read_text().splitlines()

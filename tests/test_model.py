@@ -1,14 +1,21 @@
 """Model forward/backward tests against the finite-difference oracle,
 plus checkpoint format round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2ssl.diagnostics import numeric_gradient
 from d2ssl.errors import ConfigurationError, DimensionError, FormatError
 from d2ssl.model import (
     CHECKPOINT_MAGIC,
+    GradientSet,
     ModelParams,
+    _act,
+    _act_grad,
     backward,
     forward,
     forward_features,
@@ -160,3 +167,149 @@ def test_head_has_no_bias():
     params = ModelParams(layers=[], head_w=p.head_w.copy())
     t = forward(params, np.zeros((1, 3)))
     np.testing.assert_array_equal(t.logits, np.zeros((1, 4)))
+
+
+def _old_trace_and_backward(params, x, g):
+    """The parameter gradients as computed before the trace dropped the
+    pre-activations: z kept per layer, the activation derivative from z."""
+    def act_grad(tag, z, a):
+        if tag == "tanh":
+            return 1.0 - a * a
+        if tag == "relu":
+            return (z > 0.0).astype(np.float64)
+        return np.ones_like(z)
+
+    pre, act = [], []
+    a = x
+    for layer in params.layers:
+        z = a @ layer.weight + layer.bias
+        a = _act(layer.activation, z)
+        pre.append(z)
+        act.append(a)
+    head_grad = a.T @ g
+    delta = g @ params.head_w.T
+    grads = [None] * len(params.layers)
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        dz = delta * act_grad(layer.activation, pre[i], act[i])
+        a_prev = x if i == 0 else act[i - 1]
+        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+        if i > 0:
+            delta = dz @ layer.weight.T
+    return [t for pair in grads for t in pair] + [head_grad]
+
+
+@pytest.mark.parametrize("sizes,activation", [
+    ([2, 64, 2, 4], "tanh"), ([2, 5, 3, 4], "relu"), ([2, 5, 3, 4], "linear"), ([2, 4], "tanh"),
+])
+def test_backward_into_buffer_bit_equal_to_old_backward(sizes, activation):
+    p = init_params(sizes, activation, seeded_rng(4))
+    rng = seeded_rng(5)
+    x = rng.standard_normal((120, 2))
+    g = rng.standard_normal((120, sizes[-1])) / 120
+    old = _old_trace_and_backward(p, x, g)
+    out = GradientSet.for_params(p)
+    out.flat[:] = np.nan  # every entry must be overwritten
+    assert backward(p, forward(p, x), g, out=out) is out
+    fresh = backward(p, forward(p, x), g)
+    for a, b, c in zip(old, out.tensors(), fresh.tensors()):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    for t in out.tensors():
+        assert t.base is out.flat
+
+
+def test_act_grad_from_output_bit_equal_to_old():
+    z = np.array([-2.0, -1e-300, -0.0, 0.0, 5e-324, 1.5, np.nan, np.inf, -np.inf])
+    relu = _act("relu", z.copy())
+    assert _act_grad("relu", relu).tobytes() == (z > 0.0).astype(np.float64).tobytes()
+    tanh = _act("tanh", z.copy())
+    assert _act_grad("tanh", tanh).tobytes() == (1.0 - tanh * tanh).tobytes()
+    assert _act_grad("linear", z).tobytes() == np.ones_like(z).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [[2, 5, 3, 4], [2, 4]])
+def test_params_are_views_of_one_flat_buffer(tmp_path, sizes):
+    p = init_params(sizes, "relu", seeded_rng(3))
+    assert p.packed() is p.flat
+    assert p.flat.size == sum(t.size for t in p.tensors())
+    assert all(t.base is p.flat for t in p.tensors())
+    assert np.concatenate([t.ravel() for t in p.tensors()]).tobytes() == p.flat.tobytes()
+    q = p.copy()
+    assert q.packed() is q.flat and not np.shares_memory(q.flat, p.flat)
+    assert q.flat.tobytes() == p.flat.tobytes()
+    assert [l.activation for l in q.layers] == [l.activation for l in p.layers]
+    save_checkpoint(p, tmp_path / "a.d2ck")
+    r = load_checkpoint(tmp_path / "a.d2ck")
+    assert r.packed() is r.flat and r.flat.tobytes() == p.flat.tobytes()
+    save_checkpoint(r, tmp_path / "b.d2ck")
+    assert (tmp_path / "a.d2ck").read_bytes() == (tmp_path / "b.d2ck").read_bytes()
+
+
+def test_params_from_separate_arrays_are_not_packed():
+    p = small_params()
+    q = ModelParams(layers=p.layers, head_w=p.head_w.copy())
+    assert q.packed() is None
+    assert q.copy().flat.tobytes() == p.flat.tobytes()
+    p.head_w = p.head_w.copy()  # rebinding a tensor unpacks the params
+    assert p.packed() is None
+
+
+def _checkpoint_blob(tmp_path):
+    path = tmp_path / "model.d2ck"
+    save_checkpoint(small_params(), path)
+    return path, bytearray(path.read_bytes())
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    path.write_bytes(bytes(blob) + b"junk")
+    with pytest.raises(FormatError, match="4 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_huge_layer_size_is_truncation(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    blob[12 + 4 * 3:12 + 4 * 4] = struct.pack("<I", 4_000_000_000)  # the class count
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="truncated tensor data"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tag", [b"sigmoid\x00", b"\xff\xfe\x00\x00\x00\x00\x00\x00"])
+def test_checkpoint_unknown_activation_tag(tmp_path, tag):
+    path, blob = _checkpoint_blob(tmp_path)
+    at = 12 + 4 * 4
+    blob[at:at + 8] = tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unknown activation tag"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sizes", [[], [4], [2, 0, 4]])
+def test_checkpoint_bad_size_list(tmp_path, sizes):
+    path = tmp_path / "model.d2ck"
+    head = CHECKPOINT_MAGIC + struct.pack("<II", 1, len(sizes))
+    path.write_bytes(head + struct.pack(f"<{len(sizes)}I", *sizes) + b"tanh".ljust(8, b"\x00"))
+    with pytest.raises(FormatError, match="bad layer sizes"):
+        load_checkpoint(path)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_mutated_file_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("d2ck") / "model.d2ck"
+    save_checkpoint(init_params([2, 3, 2], "tanh", seeded_rng(0)), path)
+    blob = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=40))
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except FormatError:
+        pass

@@ -5,13 +5,14 @@ import pytest
 
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from d2ssl.model import forward, init_params
+from d2ssl.model import GradientSet, ModelParams, forward, init_params
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
 from d2ssl.pseudo import (
     D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
 )
 from d2ssl.trainer import (
     METRICS_HEADER,
+    _draw_labeled,
     OptimizerState,
     SchedulePlan,
     Stage2Segment,
@@ -302,3 +303,126 @@ def test_stage2_metrics_equal_per_subset_formulas(case):
     last = records[-1]
     for key, value in expected.items():
         assert getattr(last, key) == value, key
+
+
+def _old_nesterov_step(tensors, gtensors, buffers, mu, wd, lr):
+    """The per-tensor Nesterov update the flat step replaced."""
+    for t, g, buf in zip(tensors, gtensors, buffers):
+        eff = g + wd * t
+        buf *= mu
+        buf += eff
+        t -= lr * (eff + mu * buf)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 2e-4])
+def test_flat_nesterov_bit_equal_to_per_tensor_loop(weight_decay):
+    params = init_params([2, 64, 2, 4], "tanh", seeded_rng(0))
+    tensors = [t.copy() for t in params.tensors()]
+    buffers = [np.zeros_like(t) for t in tensors]
+    state = OptimizerState.for_params(params, momentum=0.9, weight_decay=weight_decay)
+    rng = seeded_rng(1)
+    for step in range(50):
+        lr = float(rng.uniform(0.001, 0.1))
+        for g in state.grads.tensors():
+            g[...] = rng.standard_normal(g.shape)
+        _old_nesterov_step(tensors, state.grads.tensors(), buffers, 0.9, weight_decay, lr)
+        sgd_nesterov_step(params, state.grads, state, lr)
+        for a, b in zip(tensors, params.tensors()):
+            assert a.tobytes() == b.tobytes(), step
+        for a, b in zip(buffers, state.buffers):
+            assert a.tobytes() == b.tobytes(), step
+
+
+def test_nesterov_updates_unpacked_params_in_their_own_arrays():
+    # Params assembled from separate arrays are updated in place, with
+    # the bits of the packed update, and never rebound.
+    packed = init_params([2, 5, 3], "tanh", seeded_rng(0))
+    loose = ModelParams(layers=[l.__class__(l.weight.copy(), l.bias.copy(), l.activation)
+                                for l in packed.layers],
+                        head_w=packed.head_w.copy())
+    arrays = loose.tensors()
+    s_packed = OptimizerState.for_params(packed, weight_decay=1e-3)
+    s_loose = OptimizerState.for_params(loose, weight_decay=1e-3)
+    grads = GradientSet.for_params(packed)
+    rng = seeded_rng(2)
+    for _ in range(5):
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        sgd_nesterov_step(packed, grads, s_packed, 0.05)
+        sgd_nesterov_step(loose, grads, s_loose, 0.05)
+    assert all(a is b for a, b in zip(arrays, loose.tensors()))
+    for a, b in zip(packed.tensors(), loose.tensors()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_nesterov_gradient_count_mismatch():
+    params = init_params([2, 3, 3], "linear", seeded_rng(0))
+    state = OptimizerState.for_params(params)
+
+    class G:
+        def tensors(self):
+            return [np.zeros((3, 3))]
+
+    with pytest.raises(DimensionError):
+        sgd_nesterov_step(params, G(), state, 0.01)
+
+
+def _old_labeled_draws(lab, lab_order, cursor, n_batches, batch_labeled, rng):
+    """The stage-2 labeled ids as drawn batch by batch before the draw
+    moved to epoch start."""
+    out = []
+    for _ in range(n_batches):
+        l_ids = []
+        need = batch_labeled if lab.size else 0
+        while need > 0:
+            if cursor >= lab_order.size:
+                lab_order = rng.permutation(lab)
+                cursor = 0
+            take = min(need, lab_order.size - cursor)
+            l_ids.append(lab_order[cursor:cursor + take])
+            cursor += take
+            need -= take
+        out.append(np.concatenate(l_ids) if l_ids else np.array([], dtype=np.int64))
+    return out, lab_order, cursor
+
+
+@pytest.mark.parametrize("n_lab", [0, 7, 20, 45])
+def test_epoch_labeled_draw_matches_per_batch_draw(n_lab):
+    # batch_labeled 20 against labeled pools of 0, fewer, as many and
+    # more rows, over several epochs that carry the cursor along.
+    lab = np.arange(100, 100 + n_lab)
+    old_rng, new_rng = seeded_rng(3), seeded_rng(3)
+    old_order = old_rng.permutation(lab) if lab.size else lab
+    new_order = new_rng.permutation(lab) if lab.size else lab
+    old_cursor = new_cursor = 0
+    for n_batches in (19, 0, 3, 19):
+        old, old_order, old_cursor = _old_labeled_draws(
+            lab, old_order, old_cursor, n_batches, 20, old_rng)
+        need = n_batches * (20 if lab.size else 0)
+        new, new_order, new_cursor = _draw_labeled(lab, new_order, new_cursor, need, new_rng)
+        expected = np.concatenate(old) if old else np.array([], dtype=np.int64)
+        assert new.dtype == expected.dtype and new.tobytes() == expected.tobytes()
+        assert new_cursor == old_cursor and new_order.tobytes() == old_order.tobytes()
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def test_numeric_abort_names_stage_epoch_and_batch():
+    ds = tiny_dataset()
+    plan = tiny_plan(stage1_epochs=30, stage1_horizon=30, stage1_lr=1e12)
+    with pytest.raises(NumericError, match=r"non-finite loss at stage1 epoch \d+ batch \d+: nan"):
+        run_supervised_baseline(ds, [2, 8, 3, 4], "tanh", plan, seed=0)
+
+
+def test_stage2_abort_at_the_batch_of_a_nan_pseudo_logit():
+    ds = tiny_dataset()
+    params = init_params([2, 8, 3, 4], "tanh", seeded_rng(0))
+    cfg = D2Config(lam=100.0)
+    store = init_pseudo_labels(ds, params, cfg)
+    plan = tiny_plan()
+    # The second batch of epoch 0 holds this row: stage 2 first draws a
+    # labeled order, then the epoch's unlabeled order.
+    rng = seeded_rng(1)
+    rng.permutation(ds.labeled_indices)
+    bad = rng.permutation(ds.unlabeled_indices)[plan.batch_unlabeled + 3]
+    store.logits[bad, 0] = np.nan
+    with pytest.raises(NumericError, match=r"non-finite loss at stage2 epoch 0 batch 1: nan"):
+        stage2_d2(ds, params, store, plan, cfg, seeded_rng(1))
