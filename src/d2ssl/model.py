@@ -124,12 +124,18 @@ class ModelParams:
         return _packed(self.layer_sizes, [l.activation for l in self.layers], flat)
 
 
-def _packed(layer_sizes: list[int], activations: list[str], flat=None) -> ModelParams:
-    """ModelParams whose tensors are views of flat (zeros if not given)."""
+def _flat_tensors(layer_sizes: list[int], flat=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat float64 buffer (zeros if not given) and its views in
+    tensors() order: the one layout of params, gradients and momentum."""
     shapes = tensor_shapes(layer_sizes)
     if flat is None:
         flat = np.zeros(sum(math.prod(s) for s in shapes))
-    views = flat_views(flat, shapes)
+    return flat, flat_views(flat, shapes)
+
+
+def _packed(layer_sizes: list[int], activations: list[str], flat=None) -> ModelParams:
+    """ModelParams whose tensors are views of flat (zeros if not given)."""
+    flat, views = _flat_tensors(layer_sizes, flat)
     layers = [
         Layer(w, b, act) for w, b, act in zip(views[:-1:2], views[1:-1:2], activations)
     ]
@@ -163,8 +169,7 @@ class GradientSet:
     @classmethod
     def for_params(cls, params: ModelParams) -> "GradientSet":
         """A zero gradient of params' shapes, as views of one flat buffer."""
-        flat = np.zeros(sum(t.size for t in params.tensors()))
-        views = flat_views(flat, [t.shape for t in params.tensors()])
+        flat, views = _flat_tensors(params.layer_sizes)
         return cls(list(zip(views[:-1:2], views[1:-1:2])), views[-1], flat)
 
 

@@ -49,20 +49,18 @@ class OptimizerState:
     gradient straight into grads with backward(..., out=state.grads)."""
     velocity: np.ndarray
     grads: GradientSet
-    shapes: list[tuple[int, ...]]  # of the parameter tensors
     momentum: float = 0.9
     weight_decay: float = 0.0
 
     @property
     def buffers(self) -> list[np.ndarray]:
         """The momentum of each tensor, as views of velocity."""
-        return flat_views(self.velocity, self.shapes)
+        return flat_views(self.velocity, [g.shape for g in self.grads.tensors()])
 
     @classmethod
     def for_params(cls, params: ModelParams, momentum=0.9, weight_decay=0.0):
         grads = GradientSet.for_params(params)
-        shapes = [t.shape for t in params.tensors()]
-        return cls(np.zeros_like(grads.flat), grads, shapes, momentum, weight_decay)
+        return cls(np.zeros_like(grads.flat), grads, momentum, weight_decay)
 
 
 @dataclass
@@ -146,34 +144,31 @@ def sgd_nesterov_step(
 
     The update runs once over the flat parameter, gradient and momentum
     vectors; element by element it is the per-tensor update. grads is
-    copied into state.grads unless it is that set. Params not built
-    packed are gathered, updated and written back into their own arrays.
+    copied into state.grads unless it is that set. params must be packed
+    (init_params, copy and load_checkpoint build them so), because the
+    update writes through their flat buffer.
     """
+    flat = params.packed()
+    if flat is None:
+        raise DimensionError("params are not views of one flat buffer")
     tensors = params.tensors()
-    shapes = [t.shape for t in tensors]
-    if shapes != state.shapes:
+    state_grads = state.grads.tensors()
+    if [t.shape for t in tensors] != [g.shape for g in state_grads]:
         raise DimensionError("optimizer state does not match parameters")
     if grads is not state.grads:
         gtensors = grads.tensors()
         if len(gtensors) != len(tensors):
             raise DimensionError(f"{len(gtensors)} gradients for {len(tensors)} tensors")
-        for t, g, dst in zip(tensors, gtensors, state.grads.tensors()):
+        for t, g, dst in zip(tensors, gtensors, state_grads):
             if t.shape != g.shape:
                 raise DimensionError(f"gradient shape {g.shape} != param shape {t.shape}")
             dst[...] = g
-    flat = params.packed()
-    packed = flat is not None
-    if not packed:
-        flat = np.concatenate([t.ravel() for t in tensors])
     mu = state.momentum
     buf = state.velocity
     eff = state.grads.flat + state.weight_decay * flat
     buf *= mu
     buf += eff
     flat -= lr * (eff + mu * buf)
-    if not packed:
-        for t, updated in zip(tensors, flat_views(flat, shapes)):
-            t[...] = updated
 
 
 def cosine_lr(t: int, horizon: int, lr0: float) -> float:

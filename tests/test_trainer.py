@@ -5,7 +5,7 @@ import pytest
 
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from d2ssl.model import GradientSet, ModelParams, forward, init_params
+from d2ssl.model import ModelParams, forward, init_params
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
 from d2ssl.pseudo import (
     D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
@@ -333,25 +333,32 @@ def test_flat_nesterov_bit_equal_to_per_tensor_loop(weight_decay):
             assert a.tobytes() == b.tobytes(), step
 
 
-def test_nesterov_updates_unpacked_params_in_their_own_arrays():
-    # Params assembled from separate arrays are updated in place, with
-    # the bits of the packed update, and never rebound.
+def test_nesterov_rejects_unpacked_params():
+    # Params assembled from separate arrays are refused, not rebound or
+    # left unchanged: the step writes through the flat buffer only.
     packed = init_params([2, 5, 3], "tanh", seeded_rng(0))
     loose = ModelParams(layers=[l.__class__(l.weight.copy(), l.bias.copy(), l.activation)
                                 for l in packed.layers],
                         head_w=packed.head_w.copy())
-    arrays = loose.tensors()
-    s_packed = OptimizerState.for_params(packed, weight_decay=1e-3)
-    s_loose = OptimizerState.for_params(loose, weight_decay=1e-3)
-    grads = GradientSet.for_params(packed)
-    rng = seeded_rng(2)
-    for _ in range(5):
-        grads.flat[:] = rng.standard_normal(grads.flat.size)
-        sgd_nesterov_step(packed, grads, s_packed, 0.05)
-        sgd_nesterov_step(loose, grads, s_loose, 0.05)
-    assert all(a is b for a, b in zip(arrays, loose.tensors()))
-    for a, b in zip(packed.tensors(), loose.tensors()):
+    before = [t.copy() for t in loose.tensors()]
+    state = OptimizerState.for_params(loose)
+    state.grads.flat[:] = 1.0
+    with pytest.raises(DimensionError, match="not views of one flat buffer"):
+        sgd_nesterov_step(loose, state.grads, state, 0.05)
+    for a, b in zip(before, loose.tensors()):
         assert a.tobytes() == b.tobytes()
+    packed.head_w = packed.head_w.copy()  # rebinding a tensor unpacks the params
+    state = OptimizerState.for_params(packed)
+    with pytest.raises(DimensionError, match="not views of one flat buffer"):
+        sgd_nesterov_step(packed, state.grads, state, 0.05)
+
+
+def test_nesterov_state_of_other_params():
+    params = init_params([2, 4, 3], "tanh", seeded_rng(0))
+    other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
+    state = OptimizerState.for_params(other)
+    with pytest.raises(DimensionError, match="optimizer state does not match"):
+        sgd_nesterov_step(params, state.grads, state, 0.05)
 
 
 def test_nesterov_gradient_count_mismatch():
