@@ -13,6 +13,7 @@ abort.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -125,6 +126,21 @@ class ExperimentConfig:
     def model_sizes(self) -> list[int]:
         return _int_list(self.layer_sizes, "layer_sizes")
 
+    def check_dataset(self) -> None:
+        """Reject dataset settings build_dataset cannot use. Class and
+        per-class sample counts are checked where the data is built."""
+        least = {"seed": 0, "gauss_classes": 1, "gauss_dim": 1, "labeled_per_class": 0,
+                 "ood_count": 0, "gauss_spread": 0.0, "moons_noise": 0.0}
+        for key, low in least.items():
+            value = getattr(self, key)
+            if not low <= value < math.inf:
+                raise ConfigurationError(f"{key} must be finite and >= {low}, got {value}")
+        for key in ("gauss_center_scale", "ood_center_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(f"{key} must be finite, got {getattr(self, key)}")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ConfigurationError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -189,7 +205,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     for key, raw in (overrides or {}).items():
         setattr(cfg, key, _convert(key, raw, None))
     cfg.d2_config()       # validate hyperparameters now
-    cfg.schedule_plan()   # and the schedule
+    cfg.schedule_plan()   # the schedule
+    cfg.check_dataset()   # and the dataset keys
     if len(cfg.model_sizes()) < 2:
         raise ConfigurationError("layer_sizes needs at least two entries")
     return cfg

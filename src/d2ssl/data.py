@@ -9,6 +9,8 @@ OOD_CLASS and are excluded from accuracy denominators.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from itertools import repeat
@@ -224,32 +226,37 @@ def _read_idx_header(fh, expected_magic: int, path) -> list[int]:
     return dims
 
 
+def _read_idx(path, expected_magic: int) -> tuple[list[int], bytes]:
+    """The dimensions and the data of one IDX file. The data must be
+    exactly the bytes the dimensions imply, checked against the file
+    size before any of it is read."""
+    with open(path, "rb") as fh:
+        dims = _read_idx_header(fh, expected_magic, path)
+        need = math.prod(dims)
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have < need:
+            raise FormatError(f"{path}: truncated IDX data: {have} of {need} bytes")
+        if have > need:
+            raise FormatError(f"{path}: {have - need} trailing bytes after the IDX data")
+        return dims, fh.read(need)
+
+
 def load_idx(images_path, labels_path) -> SplitDataset:
     """Parse the big-endian IDX pair used by the MNIST distribution.
 
     Pixels are scaled to [0, 1]; all samples start unsplit (unlabeled).
     """
-    with open(images_path, "rb") as fh:
-        dims = _read_idx_header(fh, IDX_IMAGES_MAGIC, images_path)
-        count = dims[0]
-        pixels = int(np.prod(dims[1:])) if len(dims) > 1 else 1
-        buf = fh.read(count * pixels)
-        if len(buf) < count * pixels:
-            raise FormatError(f"{images_path}: truncated image data")
-        feats = np.frombuffer(buf, dtype=np.uint8).reshape(count, pixels)
-        feats = feats.astype(np.float64) / 255.0
-    with open(labels_path, "rb") as fh:
-        ldims = _read_idx_header(fh, IDX_LABELS_MAGIC, labels_path)
-        lcount = ldims[0]
-        buf = fh.read(lcount)
-        if len(buf) < lcount:
-            raise FormatError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
+    dims, pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    count = dims[0]
+    feats = np.frombuffer(pixels, dtype=np.uint8).reshape(count, math.prod(dims[1:]))
+    feats = feats.astype(np.float64) / 255.0
+    (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if count != lcount:
         raise FormatError(f"image count {count} != label count {lcount}")
+    labels = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     roles = np.full(count, ROLE_UNLABELED, dtype=np.int64)
     n_classes = int(labels.max()) + 1 if count else 0
-    return SplitDataset(feats, labels.copy(), roles, n_classes, note="idx")
+    return SplitDataset(feats, labels, roles, n_classes, note="idx")
 
 
 def split(

@@ -252,8 +252,11 @@ def backward(
 ) -> GradientSet:
     """Exact parameter gradients of the scalar whose logit-gradient rows
     are dl_dlogits, summed over the batch; written into out when given
-    (GradientSet.for_params(params) makes one), else into a new set."""
-    g = np.atleast_2d(np.asarray(dl_dlogits, dtype=np.float64))
+    (GradientSet.for_params(params) makes one), else into a new set.
+    dl_dlogits is made C-contiguous first, so the matrix products see
+    the same operand layout, and give the same bits, whatever its
+    layout (a class-major softmax hands out transposed views)."""
+    g = np.ascontiguousarray(np.atleast_2d(dl_dlogits), dtype=np.float64)
     if g.shape != trace.logits.shape:
         raise DimensionError(
             f"logit-gradient shape {g.shape} does not match logits {trace.logits.shape}"

@@ -17,39 +17,50 @@ from .errors import DimensionError
 TINY = 1e-300
 
 
+# Inputs of at least two dimensions with fewer classes than this are
+# softmaxed class-major. numpy adds up to 7 numbers left to right
+# whether they lie along a row or down a column, so the class sums are
+# bit-equal in either layout; from 8 on it sums a row pairwise.
+_CLASS_MAJOR_BELOW = 8
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, computed with max-subtraction."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise DimensionError("softmax of empty vector")
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax_pair(z)[0]
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """log(softmax(z)) along the last axis without overflow."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise DimensionError("log_softmax of empty vector")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return softmax_pair(z)[1]
 
 
 def softmax_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(softmax(z), log_softmax(z)) from one shared max, shift, exp and sum.
 
-    Works in place on two arrays; both results are bit-equal to the
-    separate calls, which perform the same float operations.
+    A batch of fewer than _CLASS_MAJOR_BELOW classes is copied once into
+    a (classes, rows) array, so the max and the sum over the classes are
+    a few passes over whole rows instead of one tiny reduction per
+    sample; the results are transposed views shaped like z, bit-equal to
+    the row-major computation. z itself is never modified.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty vector")
-    log_p = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(log_p)
-    total = p.sum(axis=-1, keepdims=True)
+    n = z.shape[-1]
+    class_major = z.ndim > 1 and n < _CLASS_MAJOR_BELOW
+    if class_major:
+        log_p = z.reshape(-1, n).T.copy()
+        log_p -= log_p.max(axis=0)
+        p = np.exp(log_p)
+        total = p.sum(axis=0)
+    else:
+        log_p = z - z.max(axis=-1, keepdims=True)
+        p = np.exp(log_p)
+        total = p.sum(axis=-1, keepdims=True)
     p /= total
     log_p -= np.log(total)
+    if class_major:
+        return p.T.reshape(z.shape), log_p.T.reshape(z.shape)
     return p, log_p
 
 

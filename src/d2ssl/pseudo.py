@@ -9,6 +9,7 @@ steps with their own step size (no momentum, no weight decay).
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ class D2Config:
     labeled_full_loss: bool = True
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "lam", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
         if self.beta < 0:

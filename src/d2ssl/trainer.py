@@ -100,6 +100,13 @@ class SchedulePlan:
             raise ConfigurationError("discard_fraction must be in [0, 1)")
         if self.batch_labeled < 1 or self.batch_unlabeled < 1:
             raise ConfigurationError("batch sizes must be at least 1")
+        lrs = [self.stage1_lr, *(s.lr for s in self.stage2_segments), self.stage3_lr]
+        if not all(0.0 <= lr < math.inf for lr in lrs):
+            raise ConfigurationError(f"learning rates must be finite and non-negative: {lrs}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigurationError("weight_decay must be finite and non-negative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError("momentum must be in [0, 1)")
 
 
 @dataclass
@@ -443,16 +450,17 @@ def stage2_d2(
                 l_ids.reshape(n_batches, n_lab),
                 unl_order[:n_batches * n_unl].reshape(n_batches, n_unl),
             ], axis=1)
-            # Gathered once for the epoch. The pseudo-logits are exact
-            # for every batch: an active unlabeled row is in at most one
-            # batch per epoch, so it is read before its only update, and
-            # labeled rows are frozen.
+            # Gathered and softmaxed once for the epoch. The pseudo-labels
+            # are exact for every batch: an active unlabeled row is in at
+            # most one batch per epoch, so it is read before its only
+            # update, and labeled rows are frozen.
             feats = dataset.features[ids]
-            pseudo_logits = store.logits[ids]
+            if n_batches:
+                p_tildes, p_tilde_logs = softmax_pair(store.logits[ids])
             sum_c = sum_e = sum_total = 0.0
             for b in range(n_batches):
                 trace = forward(params, feats[b])
-                p_tilde, p_tilde_log = softmax_pair(pseudo_logits[b])
+                p_tilde, p_tilde_log = p_tildes[b], p_tilde_logs[b]
                 dl = _network_logit_grad(
                     trace.prediction, trace.log_prediction, p_tilde_log,
                     n_lab, cfg, cfg_labeled,
@@ -558,7 +566,8 @@ def head_only_d2(
         p, log_p = softmax_pair(feats @ head)
         p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
         dl = _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled)
-        head -= lr * (feats.T @ (dl / ids.size))
+        # C order for the product, as in backward.
+        head -= lr * (feats.T @ np.ascontiguousarray(dl / ids.size))
         if cfg.lam > 0 and unl.size:
             d2_update_pseudo_batch(store, unl, p[n_lab:], cfg, p_tilde[n_lab:])
     out = params.copy()

@@ -3,10 +3,15 @@
 import importlib.util
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from d2ssl import numerics
 
 from d2ssl.cli import (
     ABLATION_AXES,
@@ -24,7 +29,7 @@ from d2ssl.cli import (
 )
 from d2ssl.errors import ConfigurationError
 from d2ssl.model import init_params, save_checkpoint
-from d2ssl.numerics import seeded_rng
+from d2ssl.numerics import seeded_rng, softmax_pair
 from d2ssl.pseudo import init_pseudo_labels, save_snapshot
 
 TINY = {
@@ -139,6 +144,76 @@ def test_main_r2d2_success_and_artifacts(tmp_path):
                  "dataset.csv", "t_histogram.csv", "flatness_audit.csv",
                  "entropy_cdf.csv", "features.csv"):
         assert (tmp_path / name).exists(), name
+
+
+# (key, value, what the error names)
+BAD_SETTINGS = [
+    ("alpha", "nan", "alpha"), ("beta", "inf", "beta"), ("lam", "inf", "lam"),
+    ("k_init", "nan", "init_scale"), ("k_init", "-inf", "init_scale"),
+    ("stage1_lr", "nan", "learning rates"), ("stage1_lr", "-0.5", "learning rates"),
+    ("stage2_lrs", "0.01,inf,0.01,0.01", "learning rates"),
+    ("stage3_lr", "-1", "learning rates"), ("momentum", "inf", "momentum"),
+    ("momentum", "1", "momentum"), ("weight_decay", "-1", "weight_decay"),
+    ("weight_decay", "nan", "weight_decay"),
+    ("seed", "-1", "seed"), ("gauss_classes", "0", "gauss_classes"),
+    ("gauss_dim", "0", "gauss_dim"), ("labeled_per_class", "-1", "labeled_per_class"),
+    ("ood_count", "-3", "ood_count"), ("test_fraction", "nan", "test_fraction"),
+    ("gauss_spread", "inf", "gauss_spread"),
+]
+
+
+@pytest.mark.parametrize("key,value,named", BAD_SETTINGS)
+def test_parse_rejects_bad_setting(key, value, named):
+    with pytest.raises(ConfigurationError, match=named):
+        parse_config("", {key: value})
+
+
+@pytest.mark.parametrize("key,value", [setting[:2] for setting in BAD_SETTINGS])
+def test_main_bad_setting_exits_config_before_training(tmp_path, key, value):
+    assert main(tiny_args("r2d2", tmp_path, {key: value})) == EXIT_CONFIG
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1", "-0.5", "0", "1", "-0",
+                     "", " ", "junk", "true", "1,2", ",", "0,4", "2,-3,4", "1e-320",
+                     "99999999999999999999", "0x10", "1_000"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+
+
+@given(
+    doc=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), ODD_VALUES), max_size=4),
+    flags=st.dictionaries(st.sampled_from(CONFIG_KEYS), ODD_VALUES, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_config_fuzz_raises_only_configuration_error(doc, flags):
+    text = "".join(f"{key} = {value}\n" for key, value in doc)
+    try:
+        parse_config(text, flags)
+    except ConfigurationError:
+        pass
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 7, 9])
+def test_main_r2d2_outputs_equal_with_class_major_softmax_off(tmp_path, monkeypatch, n_classes):
+    extra = {"gauss_classes": str(n_classes), "layer_sizes": f"2,8,3,{n_classes}"}
+    outputs = {}
+    for below in (numerics._CLASS_MAJOR_BELOW, 0):
+        monkeypatch.setattr(numerics, "_CLASS_MAJOR_BELOW", below)
+        is_row_major = softmax_pair(np.zeros((2, n_classes)))[0].flags.c_contiguous
+        assert is_row_major == (n_classes >= below)
+        out = tmp_path / str(below)
+        assert main(tiny_args("r2d2", out, extra)) == EXIT_OK
+        outputs[below] = {
+            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != RESOLVED_NAME
+        }
+    on, off = outputs.values()
+    assert len(on) == 10
+    assert on == off
 
 
 def test_main_resolved_config_replays_identically(tmp_path):

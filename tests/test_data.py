@@ -342,3 +342,52 @@ def test_idx_count_mismatch(tmp_path):
     img, lbl = write_idx_pair(tmp_path, images, [0, 1])
     with pytest.raises(FormatError):
         load_idx(img, lbl)
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_trailing_bytes(tmp_path, which):
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2])
+    path = img if which == "images" else lbl
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_idx(img, lbl)
+
+
+@pytest.mark.parametrize("header", [
+    struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 28, 28),
+    struct.pack(">IIII", 0x00000803, 2, 0xFFFFFFFF, 0xFFFFFFFF),
+], ids=["count", "image size"])
+def test_idx_huge_count_is_truncation(tmp_path, header):
+    # The header's byte count is checked against the file size before
+    # any data is read, so a huge count cannot ask for a huge buffer.
+    img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+    img.write_bytes(header + bytes(8))
+    with pytest.raises(FormatError, match="truncated"):
+        load_idx(img, lbl)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_idx_mutated_pair_loads_or_raises_format_error(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("idx")
+    images = seeded_rng(0).integers(0, 256, size=(5, 3, 2)).astype(np.uint8)
+    paths = write_idx_pair(tmp, images, [0, 3, 1, 2, 1])
+    for path in paths:
+        if not data.draw(st.booleans()):
+            continue
+        blob = bytearray(path.read_bytes())
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "extend":
+            blob += data.draw(st.binary(min_size=1, max_size=20))
+        else:
+            for _ in range(data.draw(st.integers(1, 4))):
+                blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(blob))
+    try:
+        ds = load_idx(*paths)
+    except FormatError:
+        return
+    assert ds.features.shape[0] == ds.true_classes.shape[0]

@@ -128,6 +128,26 @@ def test_backward_sums_over_batch():
         np.testing.assert_allclose(tensor, summed, atol=1e-12)
 
 
+@pytest.mark.parametrize("layout", ["F", "column slice", "class-major softmax"])
+def test_backward_of_non_contiguous_dl_equals_its_c_copy(layout):
+    params = init_params([3, 16, 5, 4], "tanh", seeded_rng(3))
+    rng = seeded_rng(4)
+    trace = forward(params, rng.standard_normal((120, 3)))
+    dl = rng.standard_normal((120, 4))
+    if layout == "F":
+        dl = np.asfortranarray(dl)
+    elif layout == "column slice":
+        dl = np.hstack([dl, dl])[:, 2:6]
+    else:
+        dl = trace.prediction - trace.prediction.mean(axis=-1, keepdims=True)
+    assert not dl.flags.c_contiguous
+    before = dl.copy()
+    got = backward(params, trace, dl)
+    want = backward(params, trace, np.ascontiguousarray(dl))
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert np.array_equal(dl, before)
+
+
 def test_checkpoint_round_trip(tmp_path):
     p = small_params("relu", seed=3)
     path = tmp_path / "model.d2ck"

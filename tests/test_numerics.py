@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from d2ssl import numerics
 from d2ssl.errors import DimensionError
 from d2ssl.numerics import (
     TINY,
@@ -17,6 +18,38 @@ from d2ssl.numerics import (
     softmax,
     softmax_pair,
 )
+
+
+def rowmajor_softmax(z):
+    """The softmax as computed before the class-major layout: one
+    reduction per row."""
+    z = np.asarray(z, dtype=np.float64)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def rowmajor_log_softmax(z):
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def rowmajor_softmax_pair(z):
+    z = np.asarray(z, dtype=np.float64)
+    log_p = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(log_p)
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    log_p -= np.log(total)
+    return p, log_p
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and equal bytes: NaN payloads and signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -68,7 +101,91 @@ def test_softmax_pair_bit_equal_to_separate_calls(z):
     p, log_p = softmax_pair(z)
     assert np.array_equal(p, softmax(z))
     assert np.array_equal(log_p, log_softmax(z))
+    assert same_bits(p, rowmajor_softmax(z))
+    assert same_bits(log_p, rowmajor_log_softmax(z))
     assert np.array_equal(z, before)
+
+
+EDGE_VALUES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e4, -1e4, 5e-324, -5e-324, 1.5])
+
+
+def edge_rows(n_classes, rng):
+    """Random rows, rows drawn from EDGE_VALUES, and each edge value as a
+    whole row and next to ordinary logits."""
+    rows = [rng.standard_normal((40, n_classes)) * 20.0,
+            rng.choice(EDGE_VALUES, size=(60, n_classes))]
+    for value in EDGE_VALUES:
+        rows.append(np.full((1, n_classes), value))
+        mixed = rng.standard_normal((2, n_classes))
+        mixed[0, 0] = mixed[1, -1] = value
+        rows.append(mixed)
+    signed_zeros = np.zeros((2, n_classes))
+    signed_zeros[0, ::2] = signed_zeros[1, 1::2] = -0.0
+    rows.append(signed_zeros)
+    return np.concatenate(rows)
+
+
+def layouts(z):
+    """z in the layouts callers hand in: C order, F order, a column
+    slice of a wider array, a row-strided view, 3-D and a single row."""
+    n = z.shape[1]
+    wide = np.full((z.shape[0], n + 3), 7.0)
+    wide[:, 2:2 + n] = z
+    strided = np.repeat(z, 2, axis=0)[::2]
+    cut = z.shape[0] - z.shape[0] % 4
+    return {
+        "C": z, "F": np.asfortranarray(z), "column slice": wide[:, 2:2 + n],
+        "row stride": strided, "3-D": z[:cut].reshape(4, -1, n), "1-D": z[5],
+        "1 row": z[:1],
+    }
+
+
+@pytest.mark.parametrize("n_classes", range(1, 13))
+def test_softmax_family_bit_equal_to_row_major(n_classes):
+    z = edge_rows(n_classes, seeded_rng(n_classes))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, x in layouts(z).items():
+            before = np.array(x, copy=True)
+            p, log_p = softmax_pair(x)
+            want_p, want_log_p = rowmajor_softmax_pair(x)
+            assert same_bits(p, want_p), name
+            assert same_bits(log_p, want_log_p), name
+            assert same_bits(softmax(x), rowmajor_softmax(x)), name
+            assert same_bits(log_softmax(x), rowmajor_log_softmax(x)), name
+            assert same_bits(x, before), name
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 7])
+def test_class_major_results_are_views_shaped_like_input(n_classes):
+    z = seeded_rng(0).standard_normal((3, 50, n_classes))
+    p, log_p = softmax_pair(z)
+    assert p.shape == log_p.shape == z.shape
+    assert p.strides[-1] == 3 * 50 * 8  # classes are the outer axis
+    row_major_p, _ = softmax_pair(seeded_rng(0).standard_normal((50, 8)))
+    assert row_major_p.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_classes", range(2, 8))
+def test_reductions_bit_equal_on_class_major_inputs(n_classes):
+    rng = seeded_rng(100 + n_classes)
+    p, log_p = softmax_pair(rng.standard_normal((300, n_classes)) * 8.0)
+    q, log_q = softmax_pair(rng.standard_normal((300, n_classes)) * 8.0)
+    assert not p.flags.c_contiguous
+    c = np.ascontiguousarray
+    assert same_bits(entropy(p, log_p=log_p), entropy(c(p), log_p=c(log_p)))
+    assert same_bits(entropy(p), entropy(c(p)))
+    assert same_bits(kl_divergence(log_p, log_q), kl_divergence(c(log_p), c(log_q)))
+    assert same_bits(kl_divergence(log_p, log_q, p=p),
+                     kl_divergence(c(log_p), c(log_q), p=c(p)))
+
+
+def test_class_major_threshold_is_below_pairwise_summation():
+    # numpy adds fewer than 8 numbers left to right in a row and down a
+    # column alike; the class-major path relies on it.
+    rng = seeded_rng(5)
+    for n in range(1, numerics._CLASS_MAJOR_BELOW):
+        x = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-8, 8, size=(500, n))
+        assert same_bits(x.sum(axis=-1), np.asfortranarray(x).sum(axis=-1))
 
 
 def test_softmax_batched_rows_independent():

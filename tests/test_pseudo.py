@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from d2ssl.diagnostics import gradient_check
 from d2ssl.errors import ConfigurationError, FormatError, FrozenUpdateError
-from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
+from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
     CLASSIFICATION_LOSSES,
     SNAPSHOT_MAGIC,
@@ -47,6 +47,13 @@ def test_config_validation():
         D2Config(lam=-1.0)
     with pytest.raises(ConfigurationError):
         D2Config(classification_loss="hinge")
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "lam", "init_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        D2Config(**{key: value})
 
 
 def test_config_warns_when_alpha_not_above_beta(caplog):
@@ -323,3 +330,29 @@ def test_snapshot_mutated_file_loads_or_raises_format_error(tmp_path_factory, da
         load_snapshot(path)
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("n_classes", range(2, 8))
+@pytest.mark.parametrize("variant", CLASSIFICATION_LOSSES)
+def test_loss_and_gradients_bit_equal_on_class_major_inputs(n_classes, variant):
+    """The softmax hands out class-major views for fewer than 8 classes;
+    every per-sample reduction over them gives the bits it gives on C
+    copies, so the loss columns and the updates do not move."""
+    cfg = D2Config(alpha=0.1, beta=0.03, classification_loss=variant)
+    rng = seeded_rng(n_classes)
+    p_hat, p_hat_log = softmax_pair(rng.standard_normal((240, n_classes)) * 6.0)
+    # sliced from a 3-D batch, like one batch of the epoch's pseudo-labels
+    p_tilde, p_tilde_log = (
+        t[1] for t in softmax_pair(rng.standard_normal((2, 240, n_classes)) * 6.0)
+    )
+    assert not p_hat.flags.c_contiguous and not p_tilde.flags.c_contiguous
+    c = np.ascontiguousarray
+    for got, want in zip(d2_loss(p_hat_log, p_tilde_log, cfg),
+                         d2_loss(c(p_hat_log), c(p_tilde_log), cfg)):
+        assert got.tobytes() == want.tobytes()
+    got = grad_wrt_network_logits(p_hat, p_hat_log, p_tilde_log, cfg)
+    want = grad_wrt_network_logits(c(p_hat), c(p_hat_log), c(p_tilde_log), cfg)
+    assert c(got).tobytes() == want.tobytes()
+    got = grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
+    want = grad_wrt_pseudo_logits(c(p_hat), c(p_tilde), cfg)
+    assert c(got).tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
 from d2ssl.model import ModelParams, forward, init_params
-from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax
+from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
     D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
 )
@@ -101,6 +101,23 @@ def test_schedule_plan_validation():
         SchedulePlan(batch_labeled=0)
     with pytest.raises(ConfigurationError):
         SchedulePlan(batch_unlabeled=0)
+
+
+@pytest.mark.parametrize("setting", [
+    {"stage1_lr": np.nan}, {"stage1_lr": -0.5}, {"stage3_lr": np.inf},
+    {"stage2_segments": [Stage2Segment(1, 0.01, False), Stage2Segment(1, np.nan, True)]},
+    {"stage2_segments": [Stage2Segment(1, -1e-3, False)]},
+    {"weight_decay": -1.0}, {"weight_decay": np.inf}, {"weight_decay": np.nan},
+    {"momentum": np.inf}, {"momentum": 1.0}, {"momentum": -0.1}, {"momentum": np.nan},
+])
+def test_schedule_plan_rejects_bad_rates(setting):
+    with pytest.raises(ConfigurationError):
+        SchedulePlan(**setting)
+
+
+def test_schedule_plan_accepts_zero_rates():
+    SchedulePlan(stage1_lr=0.0, stage3_lr=0.0, weight_decay=0.0, momentum=0.0,
+                 stage2_segments=[Stage2Segment(1, 0.0, False)])
 
 
 def test_open_world_filter_drops_highest_entropy():
@@ -433,3 +450,17 @@ def test_stage2_abort_at_the_batch_of_a_nan_pseudo_logit():
     store.logits[bad, 0] = np.nan
     with pytest.raises(NumericError, match=r"non-finite loss at stage2 epoch 0 batch 1: nan"):
         stage2_d2(ds, params, store, plan, cfg, seeded_rng(1))
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 7, 8, 11])
+def test_epoch_pseudo_pair_equals_per_batch_pairs(n_classes):
+    """Stage 2 softmaxes an epoch's gathered pseudo-logits at once; batch
+    b of the result is bit-equal to the softmax of batch b alone."""
+    rng = seeded_rng(n_classes)
+    logits = rng.standard_normal((500, n_classes)) * 12.0
+    ids = rng.permutation(500)[:7 * 60].reshape(7, 60)
+    p_all, log_p_all = softmax_pair(logits[ids])
+    for b in range(ids.shape[0]):
+        p, log_p = softmax_pair(logits[ids[b]])
+        assert np.ascontiguousarray(p_all[b]).tobytes() == np.ascontiguousarray(p).tobytes()
+        assert np.ascontiguousarray(log_p_all[b]).tobytes() == np.ascontiguousarray(log_p).tobytes()
