@@ -151,7 +151,7 @@ BAD_SETTINGS = [
     ("alpha", "nan", "alpha"), ("beta", "inf", "beta"), ("lam", "inf", "lam"),
     ("k_init", "nan", "init_scale"), ("k_init", "-inf", "init_scale"),
     ("stage1_lr", "nan", "learning rates"), ("stage1_lr", "-0.5", "learning rates"),
-    ("stage2_lrs", "0.01,inf,0.01,0.01", "learning rates"),
+    ("stage2_lrs", "0.01,inf", "learning rates"),
     ("stage3_lr", "-1", "learning rates"), ("momentum", "inf", "momentum"),
     ("momentum", "1", "momentum"), ("weight_decay", "-1", "weight_decay"),
     ("weight_decay", "nan", "weight_decay"),
@@ -165,7 +165,7 @@ BAD_SETTINGS = [
 @pytest.mark.parametrize("key,value,named", BAD_SETTINGS)
 def test_parse_rejects_bad_setting(key, value, named):
     with pytest.raises(ConfigurationError, match=named):
-        parse_config("", {key: value})
+        parse_config("", {**TINY, key: value})
 
 
 @pytest.mark.parametrize("key,value", [setting[:2] for setting in BAD_SETTINGS])

@@ -35,20 +35,11 @@ def rowmajor_log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def rowmajor_softmax_pair(z):
-    z = np.asarray(z, dtype=np.float64)
-    log_p = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(log_p)
-    total = p.sum(axis=-1, keepdims=True)
-    p /= total
-    log_p -= np.log(total)
-    return p, log_p
-
-
 def same_bits(a, b) -> bool:
-    """Equal shape and equal bytes: NaN payloads and signed zeros count."""
+    """Equal shape and equal bytes in C order: NaN payloads and signed
+    zeros count."""
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
@@ -147,11 +138,11 @@ def test_softmax_family_bit_equal_to_row_major(n_classes):
         for name, x in layouts(z).items():
             before = np.array(x, copy=True)
             p, log_p = softmax_pair(x)
-            want_p, want_log_p = rowmajor_softmax_pair(x)
+            want_p, want_log_p = rowmajor_softmax(x), rowmajor_log_softmax(x)
             assert same_bits(p, want_p), name
             assert same_bits(log_p, want_log_p), name
-            assert same_bits(softmax(x), rowmajor_softmax(x)), name
-            assert same_bits(log_softmax(x), rowmajor_log_softmax(x)), name
+            assert same_bits(softmax(x), want_p), name
+            assert same_bits(log_softmax(x), want_log_p), name
             assert same_bits(x, before), name
 
 
@@ -161,8 +152,6 @@ def test_class_major_results_are_views_shaped_like_input(n_classes):
     p, log_p = softmax_pair(z)
     assert p.shape == log_p.shape == z.shape
     assert p.strides[-1] == 3 * 50 * 8  # classes are the outer axis
-    row_major_p, _ = softmax_pair(seeded_rng(0).standard_normal((50, 8)))
-    assert row_major_p.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n_classes", range(2, 8))
