@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .numerics import softmax_pair
+from .numerics import softmax_buffers, softmax_pair
 
 CHECKPOINT_MAGIC = b"D2CK"
 CHECKPOINT_VERSION = 1
@@ -39,15 +39,20 @@ def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
-def _act_grad(tag: str, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation from its output a alone; for relu,
-    a > 0 is z > 0 (NaN included, where both are false)."""
+def _act_grad(tag: str, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of the activation from its output a alone, written
+    into out when given; for relu, a > 0 is z > 0 (NaN included, where
+    both are false)."""
+    if out is None:
+        out = np.empty_like(a)
     if tag == "tanh":
-        return 1.0 - a * a
+        np.multiply(a, a, out=out)
+        return np.subtract(1.0, out, out=out)
     if tag == "relu":
-        return (a > 0.0).astype(np.float64)
+        return np.greater(a, 0.0, out=out)
     if tag == "linear":
-        return np.ones_like(a)
+        out[...] = 1.0
+        return out
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
@@ -204,30 +209,56 @@ def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hidden(params: ModelParams, a: np.ndarray) -> Iterator[np.ndarray]:
+def _hidden(params: ModelParams, a: np.ndarray, outs=None) -> Iterator[np.ndarray]:
     """Each backbone layer's activation in turn, from input rows a; each
-    layer's product is the one array its bias and activation work in."""
-    for layer in params.layers:
-        a = a @ layer.weight
+    layer's product (written into outs[i] when given) is the one array
+    its bias and activation work in."""
+    for i, layer in enumerate(params.layers):
+        a = np.matmul(a, layer.weight, out=None if outs is None else outs[i])
         a += layer.bias
         yield _act(layer.activation, a, out=a)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the backbone and head; x is (d_in,) or (B, d_in)."""
-    x = _as_input(params, x)
-    act = list(_hidden(params, x))
-    feature = act[-1] if act else x
-    logits = feature @ params.head_w
-    prediction, log_prediction = softmax_pair(logits)
-    return ForwardTrace(
-        inputs=x,
-        activations=act,
-        feature=feature,
-        logits=logits,
-        prediction=prediction,
-        log_prediction=log_prediction,
-    )
+class Workspace:
+    """The arrays of one batch size that forward and backward write
+    into: the activations, logits and softmax pair of the trace, the
+    logit gradient a trainer fills (dl, C-ordered), the backward deltas
+    and the activation-derivative scratch. Built once per training stage,
+    so a batch allocates none of them; each forward overwrites the trace
+    of the one before. It serves only the params it was built for."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        sizes = params.layer_sizes
+        self.params = params
+        self.input_shape = (rows, sizes[0])
+        hidden = [np.empty((rows, s)) for s in sizes[1:-1]]
+        logits = np.empty((rows, sizes[-1]))
+        self.trace = ForwardTrace(
+            None, hidden, hidden[-1] if hidden else None, logits, *softmax_buffers(logits.shape)
+        )
+        self.dl = np.empty_like(logits)
+        self.deltas = [np.empty_like(a) for a in hidden]
+        self.scratch = [np.empty_like(a) for a in hidden]
+
+
+def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
+    """Run the backbone and head; x is (d_in,) or (B, d_in). With ws, x
+    must be a (B, d_in) batch of its size and the returned trace is
+    ws.trace; without, a fresh workspace holds it."""
+    if ws is None:
+        x = _as_input(params, x)
+        ws = Workspace(params, x.shape[0])
+    elif ws.params is not params or x.shape != ws.input_shape:
+        raise DimensionError(f"input {x.shape} for a workspace of {ws.input_shape}")
+    trace = ws.trace
+    for _ in _hidden(params, x, trace.activations):
+        pass
+    trace.inputs = x
+    if not params.layers:
+        trace.feature = x
+    np.matmul(trace.feature, params.head_w, out=trace.logits)
+    softmax_pair(trace.logits, out=(trace.prediction, trace.log_prediction))
+    return trace
 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -249,10 +280,13 @@ def backward(
     trace: ForwardTrace,
     dl_dlogits: np.ndarray,
     out: GradientSet | None = None,
+    ws: Workspace | None = None,
 ) -> GradientSet:
     """Exact parameter gradients of the scalar whose logit-gradient rows
     are dl_dlogits, summed over the batch; written into out when given
     (GradientSet.for_params(params) makes one), else into a new set.
+    The deltas go through ws's buffers when given (the workspace of the
+    forward that made trace), else through a fresh workspace.
     dl_dlogits is made C-contiguous first, so the matrix products see
     the same operand layout, and give the same bits, whatever its
     layout (a class-major softmax hands out transposed views)."""
@@ -261,19 +295,25 @@ def backward(
         raise DimensionError(
             f"logit-gradient shape {g.shape} does not match logits {trace.logits.shape}"
         )
+    if ws is None:
+        ws = Workspace(params, g.shape[0])
+    elif ws.params is not params:
+        raise DimensionError("workspace built for other params")
     if out is None:
         out = GradientSet.for_params(params)
     np.matmul(trace.feature.T, g, out=out.head_grad)
-    delta = g @ params.head_w.T  # gradient w.r.t. feature
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
-        delta *= _act_grad(layer.activation, trace.activations[i])  # now dL/dz
+    layers = params.layers
+    if layers:  # gradient w.r.t. feature
+        delta = np.matmul(g, params.head_w.T, out=ws.deltas[-1])
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        delta *= _act_grad(layer.activation, trace.activations[i], ws.scratch[i])  # now dL/dz
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
         dw, db = out.layer_grads[i]
         np.matmul(a_prev.T, delta, out=dw)
         delta.sum(axis=0, out=db)
         if i > 0:
-            delta = delta @ layer.weight.T
+            delta = np.matmul(delta, layer.weight.T, out=ws.deltas[i - 1])
     return out
 
 

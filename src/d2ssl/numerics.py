@@ -9,6 +9,8 @@ TINY before taking logs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -34,34 +36,65 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return softmax_pair(z)[1]
 
 
-def softmax_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softmax_buffers(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two empty arrays laid out as softmax_pair returns its results for
+    a C-ordered input of this shape, to pass back to it as out."""
+    n = shape[-1]
+    if len(shape) > 1 and n < _CLASS_MAJOR_BELOW:
+        rows = math.prod(shape[:-1])
+        return np.empty((n, rows)).T.reshape(shape), np.empty((n, rows)).T.reshape(shape)
+    return np.empty(shape), np.empty(shape)
+
+
+def softmax_pair(
+    z: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(softmax(z), log_softmax(z)) from one shared max, shift, exp and sum.
 
-    A batch of fewer than _CLASS_MAJOR_BELOW classes is copied once into
-    a (classes, rows) array, so the max and the sum over the classes are
-    a few passes over whole rows instead of one tiny reduction per
-    sample; the results are transposed views shaped like z, bit-equal to
-    the row-major computation. z itself is never modified.
+    A batch of fewer than _CLASS_MAJOR_BELOW classes is worked on as a
+    (classes, rows) array, so the max and the sum over the classes are a
+    few passes over whole rows instead of one tiny reduction per sample;
+    the results are transposed views shaped like z, bit-equal to the
+    row-major computation. z itself is never modified. out, a 2-D pair
+    from softmax_buffers(z.shape), receives the results instead of new
+    arrays.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty vector")
     n = z.shape[-1]
     class_major = z.ndim > 1 and n < _CLASS_MAJOR_BELOW
+    if out is None:  # row-major results keep z's layout, and so its sums
+        out = softmax_buffers(z.shape) if class_major else (np.empty_like(z), np.empty_like(z))
+    elif out[0].shape != z.shape or out[1].shape != z.shape:
+        raise DimensionError(f"softmax buffers {out[0].shape} for input {z.shape}")
+    p, log_p = out
     if class_major:
-        log_p = z.reshape(-1, n).T.copy()
-        log_p -= log_p.max(axis=0)
-        p = np.exp(log_p)
-        total = p.sum(axis=0)
+        p, log_p = p.reshape(-1, n).T, log_p.reshape(-1, n).T
+        np.copyto(log_p, z.reshape(-1, n).T)
+        total = log_p.max(axis=0)
+        log_p -= total
+        np.exp(log_p, out=p)
+        p.sum(axis=0, out=total)
     else:
-        log_p = z - z.max(axis=-1, keepdims=True)
-        p = np.exp(log_p)
-        total = p.sum(axis=-1, keepdims=True)
+        total = z.max(axis=-1, keepdims=True)
+        np.subtract(z, total, out=log_p)
+        np.exp(log_p, out=p)
+        p.sum(axis=-1, keepdims=True, out=total)
     p /= total
-    log_p -= np.log(total)
-    if class_major:
-        return p.T.reshape(z.shape), log_p.T.reshape(z.shape)
-    return p, log_p
+    np.log(total, out=total)
+    log_p -= total
+    return out
+
+
+def row_sums(z: np.ndarray) -> np.ndarray:
+    """z.sum(axis=-1), bit-equal; below _CLASS_MAJOR_BELOW classes it
+    adds whole class columns of a (classes, rows) copy, as softmax_pair
+    does."""
+    n = z.shape[-1]
+    if z.ndim > 1 and n < _CLASS_MAJOR_BELOW:
+        return z.reshape(-1, n).T.copy().sum(axis=0).reshape(z.shape[:-1])
+    return z.sum(axis=-1)
 
 
 def entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:

@@ -146,11 +146,13 @@ def grad_wrt_network_logits(
     p_hat_log: np.ndarray,
     p_tilde_log: np.ndarray,
     cfg: D2Config,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the total loss with respect to the network logits.
 
     Closed forms chained through the softmax; entries sum to zero in
     every variant (softmax gauge). Works on 1-D or batched 2-D inputs.
+    The result is written into out when given.
     """
     p_hat = np.asarray(p_hat, dtype=np.float64)
     p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
@@ -162,7 +164,7 @@ def grad_wrt_network_logits(
         # d/dy_n [ sum_j p_j ((a-b) log p_j - a log q_j) ] = p_n (g_n - L)
         g = (a - b) * p_hat_log - a * p_tilde_log
         loss = (p_hat * g).sum(axis=-1, keepdims=True)
-        return p_hat * (g - loss)
+        return np.multiply(p_hat, g - loss, out=out)
     p_tilde = np.exp(p_tilde_log)
     ent = entropy(p_hat, log_p=p_hat_log)[..., None]
     # Entropy part: -p_n (log p_n + H)
@@ -174,7 +176,7 @@ def grad_wrt_network_logits(
         dl_dp = -2.0 * (p_tilde - p_hat)
         inner = (p_hat * dl_dp).sum(axis=-1, keepdims=True)
         grad_c = p_hat * (dl_dp - inner)
-    return a * grad_c + b * grad_e
+    return np.add(a * grad_c, b * grad_e, out=out)
 
 
 def grad_wrt_pseudo_logits(
@@ -229,10 +231,11 @@ def d2_update_pseudo_batch(
     ids = np.asarray(ids)
     if store.frozen[ids].any():
         raise FrozenUpdateError("batch contains frozen samples")
+    rows = np.take(store.logits, ids, axis=0)  # the rows logits[ids] gives, faster
     if p_tilde is None:
-        p_tilde = softmax(store.logits[ids])
-    grad = grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
-    store.logits[ids] -= cfg.lam * grad
+        p_tilde = softmax(rows)
+    rows -= cfg.lam * grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
+    store.logits[ids] = rows
 
 
 def repredict(store: PseudoLabelStore, params, dataset) -> PseudoLabelStore:
@@ -250,17 +253,28 @@ def convergence_residual(
     p_hat_log: np.ndarray, p_tilde_log: np.ndarray, loss_total, cfg: D2Config
 ):
     """Residual (alpha-beta)*log p_hat_n - alpha*log p_tilde_n - L at the
-    arg-max class n of the prediction (ties to the lowest index)."""
+    arg-max class n of the prediction (ties to the lowest index, a NaN
+    counting as the maximum, as np.argmax does)."""
     p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
     p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
-    n = np.argmax(p_hat_log, axis=-1)  # argmax returns the first maximum
     a, b = cfg.alpha, cfg.beta
     if p_hat_log.ndim == 1:
+        n = np.argmax(p_hat_log)
         total = loss_total.total if isinstance(loss_total, LossBreakdown) else float(loss_total)
         return float((a - b) * p_hat_log[n] - a * p_tilde_log[n] - total)
-    rows = np.arange(p_hat_log.shape[0])
+    # A pass per class over the class columns, which are whole rows of
+    # a class-major softmax: no copy back to rows and no fancy gather.
+    hat_cols, tilde_cols = p_hat_log.T, p_tilde_log.T
+    best, pick = hat_cols[0].copy(), tilde_cols[0].copy()
+    wins = np.empty(best.shape, dtype=bool)
+    for hat, tilde in zip(hat_cols[1:], tilde_cols[1:]):
+        np.less_equal(hat, best, out=wins)  # false for a NaN on either side
+        wins |= np.isnan(best)  # a NaN stays the maximum
+        np.logical_not(wins, out=wins)
+        np.putmask(best, wins, hat)
+        np.putmask(pick, wins, tilde)
     total = np.asarray(loss_total, dtype=np.float64)
-    return (a - b) * p_hat_log[rows, n] - a * p_tilde_log[rows, n] - total
+    return (a - b) * best - a * pick - total
 
 
 def _snapshot_record(n_classes: int) -> np.dtype:

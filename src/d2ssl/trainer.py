@@ -22,9 +22,10 @@ import numpy as np
 from .data import OOD_CLASS, SplitDataset
 from .errors import ConfigurationError, DimensionError, NumericError, ScheduleError
 from .model import (
-    GradientSet, ModelParams, backward, flat_views, forward, forward_logits, init_params,
+    GradientSet, ModelParams, Workspace, backward, flat_views, forward, forward_logits,
+    init_params,
 )
-from .numerics import entropy, log_softmax, seeded_rng, softmax_pair
+from .numerics import entropy, log_softmax, row_sums, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
     PseudoLabelStore,
@@ -46,11 +47,18 @@ METRICS_HEADER = (
 class OptimizerState:
     """The momentum and the gradient the step reads, each one flat buffer
     laid out like the parameters' tensors(); training writes each batch's
-    gradient straight into grads with backward(..., out=state.grads)."""
+    gradient straight into grads with backward(..., out=state.grads).
+    The step's two scratch vectors and the params it last checked live
+    here too."""
     velocity: np.ndarray
     grads: GradientSet
     momentum: float = 0.9
     weight_decay: float = 0.0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    checked: ModelParams | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.velocity), np.empty_like(self.velocity))
 
     @property
     def buffers(self) -> list[np.ndarray]:
@@ -94,6 +102,17 @@ class SchedulePlan:
     def __post_init__(self):
         if self.stage1_epochs < 0 or self.stage3_epochs < 0:
             raise ConfigurationError("epoch counts must be non-negative")
+        # cosine_lr takes steps 0..epochs-1 of the horizon. A stage that
+        # does not run keeps any horizon, so old resolved configs replay.
+        for stage, epochs, horizon in (
+            ("stage1", self.stage1_epochs, self.stage1_horizon),
+            ("stage3", self.stage3_epochs, self.stage3_horizon),
+        ):
+            if epochs > 0 and not max(1, epochs - 1) <= horizon:
+                raise ConfigurationError(
+                    f"{stage}_horizon must be at least 1 and at least "
+                    f"{stage}_epochs - 1 = {epochs - 1}, got {horizon}"
+                )
         if any(s.epochs < 0 for s in self.stage2_segments):
             raise ConfigurationError("segment epoch counts must be non-negative")
         if not 0.0 <= self.discard_fraction < 1.0:
@@ -144,19 +163,10 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
             w.writerow(rec.row())
 
 
-def sgd_nesterov_step(
-    params: ModelParams, grads: GradientSet, state: OptimizerState, lr: float
-) -> None:
-    """In-place Nesterov update; weight decay is folded into the gradient.
-
-    The update runs once over the flat parameter, gradient and momentum
-    vectors; element by element it is the per-tensor update. grads is
-    copied into state.grads unless it is that set. params must be packed
-    (init_params, copy and load_checkpoint build them so), because the
-    update writes through their flat buffer.
-    """
-    flat = params.packed()
-    if flat is None:
+def _check_step(params: ModelParams, grads, state: OptimizerState) -> None:
+    """The checks of sgd_nesterov_step; copies a foreign gradient into
+    state.grads."""
+    if params.packed() is None:
         raise DimensionError("params are not views of one flat buffer")
     tensors = params.tensors()
     state_grads = state.grads.tensors()
@@ -170,12 +180,39 @@ def sgd_nesterov_step(
             if t.shape != g.shape:
                 raise DimensionError(f"gradient shape {g.shape} != param shape {t.shape}")
             dst[...] = g
+    state.checked = params
+
+
+def sgd_nesterov_step(
+    params: ModelParams, grads: GradientSet, state: OptimizerState, lr: float
+) -> None:
+    """In-place Nesterov update; weight decay is folded into the gradient.
+
+    The update runs once over the flat parameter, gradient and momentum
+    vectors, through the state's scratch; element by element it is the
+    per-tensor update eff = g + wd*t; buf = mu*buf + eff;
+    t -= lr*(eff + mu*buf). grads is copied into state.grads unless it
+    is that set. params must be packed (init_params, copy and
+    load_checkpoint build them so), because the update writes through
+    their flat buffer. The checks run on the first step of a state with
+    these params, and whenever grads is not state.grads; later steps
+    test only that params and grads are the same objects, so a tensor
+    rebound after the first step is not seen.
+    """
+    if grads is not state.grads or state.checked is not params:
+        _check_step(params, grads, state)
+    flat = params.flat
     mu = state.momentum
     buf = state.velocity
-    eff = state.grads.flat + state.weight_decay * flat
+    eff, step = state.scratch
+    np.multiply(flat, state.weight_decay, out=eff)
+    eff += state.grads.flat
     buf *= mu
     buf += eff
-    flat -= lr * (eff + mu * buf)
+    np.multiply(buf, mu, out=step)
+    step += eff
+    step *= lr
+    flat -= step
 
 
 def cosine_lr(t: int, horizon: int, lr0: float) -> float:
@@ -242,46 +279,54 @@ def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarr
     """Arg-max pseudo-label accuracy over _known_unlabeled's rows."""
     if valid.size == 0:
         return float("nan")
-    pred = np.argmax(store.logits[valid], axis=1)
+    pred = np.argmax(np.take(store.logits, valid, axis=0), axis=1)
     return float(np.mean(pred == truth))
 
 
 def _supervised_epoch(
     params: ModelParams,
     state: OptimizerState,
+    ws: Workspace,
     features: np.ndarray,
     targets: np.ndarray,
-    batch_size: int,
     lr: float,
     rng: np.random.Generator,
     stage: str,
     epoch: int,
 ) -> tuple[float, float]:
-    """One epoch of cross-entropy SGD over full batches in a random
-    order; returns (mean CE, mean entropy). stage and epoch name the
-    epoch in a numeric abort."""
+    """One epoch of cross-entropy SGD over full batches of ws's size in a
+    random order; returns (mean CE, mean entropy). stage and epoch name
+    the epoch in a numeric abort."""
     n = features.shape[0]
     order = rng.permutation(n)
-    bs = min(batch_size, n)
+    bs = ws.input_shape[0]
     n_batches = n // bs
-    features, targets = features[order], targets[order]
+    features, targets = np.take(features, order, axis=0), np.take(targets, order)
     rows = np.arange(bs)
+    dl = ws.dl
     loss_sum = ent_sum = 0.0
     for b in range(n_batches):
         batch = slice(b * bs, (b + 1) * bs)
-        trace = forward(params, features[batch])
+        trace = forward(params, features[batch], ws)
         target = targets[batch]
         ce = -trace.log_prediction[rows, target]
-        dl = trace.prediction.copy()
+        np.copyto(dl, trace.prediction)
         dl[rows, target] -= 1.0
         dl /= bs
-        backward(params, trace, dl, out=state.grads)
+        backward(params, trace, dl, state.grads, ws)
         sgd_nesterov_step(params, state.grads, state, lr)
         loss_sum += float(ce.sum())
         _check_loss(loss_sum, stage, epoch, b)
         ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
     count = n_batches * bs
     return loss_sum / count, ent_sum / count
+
+
+def _check_params(params: ModelParams, stage: str) -> None:
+    """Stop a stage whose last steps left a non-finite parameter; the
+    per-batch loss check cannot see the step after the last batch."""
+    if not np.isfinite(params.flat).all():
+        raise NumericError(f"non-finite params at the end of {stage}")
 
 
 def _nan_record(stage: str, epoch: int, lr: float, **overrides) -> MetricsRecord:
@@ -309,12 +354,13 @@ def stage1_supervised(
     feats = dataset.features[lab]
     targets = dataset.true_classes[lab]
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
+    ws = Workspace(params, min(plan.batch_labeled, lab.size))
     rows = _eval_rows(dataset)
     records = []
     for epoch in range(plan.stage1_epochs):
         lr = cosine_lr(epoch, plan.stage1_horizon, plan.stage1_lr)
         ce, h_pred = _supervised_epoch(
-            params, state, feats, targets, plan.batch_labeled, lr, rng, "stage1", epoch
+            params, state, ws, feats, targets, lr, rng, "stage1", epoch
         )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
@@ -323,6 +369,7 @@ def stage1_supervised(
             acc_labeled=acc_labeled, acc_test=acc_test,
             mean_h_pred=h_pred,
         ))
+    _check_params(params, "stage1")
     return params, records
 
 
@@ -367,7 +414,7 @@ def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dic
     out = {}
     if active_unl.size:
         p_hat, p_hat_log = softmax_pair(unl_logits)
-        pseudo_logits = store.logits[active_unl]
+        pseudo_logits = np.take(store.logits, active_unl, axis=0)
         p_tilde, p_tilde_log = softmax_pair(pseudo_logits)
         _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
         t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
@@ -375,7 +422,7 @@ def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dic
         out["t_abs_p50"], out["t_abs_p95"] = float(p50), float(p95)
         out["mean_h_pred"] = float(np.mean(entropy(p_hat, log_p=p_hat_log)))
         out["mean_h_pseudo"] = float(np.mean(entropy(p_tilde)))
-        drift = np.abs(pseudo_logits.sum(axis=1) - drift_base)
+        drift = np.abs(row_sums(pseudo_logits) - drift_base)
         out["sum_drift_max"] = float(drift.max())
     return out
 
@@ -391,20 +438,19 @@ def _labeled_config(cfg: D2Config) -> D2Config:
     )
 
 
-def _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled) -> np.ndarray:
+def _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled, out) -> np.ndarray:
     """Loss gradient w.r.t. the network logits of a batch whose first
-    n_lab rows are labeled."""
+    n_lab rows are labeled, written into out."""
     if cfg_labeled is cfg:
-        return grad_wrt_network_logits(p, log_p, p_tilde_log, cfg)
-    dl = np.empty_like(p)
+        return grad_wrt_network_logits(p, log_p, p_tilde_log, cfg, out=out)
     if n_lab:
-        dl[:n_lab] = grad_wrt_network_logits(
-            p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled,
+        grad_wrt_network_logits(
+            p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled, out=out[:n_lab],
         )
-    dl[n_lab:] = grad_wrt_network_logits(
-        p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg,
+    grad_wrt_network_logits(
+        p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg, out=out[n_lab:],
     )
-    return dl
+    return out
 
 
 def stage2_d2(
@@ -422,6 +468,10 @@ def stage2_d2(
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
     known_unl = _known_unlabeled(dataset)
+    n_lab = plan.batch_labeled if lab.size else 0
+    n_unl = plan.batch_unlabeled
+    ws = Workspace(params, n_lab + n_unl)
+    dl = ws.dl
     for segment in plan.stage2_segments:
         if segment.repredict_at_start:
             repredict(store, params, dataset)
@@ -434,15 +484,16 @@ def stage2_d2(
                 f"unlabeled batch size {plan.batch_unlabeled} exceeds "
                 f"active pool {active_unl.size}"
             )
-        drift_base = store.logits[active_unl].sum(axis=1)
+        drift_base = row_sums(store.logits[active_unl])
         rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
         lab_cursor = 0
-        n_lab = plan.batch_labeled if lab.size else 0
-        n_unl = plan.batch_unlabeled
+        n_batches = active_unl.size // n_unl
+        # Each batch's unlabeled predictions, for the epoch's one
+        # pseudo-logit step.
+        predictions = np.empty((n_batches, n_unl, store.logits.shape[1]))
         for _ in range(segment.epochs):
             unl_order = rng.permutation(active_unl)
-            n_batches = active_unl.size // n_unl
             l_ids, lab_order, lab_cursor = _draw_labeled(
                 lab, lab_order, lab_cursor, n_batches * n_lab, rng
             )
@@ -450,29 +501,27 @@ def stage2_d2(
                 l_ids.reshape(n_batches, n_lab),
                 unl_order[:n_batches * n_unl].reshape(n_batches, n_unl),
             ], axis=1)
-            # Gathered and softmaxed once for the epoch. The pseudo-labels
-            # are exact for every batch: an active unlabeled row is in at
-            # most one batch per epoch, so it is read before its only
-            # update, and labeled rows are frozen.
-            feats = dataset.features[ids]
+            # Gathered and softmaxed once for the epoch, and stepped once
+            # at its end. Both are exact for every batch: an active
+            # unlabeled row is in at most one batch per epoch, nothing
+            # reads it before the epoch ends, and labeled rows are frozen.
+            # (np.take copies the rows fancy indexing would, several times
+            # faster.)
+            feats = np.take(dataset.features, ids, axis=0)
             if n_batches:
-                p_tildes, p_tilde_logs = softmax_pair(store.logits[ids])
+                p_tildes, p_tilde_logs = softmax_pair(np.take(store.logits, ids, axis=0))
             sum_c = sum_e = sum_total = 0.0
             for b in range(n_batches):
-                trace = forward(params, feats[b])
-                p_tilde, p_tilde_log = p_tildes[b], p_tilde_logs[b]
-                dl = _network_logit_grad(
+                trace = forward(params, feats[b], ws)
+                p_tilde_log = p_tilde_logs[b]
+                _network_logit_grad(
                     trace.prediction, trace.log_prediction, p_tilde_log,
-                    n_lab, cfg, cfg_labeled,
+                    n_lab, cfg, cfg_labeled, dl,
                 )
                 dl /= n_lab + n_unl
-                backward(params, trace, dl, out=state.grads)
+                backward(params, trace, dl, state.grads, ws)
                 sgd_nesterov_step(params, state.grads, state, segment.lr)
-                if cfg.lam > 0:
-                    d2_update_pseudo_batch(
-                        store, ids[b, n_lab:], trace.prediction[n_lab:], cfg,
-                        p_tilde[n_lab:],
-                    )
+                predictions[b] = trace.prediction[n_lab:]
                 # Not trace.prediction: softmax is not bit-equal to exp of
                 # log_softmax, and the loss columns are kept bit-stable.
                 l_c, l_e, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
@@ -480,6 +529,10 @@ def stage2_d2(
                 sum_e += float(l_e.sum())
                 sum_total += float(total.sum())
                 _check_loss(sum_total, "stage2", epoch_global, b)
+            if cfg.lam > 0 and n_batches:
+                d2_update_pseudo_batch(
+                    store, ids[:, n_lab:], predictions, cfg, p_tildes[:, n_lab:],
+                )
             n_seen = ids.size
             mean_c, mean_e, mean_total = (
                 (sum_c / n_seen, sum_e / n_seen, sum_total / n_seen)
@@ -497,6 +550,7 @@ def stage2_d2(
                 **extra,
             ))
             epoch_global += 1
+    _check_params(params, "stage2")
     return params, store, records
 
 
@@ -516,7 +570,7 @@ def stage3_finetune(
     targets[lab.size:] = np.argmax(store.logits[unl], axis=1)
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
     feats = dataset.features[ids]
-    batch = plan.batch_labeled + plan.batch_unlabeled
+    ws = Workspace(params, min(plan.batch_labeled + plan.batch_unlabeled, ids.size))
     rows = _eval_rows(dataset)
     # Stage 3 never changes the store, so its two columns are constant.
     acc_pseudo = _pseudo_accuracy(store, *_known_unlabeled(dataset))
@@ -525,7 +579,7 @@ def stage3_finetune(
     for epoch in range(plan.stage3_epochs):
         lr = cosine_lr(epoch, plan.stage3_horizon, plan.stage3_lr)
         ce, h_pred = _supervised_epoch(
-            params, state, feats, targets, batch, lr, rng, "stage3", epoch
+            params, state, ws, feats, targets, lr, rng, "stage3", epoch
         )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(_nan_record(
@@ -534,6 +588,7 @@ def stage3_finetune(
             acc_labeled=acc_labeled, acc_test=acc_test, acc_pseudo=acc_pseudo,
             mean_h_pred=h_pred, mean_h_pseudo=h_pseudo,
         ))
+    _check_params(params, "stage3")
     return params, records
 
 
@@ -562,12 +617,13 @@ def head_only_d2(
     feats = forward(params, dataset.features[ids]).feature
     head = params.head_w.copy()
     cfg_labeled = _labeled_config(cfg)
+    dl = np.empty((ids.size, head.shape[1]))  # C order for the product, as in backward
     for _ in range(steps):
         p, log_p = softmax_pair(feats @ head)
-        p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
-        dl = _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled)
-        # C order for the product, as in backward.
-        head -= lr * (feats.T @ np.ascontiguousarray(dl / ids.size))
+        p_tilde, p_tilde_log = softmax_pair(np.take(store.logits, ids, axis=0))
+        _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled, dl)
+        dl /= ids.size
+        head -= lr * (feats.T @ dl)
         if cfg.lam > 0 and unl.size:
             d2_update_pseudo_batch(store, unl, p[n_lab:], cfg, p_tilde[n_lab:])
     out = params.copy()

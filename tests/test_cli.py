@@ -138,6 +138,16 @@ def test_main_numeric_abort(tmp_path):
     assert code == EXIT_NUMERIC
 
 
+def test_main_non_finite_params_at_stage_end(tmp_path, capsys):
+    # The one stage-3 batch's loss is finite; its step is not.
+    code = main(tiny_args("r2d2", tmp_path, {
+        "stage3_epochs": "1", "stage3_horizon": "1", "stage3_lr": "1e305",
+    }))
+    assert code == EXIT_NUMERIC
+    assert "non-finite params at the end of stage3" in capsys.readouterr().err
+    assert not (tmp_path / "model.d2ck").exists()
+
+
 def test_main_r2d2_success_and_artifacts(tmp_path):
     assert main(tiny_args("r2d2", tmp_path)) == EXIT_OK
     for name in (RESOLVED_NAME, "metrics.csv", "model.d2ck", "pseudo.d2pl",
@@ -159,6 +169,8 @@ BAD_SETTINGS = [
     ("gauss_dim", "0", "gauss_dim"), ("labeled_per_class", "-1", "labeled_per_class"),
     ("ood_count", "-3", "ood_count"), ("test_fraction", "nan", "test_fraction"),
     ("gauss_spread", "inf", "gauss_spread"),
+    ("stage1_horizon", "2", "stage1_horizon"), ("stage1_horizon", "0", "stage1_horizon"),
+    ("stage3_horizon", "0", "stage3_horizon"), ("stage3_horizon", "-1", "stage3_horizon"),
 ]
 
 

@@ -14,8 +14,10 @@ from d2ssl.numerics import (
     entropy,
     kl_divergence,
     log_softmax,
+    row_sums,
     seeded_rng,
     softmax,
+    softmax_buffers,
     softmax_pair,
 )
 
@@ -144,6 +146,39 @@ def test_softmax_family_bit_equal_to_row_major(n_classes):
             assert same_bits(softmax(x), want_p), name
             assert same_bits(log_softmax(x), want_log_p), name
             assert same_bits(x, before), name
+
+
+@pytest.mark.parametrize("n_classes", range(1, 13))
+def test_softmax_pair_into_buffers_bit_equal_to_row_major(n_classes):
+    z = edge_rows(n_classes, seeded_rng(n_classes))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, x in layouts(z).items():
+            if n_classes >= numerics._CLASS_MAJOR_BELOW and not x.flags.c_contiguous:
+                continue  # row-major sums follow the layout; the buffers are C
+            out = softmax_buffers(x.shape)
+            for _ in range(2):  # a reused pair is overwritten whole
+                p, log_p = softmax_pair(x, out=out)
+                assert p is out[0] and log_p is out[1], name
+                assert same_bits(p, rowmajor_softmax(x)), name
+                assert same_bits(log_p, rowmajor_log_softmax(x)), name
+                out[0].fill(np.nan)
+                out[1].fill(np.nan)
+
+
+def test_softmax_pair_rejects_buffers_of_another_shape():
+    z = np.zeros((5, 4))
+    with pytest.raises(DimensionError):
+        softmax_pair(z, out=softmax_buffers((1, 4)))
+    with pytest.raises(DimensionError):
+        softmax_pair(z, out=(np.empty((5, 4)), np.empty((5, 3))))
+
+
+@pytest.mark.parametrize("n_classes", range(1, 13))
+def test_row_sums_bit_equal_to_sum_over_last_axis(n_classes):
+    rng = seeded_rng(n_classes)
+    z = rng.standard_normal((400, n_classes)) * 10.0 ** rng.integers(-8, 8, (400, n_classes))
+    for name, x in layouts(z).items():
+        assert same_bits(row_sums(x), x.sum(axis=-1)), name
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 7])

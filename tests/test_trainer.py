@@ -5,14 +5,16 @@ import pytest
 
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from d2ssl.model import ModelParams, forward, init_params
+from d2ssl.model import ModelParams, Workspace, backward, forward, init_params
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
-    D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
+    D2Config, PseudoLabelStore, convergence_residual, d2_loss, d2_update_pseudo_batch,
+    grad_wrt_network_logits, init_pseudo_labels, repredict,
 )
 from d2ssl.trainer import (
     METRICS_HEADER,
     _draw_labeled,
+    _labeled_config,
     OptimizerState,
     SchedulePlan,
     Stage2Segment,
@@ -464,3 +466,228 @@ def test_epoch_pseudo_pair_equals_per_batch_pairs(n_classes):
         p, log_p = softmax_pair(logits[ids[b]])
         assert p_all[b].tobytes() == p.tobytes()
         assert log_p_all[b].tobytes() == log_p.tobytes()
+
+
+def _old_forward_backward(params, x, w):
+    """The trace and the gradients, for the logit gradient p * w, as the
+    allocating forward and backward computed them before the workspace:
+    a new array for every product, derivative and delta."""
+    acts = []
+    a = x
+    for layer in params.layers:
+        a = a @ layer.weight
+        a += layer.bias
+        a = a if layer.activation == "linear" else (
+            np.tanh(a, out=a) if layer.activation == "tanh" else np.maximum(a, 0.0, out=a))
+        acts.append(a)
+    logits = a @ params.head_w
+    p, log_p = softmax_pair(logits)
+    g = p * w
+    grads = [None] * (2 * len(params.layers)) + [a.T @ g]
+    delta = g @ params.head_w.T
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer, out = params.layers[i], acts[i]
+        delta *= {"tanh": lambda: 1.0 - out * out,
+                  "relu": lambda: (out > 0.0).astype(np.float64),
+                  "linear": lambda: np.ones_like(out)}[layer.activation]()
+        a_prev = x if i == 0 else acts[i - 1]
+        grads[2 * i], grads[2 * i + 1] = a_prev.T @ delta, delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ layer.weight.T
+    return [*acts, logits, p, log_p], grads
+
+
+@pytest.mark.parametrize("sizes,activation,rows", [
+    ([2, 64, 2, 4], "tanh", 120), ([2, 5, 3, 4], "relu", 25), ([2, 5, 3, 4], "linear", 25),
+    ([2, 4], "tanh", 25), ([2, 16, 8, 3, 4], "tanh", 26), ([2, 16, 8, 3, 4], "relu", 26),
+    ([2, 16, 8, 3, 9], "tanh", 26), ([2, 6, 3, 4], "tanh", 1),
+])
+def test_workspace_steps_bit_equal_to_allocating_steps(sizes, activation, rows):
+    # Forward, backward and Nesterov step through one workspace, batch
+    # after batch, against the allocating calls and the per-tensor step.
+    params = init_params(sizes, activation, seeded_rng(4))
+    ref = params.copy()
+    ref_buffers = [np.zeros_like(t) for t in ref.tensors()]
+    ws = Workspace(params, rows)
+    state = OptimizerState.for_params(params, momentum=0.9, weight_decay=2e-4)
+    rng = seeded_rng(5)
+    for step in range(6):
+        x = rng.standard_normal((rows, 2))
+        w = rng.standard_normal((rows, sizes[-1])) / rows
+        want_trace, want_grads = _old_forward_backward(ref, x, w)
+        trace = forward(params, x, ws)
+        assert trace is ws.trace
+        got = [*trace.activations, trace.logits, trace.prediction, trace.log_prediction]
+        for a, b in zip(want_trace, got, strict=True):
+            assert a.tobytes() == b.tobytes(), step
+        np.multiply(trace.prediction, w, out=ws.dl)
+        backward(params, trace, ws.dl, state.grads, ws)
+        for a, b in zip(want_grads, state.grads.tensors(), strict=True):
+            assert a.tobytes() == b.tobytes(), step
+        for t, g, buf in zip(ref.tensors(), want_grads, ref_buffers):
+            eff = g + 2e-4 * t
+            buf *= 0.9
+            buf += eff
+            t -= 0.03 * (eff + 0.9 * buf)
+        sgd_nesterov_step(params, state.grads, state, 0.03)
+        assert params.flat.tobytes() == ref.flat.tobytes(), step
+
+
+def test_workspace_serves_only_its_params_and_batch_size():
+    params = init_params([2, 5, 4], "tanh", seeded_rng(0))
+    ws = Workspace(params, 10)
+    with pytest.raises(DimensionError):
+        forward(params, np.zeros((9, 2)), ws)
+    with pytest.raises(DimensionError):
+        forward(params.copy(), np.zeros((10, 2)), ws)
+    trace = forward(params, np.zeros((10, 2)), ws)
+    with pytest.raises(DimensionError):
+        backward(params.copy(), trace, ws.dl, ws=ws)
+
+
+def test_nesterov_checks_every_new_params_of_a_state():
+    # The checks run once per params object a state steps, not only on
+    # the state's first step.
+    params = init_params([2, 4, 3], "tanh", seeded_rng(0))
+    state = OptimizerState.for_params(params)
+    sgd_nesterov_step(params, state.grads, state, 0.05)
+    other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
+    with pytest.raises(DimensionError, match="optimizer state does not match"):
+        sgd_nesterov_step(other, state.grads, state, 0.05)
+    loose = ModelParams(layers=params.layers, head_w=params.head_w.copy())
+    with pytest.raises(DimensionError, match="not views of one flat buffer"):
+        sgd_nesterov_step(loose, state.grads, state, 0.05)
+
+
+def _per_batch_stage2(ds, params, store, plan, cfg, rng):
+    """Stage 2 as run before the pseudo-logit step moved to the end of
+    the epoch: allocating forward and backward calls, and one pseudo-logit
+    step per batch on that batch's rows. Returns the per-epoch mean
+    losses (total, matching, entropy)."""
+    lab, unl = ds.labeled_indices, ds.unlabeled_indices
+    state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
+    cfg_labeled = _labeled_config(cfg)
+    n_lab = plan.batch_labeled if lab.size else 0
+    n_unl = plan.batch_unlabeled
+    losses = []
+    for segment in plan.stage2_segments:
+        if segment.repredict_at_start:
+            repredict(store, params, ds)
+        active = open_world_filter(store, ds, plan.discard_fraction) if plan.open_world else unl
+        lab_order, cursor = (rng.permutation(lab) if lab.size else lab), 0
+        for _ in range(segment.epochs):
+            unl_order = rng.permutation(active)
+            n_batches = active.size // n_unl
+            l_ids, lab_order, cursor = _draw_labeled(
+                lab, lab_order, cursor, n_batches * n_lab, rng)
+            sums = np.zeros(3)
+            for b in range(n_batches):
+                ids = np.concatenate([l_ids[b * n_lab:(b + 1) * n_lab],
+                                      unl_order[b * n_unl:(b + 1) * n_unl]])
+                trace = forward(params, ds.features[ids])
+                p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
+                p, log_p = trace.prediction, trace.log_prediction
+                dl = np.empty_like(p)
+                dl[:n_lab] = grad_wrt_network_logits(
+                    p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled)
+                dl[n_lab:] = grad_wrt_network_logits(
+                    p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg)
+                dl /= n_lab + n_unl
+                backward(params, trace, dl, out=state.grads)
+                sgd_nesterov_step(params, state.grads, state, segment.lr)
+                if cfg.lam > 0:
+                    d2_update_pseudo_batch(store, ids[n_lab:], p[n_lab:], cfg, p_tilde[n_lab:])
+                l_c, l_e, total = d2_loss(log_p, p_tilde_log, cfg)
+                sums += [float(total.sum()), float(l_c.sum()), float(l_e.sum())]
+            losses.append(tuple(sums / (n_batches * (n_lab + n_unl))))
+    return losses
+
+
+@pytest.mark.parametrize("loss,n_classes,open_world,labeled_full_loss", [
+    ("forward_kl", 4, False, True), ("reverse_kl", 3, False, True),
+    ("squared_l2", 9, False, True), ("forward_kl", 4, True, True),
+    ("reverse_kl", 4, False, False), ("squared_l2", 3, True, False),
+    ("forward_kl", 9, True, False),
+])
+def test_epoch_pseudo_step_equals_per_batch_steps(loss, n_classes, open_world, labeled_full_loss):
+    centers = 4.0 * seeded_rng(n_classes).standard_normal((n_classes, 2))
+    ds = split(gen_gaussians(n_classes, 2, 40, centers, 1.0, seeded_rng(1)), 3, 0.3,
+               seeded_rng(1))
+    if open_world:
+        ood = gen_gaussians(1, 2, 60, np.zeros((1, 2)), 1.0, seeded_rng(9))
+        ds = inject_ood(ds, ood, 40, seeded_rng(9))
+    plan = tiny_plan(stage2_segments=[Stage2Segment(3, 0.01, False),
+                                      Stage2Segment(2, 0.008, True)],
+                     batch_labeled=5, batch_unlabeled=17,
+                     open_world=open_world, discard_fraction=0.2)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=300.0, classification_loss=loss,
+                   labeled_full_loss=labeled_full_loss)
+    params = init_params([2, 8, 3, n_classes], "tanh", seeded_rng(2))
+    store = init_pseudo_labels(ds, params, cfg)
+    want_params, want_store = params.copy(), store.copy()
+    want = _per_batch_stage2(ds, want_params, want_store, plan, cfg, seeded_rng(3))
+    params, store, records = stage2_d2(ds, params, store, plan, cfg, seeded_rng(3))
+    assert params.flat.tobytes() == want_params.flat.tobytes()
+    assert store.logits.tobytes() == want_store.logits.tobytes()
+    assert [(r.loss_total, r.loss_c, r.loss_e) for r in records] == want
+
+
+def _old_convergence_residual(p_hat_log, p_tilde_log, total, cfg):
+    """The residual with np.argmax and a fancy-index gather."""
+    n = np.argmax(p_hat_log, axis=-1)
+    rows = np.arange(p_hat_log.shape[0])
+    return (cfg.alpha - cfg.beta) * p_hat_log[rows, n] - cfg.alpha * p_tilde_log[rows, n] - total
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 4, 7, 8, 9])
+def test_convergence_residual_bit_equal_to_argmax_gather(n_classes):
+    rng = seeded_rng(n_classes)
+    p_hat_log = softmax_pair(rng.standard_normal((300, n_classes)) * 5.0)[1]
+    p_tilde_log = softmax_pair(rng.standard_normal((300, n_classes)) * 5.0)[1]
+    total = rng.standard_normal(300)
+    # Ties, and NaNs first, last, after and before a tie, in a few rows.
+    p_hat_log[:10] = np.round(p_hat_log[:10])
+    p_hat_log[10, -1] = np.nan
+    p_hat_log[11, 0] = np.nan
+    p_hat_log[12, :] = np.nan
+    p_hat_log[13, n_classes // 2] = np.nan
+    p_tilde_log[14, :] = np.nan
+    cfg = D2Config()
+    want = _old_convergence_residual(p_hat_log, p_tilde_log, total, cfg)
+    for hat, tilde in ((p_hat_log, p_tilde_log), (p_hat_log.copy(), p_tilde_log.copy())):
+        got = convergence_residual(hat, tilde, total, cfg)
+        assert got.tobytes() == want.tobytes()
+
+
+def _plan_error(**kw):
+    with pytest.raises(ConfigurationError, match="horizon"):
+        tiny_plan(**kw)
+
+
+def test_schedule_plan_rejects_horizons_the_epochs_outrun():
+    _plan_error(stage1_epochs=5, stage1_horizon=2)
+    _plan_error(stage1_epochs=5, stage1_horizon=0)
+    _plan_error(stage1_epochs=1, stage1_horizon=0)
+    _plan_error(stage3_epochs=5, stage3_horizon=3)
+    _plan_error(stage3_epochs=2, stage3_horizon=0)
+    # The last epoch may sit on the horizon; a stage that does not run
+    # takes any horizon.
+    tiny_plan(stage1_epochs=5, stage1_horizon=4, stage3_epochs=1, stage3_horizon=1)
+    tiny_plan(stage1_epochs=0, stage1_horizon=0, stage3_epochs=0, stage3_horizon=-3)
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2", "stage3"])
+def test_non_finite_params_after_a_stage_abort(stage):
+    # Only the named stage steps (the others have lr 0), and its step
+    # overflows through the weight decay. One batch per epoch and one
+    # epoch, so the overflowing step is the stage's last and no loss
+    # sees it.
+    ds = tiny_dataset()
+    lrs = {"stage1": 0.0, "stage2": 0.0, "stage3": 0.0, stage: 1e305}
+    plan = tiny_plan(stage1_epochs=1, stage1_horizon=1, stage1_lr=lrs["stage1"],
+                     stage2_segments=[Stage2Segment(1, lrs["stage2"], False)],
+                     stage3_epochs=1, stage3_horizon=1, stage3_lr=lrs["stage3"],
+                     weight_decay=1e10, batch_labeled=ds.labeled_indices.size,
+                     batch_unlabeled=ds.unlabeled_indices.size)
+    with pytest.raises(NumericError, match=f"non-finite params at the end of {stage}"):
+        run_r2d2(ds, [2, 8, 3, 4], "tanh", D2Config(), plan, seed=0)
