@@ -13,34 +13,31 @@ import sys
 
 import numpy as np
 
-from d2ssl.cli import ExperimentConfig, _emit_diagnostics, build_dataset
-from d2ssl.pseudo import D2Config, init_pseudo_labels
-from d2ssl.trainer import head_only_d2, run_supervised_baseline
+from d2ssl.cli import (
+    AUDIT_LAM, AUDIT_LR, AUDIT_STEPS, _emit_diagnostics, convergence_audit, parse_config,
+    run_guarded,
+)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", required=True)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--steps", type=int, default=5000)
-    ap.add_argument("--lr", type=float, default=8.0)
-    ap.add_argument("--lam", type=float, default=64000.0)
-    args = ap.parse_args()
+def audit(args) -> int:
+    cfg = parse_config("", {"seed": str(args.seed), "out": args.out})
     os.makedirs(args.out, exist_ok=True)
-
-    cfg = ExperimentConfig(seed=args.seed)
-    ds = build_dataset(cfg)
-    params, _ = run_supervised_baseline(
-        ds, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), args.seed,
-    )
-    d2 = D2Config(alpha=cfg.alpha, beta=cfg.beta, lam=args.lam)
-    store = init_pseudo_labels(ds, params, d2)
-    params, store, t = head_only_d2(ds, params, store, d2, args.steps, args.lr)
+    ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, args.lam)
     frac = float(np.mean(np.abs(t) < 1e-3))
     print(f"{frac:.1%} of unlabeled samples converged to |t| < 1e-3")
     _emit_diagnostics(args.out, ds, params, store, d2)
     print(f"diagnostics written to {args.out}")
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--steps", type=int, default=AUDIT_STEPS)
+    ap.add_argument("--lr", type=float, default=AUDIT_LR)
+    ap.add_argument("--lam", type=float, default=AUDIT_LAM)
+    return run_guarded(audit, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

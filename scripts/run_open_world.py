@@ -14,29 +14,23 @@ import sys
 
 import numpy as np
 
-from d2ssl.cli import ExperimentConfig, build_dataset
+from d2ssl.cli import build_dataset, parse_config, run_guarded
 from d2ssl.data import OOD_CLASS
 from d2ssl.trainer import open_world_filter, run_r2d2
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", required=True)
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--ood-count", type=int, default=660)
-    ap.add_argument("--discard", type=float, default=0.25)
-    ap.add_argument("--spread", type=float, default=2.0)
-    args = ap.parse_args()
+def study(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for seed in range(args.seeds):
         err = {}
         final = {}
         for tag, ow in [("unfiltered", False), ("filtered", True)]:
-            cfg = ExperimentConfig(
-                seed=seed, gauss_spread=args.spread, ood_count=args.ood_count,
-                open_world=ow, discard_fraction=args.discard,
-            )
+            cfg = parse_config("", {
+                "seed": str(seed), "gauss_spread": str(args.spread),
+                "ood_count": str(args.ood_count), "open_world": str(ow),
+                "discard_fraction": str(args.discard),
+            })
             ds = build_dataset(cfg)
             _, store, m = run_r2d2(ds, cfg.model_sizes(), cfg.activation,
                                    cfg.d2_config(), cfg.schedule_plan(), seed)
@@ -58,6 +52,16 @@ def main():
                     "pool_ood_fraction", "discard_ood_fraction"])
         w.writerows(rows)
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--seeds", type=int, default=5)
+    ap.add_argument("--ood-count", type=int, default=660)
+    ap.add_argument("--discard", type=float, default=0.25)
+    ap.add_argument("--spread", type=float, default=2.0)
+    return run_guarded(study, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -13,17 +13,17 @@ import csv
 import os
 import sys
 
-from d2ssl.cli import ExperimentConfig, build_dataset, parse_config
+from d2ssl.cli import ExperimentConfig, build_dataset, parse_config, run_guarded
 from d2ssl.trainer import run_r2d2, run_supervised_baseline, write_metrics
 
 
-def parse_args():
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--dataset", default="gaussians",
                     choices=["gaussians", "two_moons"])
-    return ap.parse_known_args()
+    return ap.parse_known_args(argv)
 
 
 def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> ExperimentConfig:
@@ -35,9 +35,7 @@ def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> Experime
     return parse_config("", {**base, **overrides, "seed": str(seed)})
 
 
-def main():
-    args, extra = parse_args()
-    overrides = dict(zip([k.lstrip("-") for k in extra[::2]], extra[1::2]))
+def compare(args, overrides: dict[str, str]) -> int:
     rows = []
     for seed in range(args.seeds):
         cfg = build_config(seed, args.dataset, overrides)
@@ -61,6 +59,12 @@ def main():
     wins = sum(r[3] > 0 for r in rows)
     print(f"{wins}/{len(rows)} seeds improved over the baseline")
     return 0
+
+
+def main(argv=None):
+    args, extra = parse_args(argv)
+    overrides = dict(zip([k.lstrip("-") for k in extra[::2]], extra[1::2]))
+    return run_guarded(compare, args, overrides)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ be overridden with a ``--key value`` flag. Every run writes the fully
 resolved config next to its outputs so it can be replayed exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric
-abort.
+abort, 5 internal error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,23 +25,38 @@ from . import diagnostics as diag
 from .errors import ConfigurationError, D2Error, FormatError, NumericError
 from .model import load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
-from .pseudo import (
-    CLASSIFICATION_LOSSES, D2Config, load_snapshot, save_snapshot,
-)
+from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, run_r2d2, run_supervised_baseline, write_metrics,
+    SchedulePlan, Stage2Segment, head_only_d2, run_r2d2, run_supervised_baseline,
+    write_metrics,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 RESOLVED_NAME = "config_resolved.cfg"
+
+# The convergence audit's head-only joint steps (acceptance criteria 3-5).
+AUDIT_STEPS = 5000
+AUDIT_LR = 8.0
+AUDIT_LAM = 64000.0
+
+_D2 = D2Config()
+_PLAN = SchedulePlan()
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 @dataclass
 class ExperimentConfig:
+    """The flat key map of config_resolved.cfg, in its line order. The
+    loss and schedule keys take their defaults from D2Config and
+    SchedulePlan."""
     seed: int = 0
     out: str = "."
     # dataset
@@ -63,38 +78,34 @@ class ExperimentConfig:
     layer_sizes: str = "2,64,2,4"
     activation: str = "tanh"
     # joint-loss hyperparameters
-    alpha: float = 0.1
-    beta: float = 0.03
-    lam: float = 500.0
-    k_init: float = 10.0
-    classification_loss: str = "forward_kl"
-    labeled_full_loss: bool = True
+    alpha: float = _D2.alpha
+    beta: float = _D2.beta
+    lam: float = _D2.lam
+    k_init: float = _D2.init_scale
+    classification_loss: str = _D2.classification_loss
+    labeled_full_loss: bool = _D2.labeled_full_loss
     # schedule
-    stage1_epochs: int = 200
-    stage1_lr: float = 0.05
-    stage1_horizon: int = 200
-    stage2_epochs: str = "50,50,50,50"
-    stage2_lrs: str = "0.01,0.008,0.006,0.004"
-    stage2_repredict: str = "0,1,1,1"
-    stage3_epochs: int = 100
-    stage3_lr: float = 0.01
-    stage3_horizon: int = 100
-    batch_labeled: int = 20
-    batch_unlabeled: int = 100
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
-    open_world: bool = False
-    discard_fraction: float = 0.1
+    stage1_epochs: int = _PLAN.stage1_epochs
+    stage1_lr: float = _PLAN.stage1_lr
+    stage1_horizon: int = _PLAN.stage1_horizon
+    stage2_epochs: str = _join(s.epochs for s in _PLAN.stage2_segments)
+    stage2_lrs: str = _join(s.lr for s in _PLAN.stage2_segments)
+    stage2_repredict: str = _join(int(s.repredict_at_start) for s in _PLAN.stage2_segments)
+    stage3_epochs: int = _PLAN.stage3_epochs
+    stage3_lr: float = _PLAN.stage3_lr
+    stage3_horizon: int = _PLAN.stage3_horizon
+    batch_labeled: int = _PLAN.batch_labeled
+    batch_unlabeled: int = _PLAN.batch_unlabeled
+    momentum: float = _PLAN.momentum
+    weight_decay: float = _PLAN.weight_decay
+    open_world: bool = _PLAN.open_world
+    discard_fraction: float = _PLAN.discard_fraction
     # diagnose mode inputs
     checkpoint: str = ""
     snapshot: str = ""
     dataset_csv: str = ""
 
     def d2_config(self) -> D2Config:
-        if self.classification_loss not in CLASSIFICATION_LOSSES:
-            raise ConfigurationError(
-                f"classification_loss must be one of {CLASSIFICATION_LOSSES}"
-            )
         return D2Config(
             alpha=self.alpha, beta=self.beta, lam=self.lam,
             init_scale=self.k_init,
@@ -103,9 +114,9 @@ class ExperimentConfig:
         )
 
     def schedule_plan(self) -> SchedulePlan:
-        epochs = _int_list(self.stage2_epochs, "stage2_epochs")
-        lrs = _float_list(self.stage2_lrs, "stage2_lrs")
-        reps = _int_list(self.stage2_repredict, "stage2_repredict")
+        epochs = _number_list(self.stage2_epochs, "stage2_epochs")
+        lrs = _number_list(self.stage2_lrs, "stage2_lrs", float)
+        reps = _number_list(self.stage2_repredict, "stage2_repredict")
         if not len(epochs) == len(lrs) == len(reps):
             raise ConfigurationError(
                 "stage2_epochs, stage2_lrs, stage2_repredict must have equal length"
@@ -124,7 +135,7 @@ class ExperimentConfig:
         )
 
     def model_sizes(self) -> list[int]:
-        return _int_list(self.layer_sizes, "layer_sizes")
+        return _number_list(self.layer_sizes, "layer_sizes")
 
     def check_dataset(self) -> None:
         """Reject dataset settings build_dataset cannot use. Class and
@@ -141,22 +152,25 @@ class ExperimentConfig:
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigurationError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
 
+    def check_layer_sizes(self, dim: int, n_classes: int) -> None:
+        """Reject layer_sizes that do not start with the data's input
+        width and end with its class count."""
+        sizes = self.model_sizes()
+        if (sizes[0], sizes[-1]) != (dim, n_classes):
+            raise ConfigurationError(
+                f"layer_sizes {self.layer_sizes} must start with the input width {dim} "
+                f"and end with the class count {n_classes}"
+            )
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _int_list(text: str, key: str) -> list[int]:
+def _number_list(text: str, key: str, kind=int) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected comma-separated integers") from exc
-
-
-def _float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected comma-separated floats") from exc
+        raise ConfigurationError(f"{key}: expected comma-separated {kind.__name__}s") from exc
 
 
 def _convert(key: str, raw: str, line_no: int | None):
@@ -209,16 +223,27 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     cfg.check_dataset()   # and the dataset keys
     if len(cfg.model_sizes()) < 2:
         raise ConfigurationError("layer_sizes needs at least two entries")
+    # The width and class count the dataset settings fix; idx data is
+    # checked when it is loaded.
+    shape = {"gaussians": (cfg.gauss_dim, cfg.gauss_classes), "two_moons": (2, 2)}
+    if cfg.dataset in shape:
+        cfg.check_layer_sizes(*shape[cfg.dataset])
     return cfg
+
+
+def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
+    out = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        out[f.name] = str(value)
+    return out
 
 
 def dump_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as fh:
-        for f in fields(ExperimentConfig):
-            value = getattr(cfg, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            fh.write(f"{f.name} = {value}\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in _cfg_as_overrides(cfg).items())
 
 
 def _gauss_centers(n_classes: int, dim: int, scale: float) -> np.ndarray:
@@ -245,6 +270,7 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
         if not cfg.idx_images or not cfg.idx_labels:
             raise ConfigurationError("idx dataset requires idx_images and idx_labels")
         raw = data_mod.load_idx(cfg.idx_images, cfg.idx_labels)
+        cfg.check_layer_sizes(raw.dim, raw.n_classes)
     else:
         raise ConfigurationError(f"unknown dataset {cfg.dataset!r}")
     ds = data_mod.split(raw, cfg.labeled_per_class, cfg.test_fraction, rng)
@@ -305,6 +331,24 @@ def run_mode_baseline(cfg: ExperimentConfig, out_dir: str) -> None:
     save_checkpoint(params, os.path.join(out_dir, "model.d2ck"))
 
 
+def convergence_audit(
+    cfg: ExperimentConfig, steps: int = AUDIT_STEPS, lr: float = AUDIT_LR,
+    lam: float = AUDIT_LAM,
+):
+    """The audit of the paper's stationarity claims (acceptance criteria
+    3-5): the supervised warm-up, pseudo-labels from its head, then
+    head_only_d2 with the backbone frozen, under cfg's loss with pseudo
+    step lam. Returns (dataset, params, store, residual, loss config)."""
+    dataset = build_dataset(cfg)
+    params, _ = run_supervised_baseline(
+        dataset, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), cfg.seed,
+    )
+    d2cfg = replace(cfg.d2_config(), lam=lam)
+    store = init_pseudo_labels(dataset, params, d2cfg)
+    params, store, t = head_only_d2(dataset, params, store, d2cfg, steps, lr)
+    return dataset, params, store, t, d2cfg
+
+
 ABLATION_AXES = {
     "alpha": ["0.1", "0.2", "0.3", "0.4", "0.5"],
     "beta": ["0.01", "0.02", "0.03", "0.04", "0.05"],
@@ -316,38 +360,33 @@ ABLATION_AXES = {
 def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     """The five training-strategy variants: single segment, repeated
     segments, +reprediction, +lr reduction, and both."""
-    epochs = _int_list(cfg.stage2_epochs, "stage2_epochs")
-    lrs = _float_list(cfg.stage2_lrs, "stage2_lrs")
+    epochs = _number_list(cfg.stage2_epochs, "stage2_epochs")
+    lrs = _number_list(cfg.stage2_lrs, "stage2_lrs", float)
     n_seg = len(epochs)
     total = sum(epochs)
     flat_lr = lrs[0]
-    join = lambda vals: ",".join(str(v) for v in vals)
     return {
         "a_stage2_only": {
             "stage2_epochs": str(total), "stage2_lrs": str(flat_lr),
             "stage2_repredict": "0",
         },
         "b_repeat": {
-            "stage2_epochs": join(epochs), "stage2_lrs": join([flat_lr] * n_seg),
-            "stage2_repredict": join([0] * n_seg),
+            "stage2_epochs": _join(epochs), "stage2_lrs": _join([flat_lr] * n_seg),
+            "stage2_repredict": _join([0] * n_seg),
         },
         "c_repredict": {
-            "stage2_epochs": join(epochs), "stage2_lrs": join([flat_lr] * n_seg),
-            "stage2_repredict": join([0] + [1] * (n_seg - 1)),
+            "stage2_epochs": _join(epochs), "stage2_lrs": _join([flat_lr] * n_seg),
+            "stage2_repredict": _join([0] + [1] * (n_seg - 1)),
         },
         "d_reduce_lr": {
-            "stage2_epochs": join(epochs), "stage2_lrs": join(lrs),
-            "stage2_repredict": join([0] * n_seg),
+            "stage2_epochs": _join(epochs), "stage2_lrs": _join(lrs),
+            "stage2_repredict": _join([0] * n_seg),
         },
         "e_full": {
-            "stage2_epochs": join(epochs), "stage2_lrs": join(lrs),
-            "stage2_repredict": join([0] + [1] * (n_seg - 1)),
+            "stage2_epochs": _join(epochs), "stage2_lrs": _join(lrs),
+            "stage2_repredict": _join([0] + [1] * (n_seg - 1)),
         },
     }
-
-
-def _final_test_error(metrics) -> float:
-    return 1.0 - metrics[-1].acc_test
 
 
 def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -360,7 +399,7 @@ def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
             dataset, cell.model_sizes(), cell.activation,
             cell.d2_config(), cell.schedule_plan(), cell.seed,
         )
-        rows.append((name, overrides, _final_test_error(metrics)))
+        rows.append((name, overrides, 1.0 - metrics[-1].acc_test))
 
     for key, values in ABLATION_AXES.items():
         for value in values:
@@ -372,16 +411,6 @@ def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
         for name, overrides, err in rows:
             txt = ";".join(f"{k}={v}" for k, v in overrides.items())
             fh.write(f"{name},{txt},{err:.9g}\n")
-
-
-def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        out[f.name] = str(value)
-    return out
 
 
 def run_mode_diagnose(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -444,29 +473,12 @@ def _parse_argv(argv: list[str]):
     return mode, config_path, overrides
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def run_guarded(body, *args) -> int:
+    """body(*args), with a D2Error or OSError it raises reported on
+    stderr and turned into its exit code. Any D2Error not named here is
+    an internal invariant that broke, not a bad setting or input."""
     try:
-        mode, config_path, overrides = _parse_argv(argv)
-        text = ""
-        if config_path is not None:
-            try:
-                with open(config_path) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
-                return EXIT_IO
-        env_root = os.environ.get("D2SSL_OUT")
-        if env_root and "out" not in overrides and all(
-            key != "out" for _, key, _ in _entries(text)
-        ):
-            overrides["out"] = env_root
-        cfg = parse_config(text, overrides)
-        out_dir = cfg.out
-        os.makedirs(out_dir, exist_ok=True)
-        dump_config(cfg, os.path.join(out_dir, RESOLVED_NAME))
-        MODES[mode](cfg, out_dir)
-        return EXIT_OK
+        return body(*args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -477,8 +489,34 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except D2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(argv: list[str]) -> int:
+    mode, config_path, overrides = _parse_argv(argv)
+    text = ""
+    if config_path is not None:
+        try:
+            with open(config_path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise OSError(f"cannot read config: {exc}") from None
+    env_root = os.environ.get("D2SSL_OUT")
+    if env_root and "out" not in overrides and all(
+        key != "out" for _, key, _ in _entries(text)
+    ):
+        overrides["out"] = env_root
+    cfg = parse_config(text, overrides)
+    out_dir = cfg.out
+    os.makedirs(out_dir, exist_ok=True)
+    dump_config(cfg, os.path.join(out_dir, RESOLVED_NAME))
+    MODES[mode](cfg, out_dir)
+    return EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_guarded(_run, sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class SplitDataset:
     true_classes: np.ndarray  # (n,) int, OOD_CLASS for out-of-distribution
     roles: np.ndarray         # (n,) int role codes
     n_classes: int
-    note: str = ""
 
     @property
     def n_samples(self) -> int:
@@ -66,8 +65,7 @@ class SplitDataset:
 
     def copy(self) -> "SplitDataset":
         return SplitDataset(
-            self.features.copy(), self.true_classes.copy(), self.roles.copy(),
-            self.n_classes, self.note,
+            self.features.copy(), self.true_classes.copy(), self.roles.copy(), self.n_classes
         )
 
     def label_columns(self) -> list[list[str]]:
@@ -186,7 +184,7 @@ def gen_gaussians(
         feats[block] = centers[c] + spread * rng.standard_normal((per_class, dim))
         classes[block] = c
     roles = np.full(n_classes * per_class, ROLE_UNLABELED, dtype=np.int64)
-    return SplitDataset(feats, classes, roles, n_classes, note="gaussians")
+    return SplitDataset(feats, classes, roles, n_classes)
 
 
 def gen_two_moons(
@@ -204,7 +202,7 @@ def gen_two_moons(
     feats += noise * rng.standard_normal(feats.shape)
     classes = np.repeat([0, 1], n_per_moon).astype(np.int64)
     roles = np.full(2 * n_per_moon, ROLE_UNLABELED, dtype=np.int64)
-    return SplitDataset(feats, classes, roles, 2, note="two_moons")
+    return SplitDataset(feats, classes, roles, 2)
 
 
 def _read_idx_header(fh, expected_magic: int, path) -> list[int]:
@@ -256,7 +254,7 @@ def load_idx(images_path, labels_path) -> SplitDataset:
     labels = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     roles = np.full(count, ROLE_UNLABELED, dtype=np.int64)
     n_classes = int(labels.max()) + 1 if count else 0
-    return SplitDataset(feats, labels, roles, n_classes, note="idx")
+    return SplitDataset(feats, labels, roles, n_classes)
 
 
 def split(
@@ -290,32 +288,6 @@ def split(
     return out
 
 
-def unbalance(
-    dataset: SplitDataset, keep_counts: list[int], rng: np.random.Generator
-) -> SplitDataset:
-    """Subsample the unlabeled pool to the given per-class counts."""
-    out = dataset.copy()
-    keep: list[np.ndarray] = []
-    for c, count in enumerate(keep_counts):
-        members = np.flatnonzero(
-            (out.roles == ROLE_UNLABELED) & (out.true_classes == c)
-        )
-        if count > members.size:
-            raise ConfigurationError(
-                f"class {c}: keep count {count} exceeds unlabeled pool {members.size}"
-            )
-        if count:
-            keep.append(rng.choice(members, size=count, replace=False))
-    kept = np.concatenate(keep) if keep else np.array([], dtype=np.int64)
-    drop_mask = (out.roles == ROLE_UNLABELED)
-    drop_mask[kept] = False
-    sel = np.flatnonzero(~drop_mask)
-    return SplitDataset(
-        out.features[sel], out.true_classes[sel], out.roles[sel],
-        out.n_classes, out.note + "+unbalanced",
-    )
-
-
 def inject_ood(
     dataset: SplitDataset, ood_source: SplitDataset, count: int, rng: np.random.Generator
 ) -> SplitDataset:
@@ -337,5 +309,4 @@ def inject_ood(
     roles = np.concatenate(
         [dataset.roles, np.full(count, ROLE_UNLABELED, dtype=np.int64)]
     )
-    return SplitDataset(feats, classes, roles, dataset.n_classes,
-                        dataset.note + "+ood")
+    return SplitDataset(feats, classes, roles, dataset.n_classes)

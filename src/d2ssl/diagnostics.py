@@ -1,6 +1,6 @@
 """Read-only audits over a trained model and pseudo-label store:
-finite-difference gradient checking, residual histograms, flatness and
-conservation checks, entropy CDFs, and 2-D feature export.
+finite-difference gradient checking, residual histograms, flatness
+checks, entropy CDFs, and 2-D feature export.
 
 Each exporter writes a CSV with a one-line header; none of them mutate
 the model or the store.
@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SplitDataset, write_csv_columns
 from .errors import ConfigurationError, NumericError
-from .model import ModelParams, forward, forward_features, forward_logits
+from .model import ModelParams, forward_features, forward_logits
 from .numerics import entropy, softmax_pair
 from .pseudo import D2Config, PseudoLabelStore, d2_loss, convergence_residual
 
@@ -26,33 +26,6 @@ class HistogramSpec:
     upper: float
     bins: int
     counts: np.ndarray | None = None
-
-
-def gradient_check(loss_fn, point: np.ndarray, analytic: np.ndarray, step: float) -> float:
-    """Max relative error between analytic and central-difference
-    gradients of a scalar function at a point.
-
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-8)
-    per coordinate.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    flat = point.ravel()
-    aflat = analytic.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = float(loss_fn(point))
-        flat[i] = orig - step
-        f_minus = float(loss_fn(point))
-        flat[i] = orig
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise NumericError("non-finite loss during gradient check")
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst
 
 
 def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
@@ -69,6 +42,25 @@ def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
         flat[i] = orig
         out[i] = (f_plus - f_minus) / (2.0 * step)
     return out.reshape(point.shape)
+
+
+def gradient_check(loss_fn, point: np.ndarray, analytic: np.ndarray, step: float) -> float:
+    """Max relative error between analytic and central-difference
+    gradients of a scalar function at a point.
+
+    Relative error uses denominator max(|analytic|, |numeric|, 1e-8)
+    per coordinate.
+    """
+    def finite_loss(x):
+        value = float(loss_fn(x))
+        if not math.isfinite(value):
+            raise NumericError("non-finite loss during gradient check")
+        return value
+
+    numeric = numeric_gradient(finite_loss, point, step).ravel()
+    analytic = np.asarray(analytic, dtype=np.float64).ravel()
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom, initial=0.0))
 
 
 def unlabeled_scores(dataset, params, store, cfg):
@@ -160,46 +152,6 @@ def entropy_cdf(probs: np.ndarray, grid: np.ndarray) -> np.ndarray:
         raise ConfigurationError("entropy grid must be strictly increasing")
     ent = entropy(np.atleast_2d(probs))
     return np.array([int(np.sum(ent < e)) for e in grid])
-
-
-def sum_drift_audit(
-    store: PseudoLabelStore,
-    snapshot_sums: np.ndarray,
-    grad_norms: np.ndarray | None = None,
-):
-    """Max |sum(pseudo-logits) - snapshot| over unfrozen samples.
-
-    Records carry |y|_2 per sample, and |dL/dy|_2 when grad_norms is
-    supplied, so the magnitude-ordering comparison falls out of the same
-    CSV.
-    """
-    unfrozen = np.flatnonzero(~store.frozen)
-    if unfrozen.size == 0:
-        return 0.0, np.zeros((0, 4))
-    drift = np.abs(store.logits[unfrozen].sum(axis=1) - snapshot_sums[unfrozen])
-    y_norm = np.linalg.norm(store.logits[unfrozen], axis=1)
-    if grad_norms is None:
-        grad_norms = np.full(unfrozen.size, np.nan)
-    records = np.column_stack([unfrozen, drift, y_norm, grad_norms])
-    return float(drift.max()), records
-
-
-def pseudo_grad_magnitudes(
-    dataset: SplitDataset,
-    params: ModelParams,
-    store: PseudoLabelStore,
-    cfg: D2Config,
-) -> np.ndarray:
-    """Columns (|y|_2, |dL/dy|_2) per unlabeled sample, for the
-    magnitude-ordering comparison."""
-    from .pseudo import grad_wrt_pseudo_logits
-    unl = dataset.unlabeled_indices
-    trace = forward(params, dataset.features[unl])
-    grad = grad_wrt_pseudo_logits(trace.prediction, store.probs(unl), cfg)
-    return np.column_stack([
-        np.linalg.norm(store.logits[unl], axis=1),
-        np.linalg.norm(grad, axis=1),
-    ])
 
 
 def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:

@@ -135,15 +135,3 @@ def seeded_rng(seed: int) -> np.random.Generator:
     """
     return np.random.Generator(np.random.PCG64(seed))
 
-
-def check_prob_vector(p: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise DimensionError if p is not a valid probability vector."""
-    p = np.asarray(p)
-    if p.size == 0:
-        raise DimensionError("empty probability vector")
-    if not np.all(np.isfinite(p)):
-        raise DimensionError("non-finite entries in probability vector")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DimensionError("probability entries outside [0, 1]")
-    if abs(float(np.sum(p)) - 1.0) > atol:
-        raise DimensionError("probability entries do not sum to 1")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ CLASSIFICATION_LOSSES = ("forward_kl", "reverse_kl", "squared_l2")
 class D2Config:
     alpha: float = 0.1
     beta: float = 0.03
-    lam: float = 4000.0        # step size for pseudo-logit updates
+    lam: float = 500.0         # step size for pseudo-logit updates
     init_scale: float = 10.0   # one-hot scaling K for labeled samples
     classification_loss: str = "forward_kl"
     # Whether labeled samples contribute the full loss (including the
@@ -74,12 +74,14 @@ class PseudoLabelStore:
     """Per-sample pseudo-logits with a frozen flag per row."""
     logits: np.ndarray  # (n_samples, N)
     frozen: np.ndarray  # (n_samples,) bool
-    n_classes: int
-    init_scale: float
 
     @property
     def n_samples(self) -> int:
         return self.logits.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.logits.shape[1]
 
     def probs(self, ids=None) -> np.ndarray:
         rows = self.logits if ids is None else self.logits[ids]
@@ -90,9 +92,7 @@ class PseudoLabelStore:
         return log_softmax(rows)
 
     def copy(self) -> "PseudoLabelStore":
-        return PseudoLabelStore(
-            self.logits.copy(), self.frozen.copy(), self.n_classes, self.init_scale
-        )
+        return PseudoLabelStore(self.logits.copy(), self.frozen.copy())
 
 
 def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
@@ -114,7 +114,7 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
     unl = dataset.unlabeled_indices
     if unl.size:
         logits[unl] = forward_logits(params, dataset.features[unl])
-    return PseudoLabelStore(logits, frozen, n, cfg.init_scale)
+    return PseudoLabelStore(logits, frozen)
 
 
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
@@ -203,18 +203,6 @@ def grad_wrt_pseudo_logits(
         inner = np.sum(p_tilde * diff, axis=-1, keepdims=True)
         return 2.0 * a * p_tilde * (diff - inner)
     raise ConfigurationError(f"unknown classification loss {cfg.classification_loss!r}")
-
-
-def d2_update_pseudo(
-    store: PseudoLabelStore, sample_id: int, p_hat: np.ndarray, cfg: D2Config
-) -> np.ndarray:
-    """One plain gradient step on a single sample's pseudo-logits."""
-    if store.frozen[sample_id]:
-        raise FrozenUpdateError(f"sample {sample_id} is frozen")
-    p_tilde = softmax(store.logits[sample_id])
-    grad = grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
-    store.logits[sample_id] -= cfg.lam * grad
-    return store.logits[sample_id]
 
 
 def d2_update_pseudo_batch(
@@ -332,4 +320,4 @@ def load_snapshot(path) -> PseudoLabelStore:
     frozen = np.zeros(count, dtype=bool)
     logits[ids] = records["logits"]
     frozen[ids] = records["frozen"] != 0
-    return PseudoLabelStore(logits, frozen, n_classes, init_scale=0.0)
+    return PseudoLabelStore(logits, frozen)

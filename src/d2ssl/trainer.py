@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class OptimizerState:
     here too."""
     velocity: np.ndarray
     grads: GradientSet
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    momentum: float
+    weight_decay: float
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     checked: ModelParams | None = field(default=None, init=False, repr=False)
 
@@ -66,7 +66,7 @@ class OptimizerState:
         return flat_views(self.velocity, [g.shape for g in self.grads.tensors()])
 
     @classmethod
-    def for_params(cls, params: ModelParams, momentum=0.9, weight_decay=0.0):
+    def for_params(cls, params: ModelParams, momentum: float, weight_decay: float):
         grads = GradientSet.for_params(params)
         return cls(np.zeros_like(grads.flat), grads, momentum, weight_decay)
 
@@ -130,20 +130,21 @@ class SchedulePlan:
 
 @dataclass
 class MetricsRecord:
+    """One row of metrics.csv; a column the stage does not measure is NaN."""
     stage: str
     epoch: int
     lr: float
-    loss_total: float
-    loss_c: float
-    loss_e: float
-    acc_labeled: float
-    acc_test: float
-    acc_pseudo: float
-    mean_h_pseudo: float
-    mean_h_pred: float
-    t_abs_p50: float
-    t_abs_p95: float
-    sum_drift_max: float
+    loss_total: float = math.nan
+    loss_c: float = math.nan
+    loss_e: float = math.nan
+    acc_labeled: float = math.nan
+    acc_test: float = math.nan
+    acc_pseudo: float = math.nan
+    mean_h_pseudo: float = math.nan
+    mean_h_pred: float = math.nan
+    t_abs_p50: float = math.nan
+    t_abs_p95: float = math.nan
+    sum_drift_max: float = math.nan
 
     def row(self) -> list[str]:
         vals = [
@@ -221,11 +222,6 @@ def cosine_lr(t: int, horizon: int, lr0: float) -> float:
     if t < 0 or t > horizon:
         raise ScheduleError(f"step {t} outside horizon [0, {horizon}]")
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / horizon))
-
-
-def _check_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise NumericError(f"non-finite {what}: {value}")
 
 
 def _check_loss(loss_sum: float, stage: str, epoch: int, batch: int) -> None:
@@ -329,19 +325,6 @@ def _check_params(params: ModelParams, stage: str) -> None:
         raise NumericError(f"non-finite params at the end of {stage}")
 
 
-def _nan_record(stage: str, epoch: int, lr: float, **overrides) -> MetricsRecord:
-    base = dict(
-        stage=stage, epoch=epoch, lr=lr,
-        loss_total=float("nan"), loss_c=float("nan"), loss_e=float("nan"),
-        acc_labeled=float("nan"), acc_test=float("nan"), acc_pseudo=float("nan"),
-        mean_h_pseudo=float("nan"), mean_h_pred=float("nan"),
-        t_abs_p50=float("nan"), t_abs_p95=float("nan"),
-        sum_drift_max=float("nan"),
-    )
-    base.update(overrides)
-    return MetricsRecord(**base)
-
-
 def stage1_supervised(
     dataset: SplitDataset,
     params: ModelParams,
@@ -363,7 +346,7 @@ def stage1_supervised(
             params, state, ws, feats, targets, lr, rng, "stage1", epoch
         )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
-        records.append(_nan_record(
+        records.append(MetricsRecord(
             "stage1", epoch, lr,
             loss_total=ce, loss_c=ce, loss_e=h_pred,
             acc_labeled=acc_labeled, acc_test=acc_test,
@@ -430,12 +413,7 @@ def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dic
 def _labeled_config(cfg: D2Config) -> D2Config:
     """The loss of labeled rows in joint training: the full loss, or
     only the matching term when cfg.labeled_full_loss is false."""
-    if cfg.labeled_full_loss:
-        return cfg
-    return D2Config(
-        alpha=cfg.alpha, beta=0.0, lam=cfg.lam, init_scale=cfg.init_scale,
-        classification_loss=cfg.classification_loss,
-    )
+    return cfg if cfg.labeled_full_loss else replace(cfg, beta=0.0)
 
 
 def _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled, out) -> np.ndarray:
@@ -542,7 +520,7 @@ def stage2_d2(
             extra = _stage2_epoch_metrics(
                 store, cfg, active_unl, unl_logits, drift_base
             )
-            records.append(_nan_record(
+            records.append(MetricsRecord(
                 "stage2", epoch_global, segment.lr,
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
                 acc_labeled=acc_labeled, acc_test=acc_test,
@@ -582,7 +560,7 @@ def stage3_finetune(
             params, state, ws, feats, targets, lr, rng, "stage3", epoch
         )
         acc_labeled, acc_test, _ = _accuracy(params, rows)
-        records.append(_nan_record(
+        records.append(MetricsRecord(
             "stage3", epoch, lr,
             loss_total=ce, loss_c=ce, loss_e=h_pred,
             acc_labeled=acc_labeled, acc_test=acc_test, acc_pseudo=acc_pseudo,
@@ -632,7 +610,8 @@ def head_only_d2(
     p_tilde_log = store.log_probs(unl)
     _, _, total = d2_loss(log_p, p_tilde_log, cfg)
     t = convergence_residual(log_p, p_tilde_log, total, cfg)
-    _check_finite(float(np.max(np.abs(t))) if t.size else 0.0, "head-only residual")
+    if not np.isfinite(t).all():
+        raise NumericError("non-finite head-only residual")
     return out, store, t
 
 

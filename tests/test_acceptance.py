@@ -20,6 +20,7 @@ from d2ssl.cli import (
     ExperimentConfig,
     _cfg_as_overrides,
     build_dataset,
+    convergence_audit,
     main,
     parse_config,
     strategy_cells,
@@ -35,10 +36,8 @@ from d2ssl.pseudo import (
     d2_loss,
     grad_wrt_network_logits,
     grad_wrt_pseudo_logits,
-    init_pseudo_labels,
 )
 from d2ssl.trainer import (
-    head_only_d2,
     open_world_filter,
     run_r2d2,
     run_supervised_baseline,
@@ -158,14 +157,7 @@ def converged_population():
     """Head-only joint optimization on the reference config: backbone
     frozen after the warm-up, 5000 full-batch steps on the head weights
     and pseudo-logits."""
-    cfg = ExperimentConfig(seed=0)
-    ds = build_dataset(cfg)
-    params, _ = run_supervised_baseline(
-        ds, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), cfg.seed,
-    )
-    d2 = D2Config(alpha=0.1, beta=0.03, lam=64000.0)
-    store = init_pseudo_labels(ds, params, d2)
-    params, store, t = head_only_d2(ds, params, store, d2, steps=5000, lr=8.0)
+    ds, params, store, t, d2 = convergence_audit(parse_config("", {"seed": "0"}))
     unl = ds.unlabeled_indices
     trace = forward(params, ds.features[unl])
     p_tilde = store.probs(unl)

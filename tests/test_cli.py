@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,9 +17,11 @@ from d2ssl import numerics
 from d2ssl.cli import (
     ABLATION_AXES,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    MODES,
     RESOLVED_NAME,
     ExperimentConfig,
     build_dataset,
@@ -27,10 +30,16 @@ from d2ssl.cli import (
     parse_config,
     strategy_cells,
 )
-from d2ssl.errors import ConfigurationError
+from d2ssl.errors import (
+    ConfigurationError, DimensionError, FrozenUpdateError, ScheduleError,
+)
 from d2ssl.model import init_params, save_checkpoint
 from d2ssl.numerics import seeded_rng, softmax_pair
-from d2ssl.pseudo import init_pseudo_labels, save_snapshot
+from d2ssl.pseudo import D2Config, init_pseudo_labels, save_snapshot
+from d2ssl.trainer import SchedulePlan
+
+# Written by a default `d2ssl r2d2 --out reference` run.
+RESOLVED_FIXTURE = Path(__file__).resolve().parent / "data" / "config_resolved.cfg"
 
 TINY = {
     "gauss_per_class": "30",
@@ -87,11 +96,30 @@ def test_parse_validates_hyperparameters():
 
 def test_dump_round_trip(tmp_path):
     cfg = parse_config("", {"alpha": "0.25", "dataset": "two_moons",
-                            "open_world": "true"})
+                            "layer_sizes": "2,64,2,2", "open_world": "true"})
     path = tmp_path / "cfg"
     dump_config(cfg, path)
     again = parse_config(path.read_text())
     assert again == cfg
+
+
+def test_default_run_resolved_config_replays_byte_identically(tmp_path):
+    text = RESOLVED_FIXTURE.read_text()
+    path = tmp_path / RESOLVED_NAME
+    dump_config(parse_config(text, {"out": str(tmp_path)}), path)
+    lines = path.read_text().splitlines(keepends=True)
+    want = text.splitlines(keepends=True)
+    assert [l for l in lines if not l.startswith("out = ")] == [
+        l for l in want if not l.startswith("out = ")
+    ]
+    # The defaults themselves still resolve to the same document.
+    dump_config(parse_config("", {"out": "reference"}), path)
+    assert path.read_text() == text
+
+
+def test_config_defaults_are_the_loss_and_schedule_defaults():
+    assert parse_config("").d2_config() == D2Config()
+    assert parse_config("").schedule_plan() == SchedulePlan()
 
 
 def test_ablation_axes_values():
@@ -146,6 +174,52 @@ def test_main_non_finite_params_at_stage_end(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     assert "non-finite params at the end of stage3" in capsys.readouterr().err
     assert not (tmp_path / "model.d2ck").exists()
+
+
+@pytest.mark.parametrize("error", [DimensionError, ScheduleError, FrozenUpdateError])
+def test_main_internal_error_exits_5(tmp_path, monkeypatch, capsys, error):
+    def broken(cfg, out_dir):
+        raise error("an invariant broke")
+
+    monkeypatch.setitem(MODES, "r2d2", broken)
+    assert main(["r2d2", "--out", str(tmp_path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: an invariant broke\n"
+
+
+# Layer sizes whose input width or class count the dataset settings
+# contradict: each used to fail only once data was built or trained on.
+@pytest.mark.parametrize("extra", [
+    {"layer_sizes": "2,64,2,3"},
+    {"layer_sizes": "3,64,2,4"},
+    {"layer_sizes": "2,64,2,5"},
+    {"gauss_classes": "3"},
+    {"gauss_dim": "3"},
+    {"dataset": "two_moons"},
+    {"dataset": "two_moons", "layer_sizes": "3,64,2,2"},
+], ids=["classes_below", "width", "classes_above", "gauss_classes", "gauss_dim",
+        "moons_classes", "moons_width"])
+def test_main_layer_sizes_must_fit_the_dataset(tmp_path, capsys, extra):
+    with pytest.raises(ConfigurationError, match="layer_sizes"):
+        parse_config("", {**TINY, **extra})
+    assert main(tiny_args("r2d2", tmp_path, extra)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: layer_sizes")
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_idx_layer_sizes_checked_after_loading(tmp_path, capsys):
+    img, lbl = tmp_path / "imgs.idx3-ubyte", tmp_path / "lbls.idx1-ubyte"
+    n = 200
+    img.write_bytes(struct.pack(">IIII", 0x00000803, n, 2, 1)
+                    + seeded_rng(0).integers(0, 256, 2 * n, dtype=np.uint8).tobytes())
+    lbl.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(i % 4 for i in range(n)))
+    extra = {"dataset": "idx", "idx_images": str(img), "idx_labels": str(lbl)}
+    build_dataset(parse_config("", {**TINY, **extra, "layer_sizes": "2,8,2,4"}))
+    bad = {**extra, "layer_sizes": "2,8,2,3"}
+    with pytest.raises(ConfigurationError, match="layer_sizes"):
+        build_dataset(parse_config("", {**TINY, **bad}))
+    assert main(tiny_args("r2d2", tmp_path / "out", bad)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: layer_sizes")
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_main_r2d2_success_and_artifacts(tmp_path):

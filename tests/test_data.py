@@ -19,7 +19,6 @@ from d2ssl.data import (
     inject_ood,
     load_idx,
     split,
-    unbalance,
 )
 from d2ssl.errors import ConfigurationError, FormatError
 from d2ssl.numerics import seeded_rng
@@ -105,27 +104,6 @@ def test_labeled_per_class_equals_population():
     raw = gen_gaussians(2, 2, 6, CENTERS[:2], 1.0, seeded_rng(0))
     ds = split(raw, 6, 0.0, seeded_rng(0))
     assert ds.unlabeled_indices.size == 0
-
-
-def test_unbalance_counts():
-    raw = gen_gaussians(4, 2, 50, CENTERS, 1.0, seeded_rng(0))
-    ds = split(raw, 2, 0.2, seeded_rng(0))
-    out = unbalance(ds, [10, 5, 0, 7], seeded_rng(1))
-    for c, want in enumerate([10, 5, 0, 7]):
-        got = int(np.sum(
-            (out.roles == ROLE_UNLABELED) & (out.true_classes == c)
-        ))
-        assert got == want
-    # labeled and test sets untouched
-    assert out.labeled_indices.size == ds.labeled_indices.size
-    assert out.test_indices.size == ds.test_indices.size
-
-
-def test_unbalance_excess_error():
-    raw = gen_gaussians(2, 2, 10, CENTERS[:2], 1.0, seeded_rng(0))
-    ds = split(raw, 1, 0.0, seeded_rng(0))
-    with pytest.raises(ConfigurationError):
-        unbalance(ds, [100, 1], seeded_rng(0))
 
 
 def test_unbalanced_reference_counts_sum():

@@ -13,8 +13,6 @@ from d2ssl.diagnostics import (
     flatness_audit,
     gradient_check,
     numeric_gradient,
-    pseudo_grad_magnitudes,
-    sum_drift_audit,
     t_histogram,
     unlabeled_scores,
     write_flatness_csv,
@@ -24,7 +22,7 @@ from d2ssl.errors import ConfigurationError, NumericError
 from d2ssl.model import forward, init_params
 from d2ssl.numerics import seeded_rng
 from d2ssl.pseudo import (
-    D2Config, PseudoLabelStore, convergence_residual, d2_loss, init_pseudo_labels,
+    D2Config, convergence_residual, d2_loss, init_pseudo_labels,
 )
 
 CENTERS = 3.0 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
@@ -105,32 +103,6 @@ def test_entropy_cdf_monotone():
     np.testing.assert_array_equal(cdf, [1, 2, 3])
     with pytest.raises(ConfigurationError):
         entropy_cdf(probs, np.array([0.5, 0.4]))
-
-
-def test_sum_drift_audit():
-    ds, params, store, cfg = setup_run()
-    base = store.logits.sum(axis=1).copy()
-    worst, records = sum_drift_audit(store, base)
-    assert worst == 0.0
-    unl_free = np.flatnonzero(~store.frozen)
-    store.logits[unl_free[0]] += np.array([1.0, 0.0, 0.0, 0.0])
-    worst, _ = sum_drift_audit(store, base)
-    assert worst == pytest.approx(1.0)
-
-
-def test_sum_drift_audit_all_frozen():
-    store = PseudoLabelStore(
-        np.zeros((3, 2)), np.ones(3, dtype=bool), 2, 10.0
-    )
-    worst, records = sum_drift_audit(store, np.zeros(3))
-    assert worst == 0.0 and records.shape[0] == 0
-
-
-def test_pseudo_grad_magnitudes_shape():
-    ds, params, store, cfg = setup_run()
-    cols = pseudo_grad_magnitudes(ds, params, store, cfg)
-    assert cols.shape == (ds.unlabeled_indices.size, 2)
-    assert np.all(cols >= 0.0)
 
 
 def test_export_features_2d(tmp_path):

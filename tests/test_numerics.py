@@ -10,7 +10,6 @@ from d2ssl import numerics
 from d2ssl.errors import DimensionError
 from d2ssl.numerics import (
     TINY,
-    check_prob_vector,
     entropy,
     kl_divergence,
     log_softmax,
@@ -271,18 +270,6 @@ def test_seeded_rng_deterministic():
     np.testing.assert_array_equal(a, b)
     c = seeded_rng(124).standard_normal(10)
     assert not np.array_equal(a, c)
-
-
-def test_check_prob_vector():
-    check_prob_vector(np.array([0.2, 0.8]))
-    with pytest.raises(DimensionError):
-        check_prob_vector(np.array([]))
-    with pytest.raises(DimensionError):
-        check_prob_vector(np.array([0.5, np.nan]))
-    with pytest.raises(DimensionError):
-        check_prob_vector(np.array([-0.1, 1.1]))
-    with pytest.raises(DimensionError):
-        check_prob_vector(np.array([0.2, 0.2]))
 
 
 def test_tiny_clamp_keeps_entropy_finite():

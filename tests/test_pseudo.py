@@ -19,7 +19,6 @@ from d2ssl.pseudo import (
     LossBreakdown,
     PseudoLabelStore,
     d2_loss,
-    d2_update_pseudo,
     d2_update_pseudo_batch,
     grad_wrt_network_logits,
     grad_wrt_pseudo_logits,
@@ -156,13 +155,13 @@ def make_store(n=4, classes=3, frozen_first=True):
     frozen = np.zeros(n, dtype=bool)
     if frozen_first:
         frozen[0] = True
-    return PseudoLabelStore(logits, frozen, classes, init_scale=10.0)
+    return PseudoLabelStore(logits, frozen)
 
 
 def test_update_frozen_raises():
     store = make_store()
     with pytest.raises(FrozenUpdateError):
-        d2_update_pseudo(store, 0, softmax(np.zeros(3)), CFG)
+        d2_update_pseudo_batch(store, np.array([0]), softmax(np.zeros((1, 3))), CFG)
     with pytest.raises(FrozenUpdateError):
         d2_update_pseudo_batch(store, np.array([0, 1]), softmax(np.zeros((2, 3))), CFG)
 
@@ -170,9 +169,9 @@ def test_update_frozen_raises():
 def test_update_moves_toward_prediction():
     store = make_store(frozen_first=False)
     cfg = D2Config(alpha=0.1, beta=0.03, lam=10.0)
-    p_hat = softmax(np.array([3.0, 0.0, 0.0]))
+    p_hat = softmax(np.array([[3.0, 0.0, 0.0]]))
     before = softmax(store.logits[1])[0]
-    d2_update_pseudo(store, 1, p_hat, cfg)
+    d2_update_pseudo_batch(store, np.array([1]), p_hat, cfg)
     after = softmax(store.logits[1])[0]
     assert after > before  # pulled toward the sharper prediction
 

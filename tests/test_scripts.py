@@ -1,0 +1,61 @@
+"""Each script in scripts/ runs end to end once, and a bad setting ends
+in exit code 2 with the command line's message rather than a traceback."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_run_reference_one_seed(tmp_path):
+    assert load("run_reference").main(["--out", str(tmp_path), "--seeds", "1"]) == 0
+    (row,) = read_rows(tmp_path / "comparison.csv")
+    assert row["seed"] == "0"
+    err, base = float(row["r2d2_error"]), float(row["baseline_error"])
+    assert float(row["delta"]) == pytest.approx(base - err)
+    assert (tmp_path / "seed0" / "r2d2_metrics.csv").exists()
+
+
+def test_run_open_world_one_seed(tmp_path):
+    assert load("run_open_world").main(["--out", str(tmp_path), "--seeds", "1"]) == 0
+    (row,) = read_rows(tmp_path / "open_world.csv")
+    assert row["seed"] == "0"
+    for key in ("unfiltered_error", "filtered_error", "pool_ood_fraction",
+                "discard_ood_fraction"):
+        assert 0.0 <= float(row[key]) <= 1.0, key
+    # 660 OOD rows in a pool of about 2000 known ones
+    assert 0.2 < float(row["pool_ood_fraction"]) < 0.3
+
+
+def test_run_convergence_audit_few_steps(tmp_path):
+    assert load("run_convergence_audit").main(["--out", str(tmp_path), "--steps", "50"]) == 0
+    (row,) = read_rows(tmp_path / "t_converged_fraction.csv")
+    assert 0.0 <= float(row["fraction_abs_t_below_1e-3"]) <= 1.0
+    (summary,) = read_rows(tmp_path / "flatness_summary.csv")
+    assert int(summary["n_samples"]) == len(read_rows(tmp_path / "flatness_audit.csv"))
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--ood-count", "-3"], "ood_count"),
+    (["--discard", "1.5"], "discard_fraction"),
+])
+def test_run_open_world_bad_setting_exits_config(tmp_path, capsys, flags, named):
+    assert load("run_open_world").main(["--out", str(tmp_path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
+    assert not (tmp_path / "open_world.csv").exists()

@@ -84,7 +84,7 @@ def test_nesterov_step_hand_computed():
 
 def test_nesterov_shape_mismatch():
     params = init_params([2, 3], "linear", seeded_rng(0))
-    state = OptimizerState.for_params(params)
+    state = OptimizerState.for_params(params, 0.9, 0.0)
 
     class G:
         def tensors(self):
@@ -129,7 +129,7 @@ def test_open_world_filter_drops_highest_entropy():
     logits[unl] = 5.0 * np.eye(4)[np.zeros(unl.size, dtype=int)]
     flat = unl[:3]                       # make three rows uniform (max entropy)
     logits[flat] = 0.0
-    store = PseudoLabelStore(logits, np.zeros(ds.n_samples, bool), 4, 10.0)
+    store = PseudoLabelStore(logits, np.zeros(ds.n_samples, bool))
     keep = open_world_filter(store, ds, 0.1)
     dropped = np.setdiff1d(unl, keep)
     assert dropped.size == int(np.ceil(0.1 * unl.size))
@@ -141,9 +141,7 @@ def test_open_world_filter_drops_highest_entropy():
 
 def test_open_world_filter_zero_fraction():
     ds = tiny_dataset()
-    store = PseudoLabelStore(
-        np.zeros((ds.n_samples, 4)), np.zeros(ds.n_samples, bool), 4, 10.0
-    )
+    store = PseudoLabelStore(np.zeros((ds.n_samples, 4)), np.zeros(ds.n_samples, bool))
     np.testing.assert_array_equal(
         open_world_filter(store, ds, 0.0), ds.unlabeled_indices
     )
@@ -360,14 +358,14 @@ def test_nesterov_rejects_unpacked_params():
                                 for l in packed.layers],
                         head_w=packed.head_w.copy())
     before = [t.copy() for t in loose.tensors()]
-    state = OptimizerState.for_params(loose)
+    state = OptimizerState.for_params(loose, 0.9, 0.0)
     state.grads.flat[:] = 1.0
     with pytest.raises(DimensionError, match="not views of one flat buffer"):
         sgd_nesterov_step(loose, state.grads, state, 0.05)
     for a, b in zip(before, loose.tensors()):
         assert a.tobytes() == b.tobytes()
     packed.head_w = packed.head_w.copy()  # rebinding a tensor unpacks the params
-    state = OptimizerState.for_params(packed)
+    state = OptimizerState.for_params(packed, 0.9, 0.0)
     with pytest.raises(DimensionError, match="not views of one flat buffer"):
         sgd_nesterov_step(packed, state.grads, state, 0.05)
 
@@ -375,14 +373,14 @@ def test_nesterov_rejects_unpacked_params():
 def test_nesterov_state_of_other_params():
     params = init_params([2, 4, 3], "tanh", seeded_rng(0))
     other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
-    state = OptimizerState.for_params(other)
+    state = OptimizerState.for_params(other, 0.9, 0.0)
     with pytest.raises(DimensionError, match="optimizer state does not match"):
         sgd_nesterov_step(params, state.grads, state, 0.05)
 
 
 def test_nesterov_gradient_count_mismatch():
     params = init_params([2, 3, 3], "linear", seeded_rng(0))
-    state = OptimizerState.for_params(params)
+    state = OptimizerState.for_params(params, 0.9, 0.0)
 
     class G:
         def tensors(self):
@@ -549,7 +547,7 @@ def test_nesterov_checks_every_new_params_of_a_state():
     # The checks run once per params object a state steps, not only on
     # the state's first step.
     params = init_params([2, 4, 3], "tanh", seeded_rng(0))
-    state = OptimizerState.for_params(params)
+    state = OptimizerState.for_params(params, 0.9, 0.0)
     sgd_nesterov_step(params, state.grads, state, 0.05)
     other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
     with pytest.raises(DimensionError, match="optimizer state does not match"):
