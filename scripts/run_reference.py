@@ -13,7 +13,8 @@ import csv
 import os
 import sys
 
-from d2ssl.cli import ExperimentConfig, build_dataset, parse_config, run_guarded
+from d2ssl.cli import ExperimentConfig, build_dataset, parse_config, parse_flags, run_guarded
+from d2ssl.errors import ConfigurationError
 from d2ssl.trainer import run_r2d2, run_supervised_baseline, write_metrics
 
 
@@ -35,7 +36,11 @@ def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> Experime
     return parse_config("", {**base, **overrides, "seed": str(seed)})
 
 
-def compare(args, overrides: dict[str, str]) -> int:
+def compare(args, extra: list[str]) -> int:
+    overrides = parse_flags(extra)
+    if args.seeds < 1:
+        raise ConfigurationError(f"seeds must be at least 1, got {args.seeds}")
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for seed in range(args.seeds):
         cfg = build_config(seed, args.dataset, overrides)
@@ -62,9 +67,7 @@ def compare(args, overrides: dict[str, str]) -> int:
 
 
 def main(argv=None):
-    args, extra = parse_args(argv)
-    overrides = dict(zip([k.lstrip("-") for k in extra[::2]], extra[1::2]))
-    return run_guarded(compare, args, overrides)
+    return run_guarded(compare, *parse_args(argv))
 
 
 if __name__ == "__main__":

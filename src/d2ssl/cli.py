@@ -285,17 +285,19 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
 
 
 def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
+    # The feature export's whole-pool forward is the peak of a diagnose
+    # run; it goes first, before the smaller unlabeled-pool forward
+    # leaves freed pages in the heap under it.
+    diag.export_features(dataset, params, os.path.join(out_dir, "features.csv"))
     scores = diag.unlabeled_scores(dataset, params, store, d2cfg)
     spec, frac = diag.t_histogram(dataset, params, store, d2cfg, scores=scores)
     diag.write_histogram_csv(spec, os.path.join(out_dir, "t_histogram.csv"))
     if d2cfg.beta > 0:
         records, summary = diag.flatness_audit(dataset, params, store, d2cfg, scores=scores)
         diag.write_flatness_csv(records, os.path.join(out_dir, "flatness_audit.csv"))
-        del records
         with open(os.path.join(out_dir, "flatness_summary.csv"), "w") as fh:
             fh.write(",".join(summary.keys()) + "\n")
             fh.write(",".join(f"{v:.9g}" for v in summary.values()) + "\n")
-    del scores  # released before the feature export, the peak of a diagnose run
     grid = np.linspace(0.0, np.log(store.n_classes) + 1e-9, 51)[1:]
     unl = dataset.unlabeled_indices
     cdf = diag.entropy_cdf(store.probs(unl), grid) if unl.size else np.zeros(50, int)
@@ -303,7 +305,6 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
         fh.write("threshold,count_below\n")
         for e, c in zip(grid, cdf):
             fh.write(f"{e:.9g},{int(c)}\n")
-    diag.export_features(dataset, params, os.path.join(out_dir, "features.csv"))
     with open(os.path.join(out_dir, "t_converged_fraction.csv"), "w") as fh:
         fh.write("fraction_abs_t_below_1e-3\n")
         fh.write(f"{frac:.9g}\n")
@@ -454,23 +455,25 @@ def _parse_argv(argv: list[str]):
     mode = argv[0]
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
-    config_path = None
-    overrides: dict[str, str] = {}
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
+    overrides = parse_flags(argv[1:])
+    return mode, overrides.pop("config", None), overrides
+
+
+def parse_flags(args: list[str]) -> dict[str, str]:
+    """The --key value pairs of a command line, the last value of a
+    repeated key winning."""
+    flags = {}
+    i = 0
+    while i < len(args):
+        arg = args[i]
         if not arg.startswith("--"):
             raise ConfigurationError(f"unexpected argument {arg!r}")
         key = arg[2:]
-        if i + 1 >= len(argv):
+        if i + 1 >= len(args):
             raise ConfigurationError(f"flag --{key} needs a value")
-        value = argv[i + 1]
+        flags[key] = args[i + 1]
         i += 2
-        if key == "config":
-            config_path = value
-        else:
-            overrides[key] = value
-    return mode, config_path, overrides
+    return flags
 
 
 def run_guarded(body, *args) -> int:

@@ -13,7 +13,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -26,6 +26,10 @@ _ROLE_NAMES = {ROLE_LABELED: "labeled", ROLE_UNLABELED: "unlabeled", ROLE_TEST: 
 _ROLE_CODES = {v: k for k, v in _ROLE_NAMES.items()}
 
 OOD_CLASS = -1
+
+# Rows of CSV text made or parsed at once: the text of a whole pool
+# would hold several Python strings per row at the same time.
+BLOCK_ROWS = 8192
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -68,14 +72,15 @@ class SplitDataset:
             self.features.copy(), self.true_classes.copy(), self.roles.copy(), self.n_classes
         )
 
-    def label_columns(self) -> list[list[str]]:
-        """The id, role and class columns of the CSV layout, as text;
-        the class of an out-of-distribution row is empty."""
-        classes = self.true_classes.tolist()
-        class_names = {c: "" if c == OOD_CLASS else str(c) for c in set(classes)}
+    def label_columns(self, start: int, stop: int) -> list:
+        """The id, role and class columns of rows start..stop-1 in the
+        CSV layout, each field printed with %s; the class of an
+        out-of-distribution row is empty."""
+        classes = self.true_classes[start:stop].tolist()
+        class_names = {c: "" if c == OOD_CLASS else c for c in set(classes)}
         return [
-            list(map(str, range(self.n_samples))),
-            list(map(_ROLE_NAMES.__getitem__, self.roles.tolist())),
+            range(start, stop),
+            list(map(_ROLE_NAMES.__getitem__, self.roles[start:stop].tolist())),
             list(map(class_names.__getitem__, classes)),
         ]
 
@@ -83,15 +88,21 @@ class SplitDataset:
         """Header id,role,class,x0..x{d-1}; one row per sample with
         repr() floats, CRLF line ends."""
         header = ["id", "role", "class"] + [f"x{i}" for i in range(self.dim)]
-        cols = self.label_columns()
-        cols += [list(map(repr, col)) for col in self.features.T.tolist()]
-        write_csv_columns(path, header, cols)
+        write_csv_columns(
+            path, header, ["%s"] * 3 + ["%r"] * self.dim, self.n_samples,
+            lambda start, stop: self.label_columns(start, stop)
+            + self.features[start:stop].T.tolist(),
+        )
 
     @classmethod
     def load_csv(cls, path, n_classes: int) -> "SplitDataset":
         """Read a CSV written by save_csv. A row with the wrong field
         count, an unknown role, or an id, class or feature that does not
-        parse raises FormatError, as do ids other than 0..n-1."""
+        parse raises FormatError, as do ids other than 0..n-1. Field
+        counts are checked over the whole file first; then rows are
+        parsed BLOCK_ROWS at a time, each block's columns in the order
+        id, role, class, x0.., so the fault reported is the first of a
+        file's first faulty block."""
         try:
             with open(path, newline="") as fh:
                 lines = fh.read().splitlines()
@@ -107,17 +118,23 @@ class SplitDataset:
                 raise FormatError(
                     f"dataset CSV line {i + 1} has {commas + 1} fields, header has {width}"
                 )
-        fields = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
-        ids, roles, classes, *feats = (fields[j::width] for j in range(width))
-        if _parse_column(ids, int, "id") != list(range(len(ids))):
-            raise FormatError("dataset CSV ids not contiguous")
-        roles = _parse_column(roles, _ROLE_CODES.__getitem__, "role", few=True)
-        classes = _parse_column(classes, _parse_class, "class", few=True)
-        features = np.empty((len(ids), width - 3))
-        for j, col in enumerate(feats):
-            features[:, j] = _parse_column(col, float, f"x{j}")
-        return cls(features, np.array(classes, dtype=np.int64),
-                   np.array(roles, dtype=np.int64), n_classes)
+        n = len(lines) - 1
+        features = np.empty((n, width - 3))
+        classes = np.empty(n, dtype=np.int64)
+        roles = np.empty(n, dtype=np.int64)
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            fields = ",".join(lines[1 + start:1 + stop]).split(",")
+            id_col, role_col, class_col, *feature_cols = (fields[j::width] for j in range(width))
+            line = start + 2  # the file line of row start
+            if _parse_column(id_col, int, "id", line) != list(range(start, stop)):
+                raise FormatError("dataset CSV ids not contiguous")
+            roles[start:stop] = _parse_column(
+                role_col, _ROLE_CODES.__getitem__, "role", line, few=True)
+            classes[start:stop] = _parse_column(class_col, _parse_class, "class", line, few=True)
+            for j, col in enumerate(feature_cols):
+                features[start:stop, j] = _parse_column(col, float, f"x{j}", line)
+        return cls(features, classes, roles, n_classes)
 
 
 def _parse_class(text: str) -> int:
@@ -129,17 +146,19 @@ def _parse_class(text: str) -> int:
     return value
 
 
-def _parse_column(col: list[str], parse, name: str, few: bool = False) -> list:
-    """parse() of every entry of a data column, or of each distinct entry
-    once when the column has few; the first entry it rejects raises
-    FormatError naming its line and column."""
+def _parse_column(col: list[str], parse, name: str, first_line: int,
+                  few: bool = False) -> list:
+    """parse() of every entry of a data column whose first entry is on
+    file line first_line, or of each distinct entry once when the column
+    has few; the first entry it rejects raises FormatError naming its
+    line and column."""
     try:
         if few:
             table = {text: parse(text) for text in set(col)}
             return list(map(table.__getitem__, col))
         return list(map(parse, col))
     except (ValueError, KeyError, OverflowError):
-        for line, text in enumerate(col, start=2):
+        for line, text in enumerate(col, start=first_line):
             try:
                 parse(text)
             except (ValueError, KeyError, OverflowError):
@@ -149,13 +168,21 @@ def _parse_column(col: list[str], parse, name: str, few: bool = False) -> list:
         raise
 
 
-def write_csv_columns(path, header: list[str], columns: list[list[str]]) -> None:
-    """Write equal-length columns of text fields as a CSV file: the bytes
-    csv.writer writes for them (comma-separated, CRLF line ends). No
-    field may contain a comma, a quote or a line break."""
-    rows = map(",".join, zip(*columns))
+def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, columns,
+                      line_end: str = "\r\n") -> None:
+    """Write n_rows rows as a CSV file, BLOCK_ROWS rows at a time:
+    columns(start, stop) gives the columns of rows start..stop-1, and
+    formats holds the %-format of each column's fields. The bytes are
+    those csv.writer writes for the printed fields (comma-separated,
+    CRLF line ends unless line_end says otherwise). No printed field may
+    contain a comma, a quote or a line break."""
+    line = ",".join(formats) + line_end
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+        fh.write(",".join(header) + line_end)
+        for start in range(0, n_rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n_rows)
+            fields = chain.from_iterable(zip(*columns(start, stop)))
+            fh.write((line * (stop - start)) % tuple(fields))
 
 
 def gen_gaussians(

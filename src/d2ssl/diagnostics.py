@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -158,32 +159,40 @@ def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
     """Write rows (id, role, class, feature coords, predicted class) for
     the penultimate-layer feature scatter and return the row count.
     Exports the first two coordinates with a flag when the feature
-    dimension is not 2; a 1-D feature gets a zero second coordinate."""
+    dimension is not 2; a 1-D feature gets a zero second coordinate.
+    The features come from one forward pass over the whole pool; only
+    the text is made in row blocks."""
     feat = forward_features(params, dataset.features)
     pred = np.argmax(feat @ params.head_w, axis=1)
-    coords = feat[:, :2].T.tolist()
-    if len(coords) == 1:
-        coords.append([0.0] * dataset.n_samples)
-    header = ["id", "role", "class", "f0", "f1", "predicted"]
-    cols = dataset.label_columns()
-    cols += [list(map(repr, c)) for c in coords]
-    cols.append(list(map(str, pred.tolist())))
-    if feat.shape[1] != 2:
-        header.append("truncated_to_2d")
-        cols.append(["1"] * dataset.n_samples)
-    write_csv_columns(path, header, cols)
+    coords = feat[:, :2]
+    truncated = feat.shape[1] != 2
+
+    def columns(start, stop):
+        cols = dataset.label_columns(start, stop) + coords[start:stop].T.tolist()
+        if coords.shape[1] == 1:
+            cols.append(repeat(0.0))
+        cols.append(pred[start:stop].tolist())
+        if truncated:
+            cols.append(repeat(1))
+        return cols
+
+    header = ["id", "role", "class", "f0", "f1", "predicted"] + ["truncated_to_2d"] * truncated
+    formats = ["%s"] * 3 + ["%r"] * 2 + ["%s"] * (1 + truncated)
+    write_csv_columns(path, header, formats, dataset.n_samples, columns)
     return dataset.n_samples
 
 
 def write_histogram_csv(spec: HistogramSpec, path) -> None:
-    edges = [f"{e:.9g}" for e in np.linspace(spec.lower, spec.upper, spec.bins + 1).tolist()]
-    counts = list(map(str, spec.counts.tolist()))
-    write_csv_columns(path, ["bin_lower", "bin_upper", "count"], [edges[:-1], edges[1:], counts])
+    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1).tolist()
+    counts = spec.counts.tolist()
+    write_csv_columns(path, ["bin_lower", "bin_upper", "count"], ["%.9g", "%.9g", "%s"],
+                      spec.bins, lambda start, stop: [edges[start:stop],
+                                                      edges[start + 1:stop + 1],
+                                                      counts[start:stop]])
 
 
 def write_flatness_csv(records: np.ndarray, path) -> None:
     """Write flatness_audit records as CSV, each value as f"{v:.9g}"."""
-    line = ",".join(["%.9g"] * records.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("id,p_hat_n,p_tilde_n,loss,bound,residual\n")
-        fh.write((line * records.shape[0]) % tuple(records.ravel().tolist()))
+    write_csv_columns(path, ["id", "p_hat_n", "p_tilde_n", "loss", "bound", "residual"],
+                      ["%.9g"] * records.shape[1], records.shape[0],
+                      lambda start, stop: records[start:stop].T.tolist(), line_end="\n")

@@ -263,7 +263,9 @@ def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None) -> 
 
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The feature of forward(params, x), bit-equal, for inference: no
-    trace is kept."""
+    trace is kept. The bits of a product can depend on the row count of
+    x, so a pool is never split into row blocks here: a block's rows
+    need not equal the same rows of the whole pool."""
     feature = _as_input(params, x)
     for feature in _hidden(params, feature):  # ends as the last layer's
         pass
@@ -271,7 +273,10 @@ def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The logits of forward(params, x), bit-equal, with no softmax."""
+    """The logits of forward(params, x), bit-equal, with no softmax.
+    Like forward_features, the result depends on the row count of x
+    (the head product of a row block differs in the last bits), so a
+    pool is never split into row blocks."""
     return forward_features(params, x) @ params.head_w
 
 

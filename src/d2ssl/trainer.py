@@ -374,6 +374,18 @@ def open_world_filter(
     return keep
 
 
+def _check_unlabeled_batch(dataset: SplitDataset, plan: SchedulePlan) -> None:
+    """Stage 2's unlabeled batch against its active pool: the unlabeled
+    rows, less the ceil(discard_fraction x count) open_world_filter drops
+    in an open world. An empty pool trains no stage-2 batch at all."""
+    count = dataset.unlabeled_indices.size
+    active = count - math.ceil(plan.discard_fraction * count) if plan.open_world else count
+    if plan.batch_unlabeled > active > 0:
+        raise ConfigurationError(
+            f"unlabeled batch size {plan.batch_unlabeled} exceeds active pool {active}"
+        )
+
+
 def _draw_labeled(lab, order, cursor, need, rng):
     """The next need labeled ids from order, starting at cursor; each
     time order runs out it is replaced by a fresh permutation of lab.
@@ -439,6 +451,7 @@ def stage2_d2(
     cfg: D2Config,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
+    _check_unlabeled_batch(dataset, plan)
     lab = dataset.labeled_indices
     unl = dataset.unlabeled_indices
     state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
@@ -457,11 +470,6 @@ def stage2_d2(
             open_world_filter(store, dataset, plan.discard_fraction)
             if plan.open_world else unl
         )
-        if plan.batch_unlabeled > active_unl.size and active_unl.size > 0:
-            raise ConfigurationError(
-                f"unlabeled batch size {plan.batch_unlabeled} exceeds "
-                f"active pool {active_unl.size}"
-            )
         drift_base = row_sums(store.logits[active_unl])
         rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
@@ -625,6 +633,7 @@ def run_r2d2(
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """Full pipeline: supervised warm-up, pseudo-label initialization,
     joint segments, hard-label finetune. Deterministic given the seed."""
+    _check_unlabeled_batch(dataset, plan)
     rng = seeded_rng(seed)
     params = init_params(layer_sizes, activation, rng)
     params, m1 = stage1_supervised(dataset, params, plan, rng)

@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2ssl.data import (
+    BLOCK_ROWS,
     OOD_CLASS,
     ROLE_LABELED,
     ROLE_TEST,
@@ -182,6 +184,61 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, dim, edge):
     assert loaded.features.tobytes() == ds.features.tobytes()
     assert loaded.true_classes.tobytes() == ds.true_classes.tobytes()
     assert loaded.roles.tobytes() == ds.roles.tobytes()
+
+
+def block_pool(n_rows, dim=2, seed=0):
+    """n_rows rows of every role and class, OOD ones included, with
+    features over twenty orders of magnitude."""
+    rng = seeded_rng(seed)
+    scale = 10.0 ** rng.integers(-10, 10, (n_rows, dim))
+    return SplitDataset(rng.standard_normal((n_rows, dim)) * scale,
+                        rng.integers(OOD_CLASS, 4, n_rows), rng.integers(0, 3, n_rows), 4)
+
+
+BLOCK_EDGES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_save_csv_bytes_and_round_trip_at_block_edges(tmp_path, n_rows):
+    ds = block_pool(n_rows)
+    ds.save_csv(tmp_path / "new.csv")
+    save_csv_by_rows(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = SplitDataset.load_csv(tmp_path / "new.csv", ds.n_classes)
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    assert loaded.true_classes.tobytes() == ds.true_classes.tobytes()
+    assert loaded.roles.tobytes() == ds.roles.tobytes()
+
+
+@pytest.mark.parametrize("field,text,what", [
+    (0, "9x", "id"), (1, "trainer", "role"), (2, "-3", "class"), (4, "half", "x1"),
+])
+def test_load_csv_fault_in_a_later_block_names_its_line(tmp_path, field, text, what):
+    path = tmp_path / "ds.csv"
+    block_pool(2 * BLOCK_ROWS + 1).save_csv(path)
+    lines = path.read_text().splitlines()
+    line = BLOCK_ROWS + 7  # 1-based: the header, then a first block, then 5 more rows
+    fields = lines[line - 1].split(",")
+    fields[field] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"^dataset CSV line {line}: bad {what} '{text}'$"):
+        SplitDataset.load_csv(path, 4)
+
+
+def test_save_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    """Text is made one block of rows at a time, so four blocks of rows
+    peak about where one block does."""
+    def traced_peak(n_rows):
+        ds = block_pool(n_rows)
+        tracemalloc.start()
+        ds.save_csv(tmp_path / "ds.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    one, four = traced_peak(BLOCK_ROWS), traced_peak(4 * BLOCK_ROWS)
+    assert four < 1.5 * one, (one, four)
 
 
 def test_csv_header_only(tmp_path):

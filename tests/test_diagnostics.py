@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from d2ssl.data import OOD_CLASS, SplitDataset, gen_gaussians, inject_ood, split
+from d2ssl.data import BLOCK_ROWS, OOD_CLASS, SplitDataset, gen_gaussians, inject_ood, split
 from d2ssl.diagnostics import (
     HistogramSpec,
     entropy_cdf,
@@ -204,6 +204,13 @@ def test_export_features_bytes_match_csv_writer(tmp_path, sizes):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def flatness_by_rows(records):
+    """The f"{v:.9g}" text of write_flatness_csv, row by row."""
+    return ("id,p_hat_n,p_tilde_n,loss,bound,residual\n" + "".join(
+        ",".join(f"{v:.9g}" for v in row) + "\n" for row in records
+    )).encode()
+
+
 def test_flatness_csv_bytes_match_format(tmp_path):
     ds, params, store, cfg = setup_run()
     records, _ = flatness_audit(ds, params, store, cfg)
@@ -211,10 +218,40 @@ def test_flatness_csv_bytes_match_format(tmp_path):
     records[len(EDGE_FLOATS):2 * len(EDGE_FLOATS), 3] = [-v for v in EDGE_FLOATS]
     path = tmp_path / "flatness_audit.csv"
     write_flatness_csv(records, path)
-    want = "id,p_hat_n,p_tilde_n,loss,bound,residual\n" + "".join(
-        ",".join(f"{v:.9g}" for v in row) + "\n" for row in records
-    )
-    assert path.read_bytes() == want.encode()
+    assert path.read_bytes() == flatness_by_rows(records)
+
+
+BLOCK_EDGES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
+def block_pool(n_rows):
+    """n_rows 2-D rows of every role and class, OOD ones included."""
+    rng = seeded_rng(n_rows)
+    return SplitDataset(rng.standard_normal((n_rows, 2)) * 3.0,
+                        rng.integers(OOD_CLASS, 4, n_rows), rng.integers(0, 3, n_rows), 4)
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+@pytest.mark.parametrize("sizes", [[2, 8, 2, 4], [2, 8, 5, 4]], ids=["2d", "truncated"])
+def test_export_features_bytes_at_block_edges(tmp_path, n_rows, sizes):
+    ds = block_pool(n_rows)
+    params = init_params(sizes, "tanh", seeded_rng(1))
+    assert export_features(ds, params, tmp_path / "new.csv") == n_rows
+    if n_rows:
+        export_features_by_rows(ds, params, tmp_path / "ref.csv")
+        want = (tmp_path / "ref.csv").read_bytes()
+    else:  # forward() refuses an empty batch; csv.writer writes the header alone
+        want = b"id,role,class,f0,f1,predicted" + b",truncated_to_2d" * (sizes[2] != 2) + b"\r\n"
+    assert (tmp_path / "new.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_flatness_csv_bytes_at_block_edges(tmp_path, n_rows):
+    rng = seeded_rng(n_rows)
+    records = rng.standard_normal((n_rows, 6)) * 10.0 ** rng.integers(-12, 12, (n_rows, 6))
+    records[:, 0] = np.arange(n_rows)
+    write_flatness_csv(records, tmp_path / "flatness_audit.csv")
+    assert (tmp_path / "flatness_audit.csv").read_bytes() == flatness_by_rows(records)
 
 
 def test_histogram_csv_bytes_match_csv_writer(tmp_path):

@@ -1,6 +1,8 @@
 """Golden fingerprints: the sha256 of every output file of small r2d2
 runs, recorded before training moved to per-stage workspaces and one
-pseudo-logit step per epoch. Changes that claim to keep every output
+pseudo-logit step per epoch, and of a diagnose run on a pool of more
+than two CSV row blocks, recorded before CSV text was written and
+parsed in blocks. Changes that claim to keep every output
 byte-identical must keep these. The bits depend on numpy's and the
 BLAS's kernels, so the test skips on other versions than the recorded
 ones.
@@ -12,7 +14,8 @@ import platform
 import numpy as np
 import pytest
 
-from d2ssl.cli import EXIT_OK, main
+from d2ssl import model, numerics, pseudo
+from d2ssl.cli import EXIT_OK, build_dataset, main, parse_config
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": ("scipy-openblas", "0.3.31.188.0"),
                "machine": "x86_64"}
@@ -119,3 +122,40 @@ def test_r2d2_outputs_match_golden_fingerprints(tmp_path, name):
     assert main(args) == EXIT_OK
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
     assert got == GOLDEN[name]
+
+
+# 36,000 rows, 17,980 of them unlabeled: every CSV of the run spans
+# more than two blocks of 8,192 rows.
+POOL = {"gauss_per_class": "9000", "seed": "17"}
+
+GOLDEN_POOL = {
+    "model.d2ck": "3faf90a10ad08eb0cc20aae03e0f485bd66c134772408b3428946583ceaefc82",
+    "pseudo.d2pl": "c4a3ed1a97bb18dea473d3b54e9cb13224996648c0152c7b97150c8c81b5b5a8",
+    "dataset.csv": "de701a73c6a98a0c215e4db25f99c4f82381996aab57facf0f61e32976f09123",
+    "t_histogram.csv": "ebd767f8efef123947c3fa81706f0d6de9a6f905c5dffa1b718043d8c0402915",
+    "flatness_audit.csv": "f050d20e4a4de40f1d865f4f1324b442f637149657832fe21b18184ef27b0ca7",
+    "flatness_summary.csv": "9a0ca05e38f5e9d8dc825d4a22d88fc5f8161f212edc1e754282e1383b67e7bd",
+    "entropy_cdf.csv": "923efec1cb64aa472fefd9c2dc72c62567afbe9f1fd3b46fbace34dd78bc6ee5",
+    "features.csv": "34404b1a6bd92f4d84385a4f73960b4b173512c72df85be71e585bd133935624",
+    "t_converged_fraction.csv": "3f788f1d7203ef6b626de82962735fd748b480a37d02e4ab4a2509d68f10684f",
+}
+
+
+def test_diagnose_on_a_multi_block_pool_matches_golden_fingerprints(tmp_path):
+    """Fresh params and pseudo-logits on a large pool, as the benchmark's
+    artifact_roundtrip workload builds them, written out and diagnosed."""
+    env = _environment()
+    if env != RECORDED_ON:
+        pytest.skip(f"fingerprints recorded on {RECORDED_ON}, this is {env}")
+    cfg = parse_config("", POOL)
+    dataset = build_dataset(cfg)
+    params = model.init_params(cfg.model_sizes(), cfg.activation, numerics.seeded_rng(cfg.seed))
+    store = pseudo.init_pseudo_labels(dataset, params, cfg.d2_config())
+    ck, pl, ds = (str(tmp_path / name) for name in ("model.d2ck", "pseudo.d2pl", "dataset.csv"))
+    model.save_checkpoint(params, ck)
+    pseudo.save_snapshot(store, pl)
+    dataset.save_csv(ds)
+    assert main(["diagnose", "--checkpoint", ck, "--snapshot", pl, "--dataset_csv", ds,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN_POOL}
+    assert got == GOLDEN_POOL

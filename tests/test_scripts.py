@@ -50,6 +50,33 @@ def test_run_convergence_audit_few_steps(tmp_path):
     assert int(summary["n_samples"]) == len(read_rows(tmp_path / "flatness_audit.csv"))
 
 
+def test_run_reference_flag_without_value_exits_config(tmp_path, capsys):
+    script = load("run_reference")
+    assert script.main(["--out", str(tmp_path), "--seeds", "1", "--beta"]) == 2
+    assert capsys.readouterr().err == "configuration error: flag --beta needs a value\n"
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+def test_run_reference_seeds_below_one_exits_config(tmp_path, capsys):
+    assert load("run_reference").main(["--out", str(tmp_path / "out"), "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "seeds" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reference_makes_out_before_training(tmp_path, monkeypatch, capsys):
+    """An --out that cannot be made fails at once, not after a seed's training."""
+    script = load("run_reference")
+
+    def no_training(*args):
+        raise AssertionError("trained before making --out")
+
+    monkeypatch.setattr(script, "run_r2d2", no_training)
+    (tmp_path / "file").write_text("")
+    assert script.main(["--out", str(tmp_path / "file" / "out"), "--seeds", "1"]) == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--ood-count", "-3"], "ood_count"),
     (["--discard", "1.5"], "discard_fraction"),

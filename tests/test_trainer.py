@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from d2ssl import trainer
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
 from d2ssl.model import ModelParams, Workspace, backward, forward, init_params
@@ -214,6 +215,29 @@ def test_unlabeled_batch_larger_than_pool():
     plan = tiny_plan(batch_unlabeled=10_000)
     cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
     with pytest.raises(ConfigurationError):
+        run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=0)
+
+
+@pytest.mark.parametrize("open_world,discard,batch", [
+    (False, 0.0, 72), (True, 0.1, 64), (True, 0.25, 54)])
+def test_unlabeled_batch_checked_against_the_active_pool_before_stage1(
+        monkeypatch, open_world, discard, batch):
+    """The active pool is the unlabeled count, less ceil(discard x count)
+    in an open world: 72, 72 - 8 and 72 - 18 rows here."""
+    def no_stage1(*args):
+        raise AssertionError("stage 1 entered")
+
+    monkeypatch.setattr(trainer, "stage1_supervised", no_stage1)
+    ds = tiny_dataset()
+    assert ds.unlabeled_indices.size == 72
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
+    plan = tiny_plan(batch_unlabeled=batch + 1, open_world=open_world,
+                     discard_fraction=discard)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^unlabeled batch size {batch + 1} exceeds active pool {batch}$"):
+        run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=0)
+    plan = tiny_plan(batch_unlabeled=batch, open_world=open_world, discard_fraction=discard)
+    with pytest.raises(AssertionError, match="stage 1 entered"):
         run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=0)
 
 
