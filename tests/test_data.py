@@ -186,12 +186,12 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, dim, edge):
     assert loaded.roles.tobytes() == ds.roles.tobytes()
 
 
-def block_pool(n_rows, dim=2, seed=0):
-    """n_rows rows of every role and class, OOD ones included, with
+def block_pool(n_rows):
+    """n_rows 2-D rows of every role and class, OOD ones included, with
     features over twenty orders of magnitude."""
-    rng = seeded_rng(seed)
-    scale = 10.0 ** rng.integers(-10, 10, (n_rows, dim))
-    return SplitDataset(rng.standard_normal((n_rows, dim)) * scale,
+    rng = seeded_rng(0)
+    scale = 10.0 ** rng.integers(-10, 10, (n_rows, 2))
+    return SplitDataset(rng.standard_normal((n_rows, 2)) * scale,
                         rng.integers(OOD_CLASS, 4, n_rows), rng.integers(0, 3, n_rows), 4)
 
 
@@ -217,7 +217,7 @@ def test_load_csv_fault_in_a_later_block_names_its_line(tmp_path, field, text, w
     path = tmp_path / "ds.csv"
     block_pool(2 * BLOCK_ROWS + 1).save_csv(path)
     lines = path.read_text().splitlines()
-    line = BLOCK_ROWS + 7  # 1-based: the header, then a first block, then 5 more rows
+    line = BLOCK_ROWS + 7  # the sixth row of the second block, after the header line
     fields = lines[line - 1].split(",")
     fields[field] = text
     lines[line - 1] = ",".join(fields)
