@@ -19,7 +19,8 @@ from d2ssl.trainer import run_r2d2, run_supervised_baseline, write_metrics
 
 
 def parse_args(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    # No abbreviations: --seed must not be taken for --seeds.
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--dataset", default="gaussians",
@@ -38,6 +39,9 @@ def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> Experime
 
 def compare(args, extra: list[str]) -> int:
     overrides = parse_flags(extra)
+    if "seed" in overrides:
+        raise ConfigurationError("--seed is not a setting here: the runs take seeds "
+                                 "0 to N-1 of --seeds N")
     if args.seeds < 1:
         raise ConfigurationError(f"seeds must be at least 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)

@@ -13,6 +13,7 @@ abort, 5 internal error.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import sys
@@ -30,6 +31,8 @@ from .trainer import (
     SchedulePlan, Stage2Segment, head_only_d2, run_r2d2, run_supervised_baseline,
     write_metrics,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,6 +231,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     shape = {"gaussians": (cfg.gauss_dim, cfg.gauss_classes), "two_moons": (2, 2)}
     if cfg.dataset in shape:
         cfg.check_layer_sizes(*shape[cfg.dataset])
+    if cfg.alpha <= cfg.beta:
+        # Deliberately a warning, once per parsed config: the failure
+        # mode itself is studied.
+        log.warning(
+            "alpha=%.4g <= beta=%.4g: exponent 1-beta/alpha is not positive, "
+            "pseudo-labels and predictions will be inconsistent",
+            cfg.alpha, cfg.beta,
+        )
     return cfg
 
 

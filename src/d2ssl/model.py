@@ -4,10 +4,10 @@ The backbone maps an input vector to a feature f of dimension D; the
 head computes logits = W.T @ f with W of shape (D, N) and no bias term.
 Forward keeps every intermediate needed for an exact backward pass.
 
-The parameters built here (init_params, ModelParams.copy,
-load_checkpoint) are views of one flat float64 buffer laid out in
-tensors() order, which is also the checkpoint's tensor layout, so the
-optimizer updates them with one expression per step.
+ModelParams holds every tensor as a view of one flat float64 buffer,
+laid out in tensors() order, which is also the checkpoint's tensor
+layout; a gradient has the same type and layout, so the optimizer
+updates parameters with one expression per step over the flat buffers.
 """
 
 from __future__ import annotations
@@ -65,30 +65,41 @@ def tensor_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
     return shapes
 
 
-def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of flat with the given shapes."""
-    out, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[start:start + size].reshape(shape))
-        start += size
-    return out
-
-
-@dataclass
+@dataclass(frozen=True)
 class Layer:
     weight: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray    # (fan_out,)
-    activation: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    layers: list[Layer]
-    head_w: np.ndarray  # (D, N), no bias
-    # The buffer the tensors are views of, when built packed; None for
-    # params assembled from separate arrays.
-    flat: np.ndarray | None = field(default=None, repr=False)
+    """The tensors of a model as views of one flat float64 buffer, in
+    tensors() order, which is also the checkpoint's tensor layout. flat
+    (zeros if not given) is that buffer, not a copy of it; the views are
+    built once and no tensor can be rebound, so a write to flat reaches
+    every tensor. A gradient is params.zeros(), in the same layout."""
+    layer_sizes: list[int]  # [input, hidden..., D, N]
+    activation: str         # of every backbone layer
+    flat: np.ndarray = field(default=None, repr=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
+    head_w: np.ndarray = field(init=False, repr=False)  # (D, N), no bias
+
+    def __post_init__(self):
+        shapes = tensor_shapes(self.layer_sizes)
+        size = sum(math.prod(s) for s in shapes)
+        flat = np.zeros(size) if self.flat is None else self.flat
+        if flat.shape != (size,):
+            raise DimensionError(f"flat buffer of shape {flat.shape} for {size} parameters")
+        views, start = [], 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            views.append(flat[start:stop].reshape(shape))
+            start = stop
+        set_field = object.__setattr__
+        set_field(self, "layer_sizes", list(self.layer_sizes))
+        set_field(self, "flat", flat)
+        set_field(self, "layers", tuple(map(Layer, views[:-1:2], views[1:-1:2])))
+        set_field(self, "head_w", views[-1])
 
     @property
     def feature_dim(self) -> int:
@@ -98,53 +109,15 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.head_w.shape[1]
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        sizes = [self.layers[0].weight.shape[0]] if self.layers else [self.head_w.shape[0]]
-        for layer in self.layers:
-            sizes.append(layer.weight.shape[1])
-        sizes.append(self.head_w.shape[1])
-        return sizes
-
     def tensors(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        out.append(self.head_w)
-        return out
-
-    def packed(self) -> np.ndarray | None:
-        """The flat buffer, if every tensor is still a view of it."""
-        flat = self.flat
-        if flat is None:
-            return None
-        for t in self.tensors():
-            if t.base is not flat:
-                return None
-        return flat
+        return [t for layer in self.layers for t in (layer.weight, layer.bias)] + [self.head_w]
 
     def copy(self) -> "ModelParams":
-        flat = np.concatenate([t.ravel() for t in self.tensors()])
-        return _packed(self.layer_sizes, [l.activation for l in self.layers], flat)
+        return ModelParams(self.layer_sizes, self.activation, self.flat.copy())
 
-
-def _flat_tensors(layer_sizes: list[int], flat=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat float64 buffer (zeros if not given) and its views in
-    tensors() order: the one layout of params, gradients and momentum."""
-    shapes = tensor_shapes(layer_sizes)
-    if flat is None:
-        flat = np.zeros(sum(math.prod(s) for s in shapes))
-    return flat, flat_views(flat, shapes)
-
-
-def _packed(layer_sizes: list[int], activations: list[str], flat=None) -> ModelParams:
-    """ModelParams whose tensors are views of flat (zeros if not given)."""
-    flat, views = _flat_tensors(layer_sizes, flat)
-    layers = [
-        Layer(w, b, act) for w, b, act in zip(views[:-1:2], views[1:-1:2], activations)
-    ]
-    return ModelParams(layers=layers, head_w=views[-1], flat=flat)
+    def zeros(self) -> "ModelParams":
+        """Zero tensors in this layout, in a buffer of their own."""
+        return ModelParams(self.layer_sizes, self.activation)
 
 
 @dataclass
@@ -155,27 +128,6 @@ class ForwardTrace:
     logits: np.ndarray             # (B, N)
     prediction: np.ndarray         # (B, N), softmax of logits
     log_prediction: np.ndarray     # (B, N)
-
-
-@dataclass
-class GradientSet:
-    layer_grads: list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per layer
-    head_grad: np.ndarray                             # (D, N)
-    flat: np.ndarray | None = field(default=None, repr=False)  # as in ModelParams
-
-    def tensors(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for dw, db in self.layer_grads:
-            out.append(dw)
-            out.append(db)
-        out.append(self.head_grad)
-        return out
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "GradientSet":
-        """A zero gradient of params' shapes, as views of one flat buffer."""
-        flat, views = _flat_tensors(params.layer_sizes)
-        return cls(list(zip(views[:-1:2], views[1:-1:2])), views[-1], flat)
 
 
 def init_params(
@@ -192,7 +144,7 @@ def init_params(
         raise ConfigurationError(f"non-positive layer size in {layer_sizes}")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}")
-    params = _packed(layer_sizes, [activation] * (len(layer_sizes) - 2))
+    params = ModelParams(layer_sizes, activation)
     for layer in params.layers:
         fan_in = layer.weight.shape[0]
         layer.weight[...] = rng.standard_normal(layer.weight.shape) / np.sqrt(fan_in)
@@ -203,7 +155,7 @@ def init_params(
 
 def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    expected = params.layers[0].weight.shape[0] if params.layers else params.feature_dim
+    expected = params.layer_sizes[0]
     if x.shape[1] != expected:
         raise DimensionError(f"input dim {x.shape[1]}, expected {expected}")
     return x
@@ -216,7 +168,7 @@ def _hidden(params: ModelParams, a: np.ndarray, outs=None) -> Iterator[np.ndarra
     for i, layer in enumerate(params.layers):
         a = np.matmul(a, layer.weight, out=None if outs is None else outs[i])
         a += layer.bias
-        yield _act(layer.activation, a, out=a)
+        yield _act(params.activation, a, out=a)
 
 
 class Workspace:
@@ -284,12 +236,12 @@ def backward(
     params: ModelParams,
     trace: ForwardTrace,
     dl_dlogits: np.ndarray,
-    out: GradientSet | None = None,
+    out: ModelParams | None = None,
     ws: Workspace | None = None,
-) -> GradientSet:
+) -> ModelParams:
     """Exact parameter gradients of the scalar whose logit-gradient rows
-    are dl_dlogits, summed over the batch; written into out when given
-    (GradientSet.for_params(params) makes one), else into a new set.
+    are dl_dlogits, summed over the batch, in params' layout; written
+    into out when given (params.zeros() makes one), else into a new one.
     The deltas go through ws's buffers when given (the workspace of the
     forward that made trace), else through a fresh workspace.
     dl_dlogits is made C-contiguous first, so the matrix products see
@@ -305,36 +257,36 @@ def backward(
     elif ws.params is not params:
         raise DimensionError("workspace built for other params")
     if out is None:
-        out = GradientSet.for_params(params)
-    np.matmul(trace.feature.T, g, out=out.head_grad)
+        out = params.zeros()
+    np.matmul(trace.feature.T, g, out=out.head_w)
     layers = params.layers
     if layers:  # gradient w.r.t. feature
         delta = np.matmul(g, params.head_w.T, out=ws.deltas[-1])
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        delta *= _act_grad(layer.activation, trace.activations[i], ws.scratch[i])  # now dL/dz
+        delta *= _act_grad(params.activation, trace.activations[i], ws.scratch[i])  # now dL/dz
         a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        dw, db = out.layer_grads[i]
-        np.matmul(a_prev.T, delta, out=dw)
-        delta.sum(axis=0, out=db)
+        np.matmul(a_prev.T, delta, out=out.layers[i].weight)
+        delta.sum(axis=0, out=out.layers[i].bias)
         if i > 0:
             delta = np.matmul(delta, layer.weight.T, out=ws.deltas[i - 1])
     return out
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Flat binary: magic, version, layer-size list, then row-major
-    little-endian float64 per tensor (weight, bias per layer, head)."""
+    """Flat binary: magic, version, layer-size list, activation tag, then
+    the flat buffer as little-endian float64: each tensor row-major, in
+    tensors() order (weight, bias per layer, head)."""
     sizes = params.layer_sizes
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        act = params.layers[0].activation if params.layers else "tanh"
+        # A model without hidden layers has always been tagged tanh.
+        act = params.activation if params.layers else "tanh"
         tag = act.encode().ljust(8, b"\x00")
         fh.write(tag)
-        for t in params.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -368,4 +320,4 @@ def load_checkpoint(path) -> ModelParams:
         if have > 8 * count:
             raise FormatError(f"{have - 8 * count} trailing bytes after the tensor data")
         flat = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-    return _packed(sizes, [act] * (len(sizes) - 2), flat)
+    return ModelParams(sizes, act, flat)

@@ -8,7 +8,6 @@ steps with their own step size (no momentum, no weight decay).
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError, FrozenUpdateError
 from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax
 
-log = logging.getLogger(__name__)
 
 SNAPSHOT_MAGIC = b"D2PL"
 SNAPSHOT_VERSION = 1
@@ -50,13 +48,6 @@ class D2Config:
         if self.classification_loss not in CLASSIFICATION_LOSSES:
             raise ConfigurationError(
                 f"unknown classification loss {self.classification_loss!r}"
-            )
-        if self.alpha <= self.beta:
-            # Deliberately a warning: the failure mode itself is studied.
-            log.warning(
-                "alpha=%.4g <= beta=%.4g: exponent 1-beta/alpha is not positive, "
-                "pseudo-labels and predictions will be inconsistent",
-                self.alpha, self.beta,
             )
 
 

@@ -9,6 +9,8 @@ finetunes on hard arg-max pseudo-labels with cross entropy.
 
 Pseudo-logits are touched only by their own plain gradient step and by
 reprediction; the optimizer, momentum, and weight decay never see them.
+Each stage binds an OptimizerState to the network's ModelParams, and
+the Nesterov step updates their flat buffer in place.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import OOD_CLASS, SplitDataset
-from .errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from .model import (
-    GradientSet, ModelParams, Workspace, backward, flat_views, forward, forward_logits,
-    init_params,
-)
+from .errors import ConfigurationError, NumericError, ScheduleError
+from .model import ModelParams, Workspace, backward, forward, forward_logits, init_params
 from .numerics import entropy, log_softmax, row_sums, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
@@ -43,32 +42,26 @@ METRICS_HEADER = (
 )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """The momentum and the gradient the step reads, each one flat buffer
-    laid out like the parameters' tensors(); training writes each batch's
-    gradient straight into grads with backward(..., out=state.grads).
-    The step's two scratch vectors and the params it last checked live
-    here too."""
-    velocity: np.ndarray
-    grads: GradientSet
+    """Nesterov SGD bound to params: the gradient the step reads
+    (params.zeros(), so backward(..., out=state.grads) writes each
+    batch's gradient straight into its flat buffer), the momentum as a
+    flat buffer of the same layout, and the step's two scratch vectors.
+    Frozen like ModelParams, so none of them can be rebound."""
+    params: ModelParams
     momentum: float
     weight_decay: float
+    grads: ModelParams = field(init=False, repr=False)
+    velocity: np.ndarray = field(init=False, repr=False)
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    checked: ModelParams | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.velocity), np.empty_like(self.velocity))
-
-    @property
-    def buffers(self) -> list[np.ndarray]:
-        """The momentum of each tensor, as views of velocity."""
-        return flat_views(self.velocity, [g.shape for g in self.grads.tensors()])
-
-    @classmethod
-    def for_params(cls, params: ModelParams, momentum: float, weight_decay: float):
-        grads = GradientSet.for_params(params)
-        return cls(np.zeros_like(grads.flat), grads, momentum, weight_decay)
+        flat = self.params.flat
+        set_field = object.__setattr__
+        set_field(self, "grads", self.params.zeros())
+        set_field(self, "velocity", np.zeros_like(flat))
+        set_field(self, "scratch", (np.empty_like(flat), np.empty_like(flat)))
 
 
 @dataclass
@@ -164,45 +157,17 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
             w.writerow(rec.row())
 
 
-def _check_step(params: ModelParams, grads, state: OptimizerState) -> None:
-    """The checks of sgd_nesterov_step; copies a foreign gradient into
-    state.grads."""
-    if params.packed() is None:
-        raise DimensionError("params are not views of one flat buffer")
-    tensors = params.tensors()
-    state_grads = state.grads.tensors()
-    if [t.shape for t in tensors] != [g.shape for g in state_grads]:
-        raise DimensionError("optimizer state does not match parameters")
-    if grads is not state.grads:
-        gtensors = grads.tensors()
-        if len(gtensors) != len(tensors):
-            raise DimensionError(f"{len(gtensors)} gradients for {len(tensors)} tensors")
-        for t, g, dst in zip(tensors, gtensors, state_grads):
-            if t.shape != g.shape:
-                raise DimensionError(f"gradient shape {g.shape} != param shape {t.shape}")
-            dst[...] = g
-    state.checked = params
-
-
-def sgd_nesterov_step(
-    params: ModelParams, grads: GradientSet, state: OptimizerState, lr: float
-) -> None:
-    """In-place Nesterov update; weight decay is folded into the gradient.
+def sgd_nesterov_step(state: OptimizerState, lr: float) -> None:
+    """In-place Nesterov update of state.params from state.grads; weight
+    decay is folded into the gradient.
 
     The update runs once over the flat parameter, gradient and momentum
     vectors, through the state's scratch; element by element it is the
     per-tensor update eff = g + wd*t; buf = mu*buf + eff;
-    t -= lr*(eff + mu*buf). grads is copied into state.grads unless it
-    is that set. params must be packed (init_params, copy and
-    load_checkpoint build them so), because the update writes through
-    their flat buffer. The checks run on the first step of a state with
-    these params, and whenever grads is not state.grads; later steps
-    test only that params and grads are the same objects, so a tensor
-    rebound after the first step is not seen.
+    t -= lr*(eff + mu*buf). Every tensor of the params is a view of
+    their flat buffer, so the update reaches each of them.
     """
-    if grads is not state.grads or state.checked is not params:
-        _check_step(params, grads, state)
-    flat = params.flat
+    flat = state.params.flat
     mu = state.momentum
     buf = state.velocity
     eff, step = state.scratch
@@ -279,50 +244,70 @@ def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarr
     return float(np.mean(pred == truth))
 
 
-def _supervised_epoch(
-    params: ModelParams,
-    state: OptimizerState,
-    ws: Workspace,
-    features: np.ndarray,
-    targets: np.ndarray,
-    lr: float,
-    rng: np.random.Generator,
-    stage: str,
-    epoch: int,
-) -> tuple[float, float]:
-    """One epoch of cross-entropy SGD over full batches of ws's size in a
-    random order; returns (mean CE, mean entropy). stage and epoch name
-    the epoch in a numeric abort."""
-    n = features.shape[0]
-    order = rng.permutation(n)
-    bs = ws.input_shape[0]
-    n_batches = n // bs
-    features, targets = np.take(features, order, axis=0), np.take(targets, order)
-    rows = np.arange(bs)
-    dl = ws.dl
-    loss_sum = ent_sum = 0.0
-    for b in range(n_batches):
-        batch = slice(b * bs, (b + 1) * bs)
-        trace = forward(params, features[batch], ws)
-        target = targets[batch]
-        ce = -trace.log_prediction[rows, target]
-        np.copyto(dl, trace.prediction)
-        dl[rows, target] -= 1.0
-        dl /= bs
-        backward(params, trace, dl, state.grads, ws)
-        sgd_nesterov_step(params, state.grads, state, lr)
-        loss_sum += float(ce.sum())
-        _check_loss(loss_sum, stage, epoch, b)
-        ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
-    count = n_batches * bs
-    return loss_sum / count, ent_sum / count
-
-
 def _check_params(params: ModelParams, stage: str) -> None:
     """Stop a stage whose last steps left a non-finite parameter; the
     per-batch loss check cannot see the step after the last batch."""
     if not np.isfinite(params.flat).all():
         raise NumericError(f"non-finite params at the end of {stage}")
+
+
+def _supervised_stage(
+    stage: str,
+    dataset: SplitDataset,
+    params: ModelParams,
+    plan: SchedulePlan,
+    rng: np.random.Generator,
+    ids: np.ndarray,
+    targets: np.ndarray,
+    batch: int,
+    epochs: int,
+    horizon: int,
+    lr0: float,
+    **constant: float,
+) -> list[MetricsRecord]:
+    """The epochs of a cross-entropy stage: SGD over the full batches of
+    batch rows of ids, with the given targets, in a fresh random order
+    each epoch, at the cosine learning rate of horizon and lr0. Each
+    epoch's record has its mean CE and mean prediction entropy; constant
+    holds the columns the stage keeps fixed. A numeric abort names the
+    stage, epoch and batch."""
+    state = OptimizerState(params, plan.momentum, plan.weight_decay)
+    ws = Workspace(params, batch)
+    feats = dataset.features[ids]
+    rows = _eval_rows(dataset)
+    batch_rows = np.arange(batch)
+    dl = ws.dl
+    records = []
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, horizon, lr0)
+        n_batches = ids.size // batch
+        count = n_batches * batch
+        order = rng.permutation(ids.size)
+        epoch_feats, epoch_targets = np.take(feats, order, axis=0), np.take(targets, order)
+        loss_sum = ent_sum = 0.0
+        for b in range(n_batches):
+            rows_b = slice(b * batch, (b + 1) * batch)
+            trace = forward(params, epoch_feats[rows_b], ws)
+            target = epoch_targets[rows_b]
+            ce = -trace.log_prediction[batch_rows, target]
+            np.copyto(dl, trace.prediction)
+            dl[batch_rows, target] -= 1.0
+            dl /= batch
+            backward(params, trace, dl, state.grads, ws)
+            sgd_nesterov_step(state, lr)
+            loss_sum += float(ce.sum())
+            _check_loss(loss_sum, stage, epoch, b)
+            ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
+        ce, h_pred = loss_sum / count, ent_sum / count
+        acc_labeled, acc_test, _ = _accuracy(params, rows)
+        records.append(MetricsRecord(
+            stage, epoch, lr,
+            loss_total=ce, loss_c=ce, loss_e=h_pred,
+            acc_labeled=acc_labeled, acc_test=acc_test,
+            mean_h_pred=h_pred, **constant,
+        ))
+    _check_params(params, stage)
+    return records
 
 
 def stage1_supervised(
@@ -334,25 +319,11 @@ def stage1_supervised(
     lab = dataset.labeled_indices
     if lab.size == 0:
         raise ConfigurationError("stage 1 requires at least one labeled sample")
-    feats = dataset.features[lab]
-    targets = dataset.true_classes[lab]
-    state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
-    ws = Workspace(params, min(plan.batch_labeled, lab.size))
-    rows = _eval_rows(dataset)
-    records = []
-    for epoch in range(plan.stage1_epochs):
-        lr = cosine_lr(epoch, plan.stage1_horizon, plan.stage1_lr)
-        ce, h_pred = _supervised_epoch(
-            params, state, ws, feats, targets, lr, rng, "stage1", epoch
-        )
-        acc_labeled, acc_test, _ = _accuracy(params, rows)
-        records.append(MetricsRecord(
-            "stage1", epoch, lr,
-            loss_total=ce, loss_c=ce, loss_e=h_pred,
-            acc_labeled=acc_labeled, acc_test=acc_test,
-            mean_h_pred=h_pred,
-        ))
-    _check_params(params, "stage1")
+    records = _supervised_stage(
+        "stage1", dataset, params, plan, rng, lab, dataset.true_classes[lab],
+        min(plan.batch_labeled, lab.size),
+        plan.stage1_epochs, plan.stage1_horizon, plan.stage1_lr,
+    )
     return params, records
 
 
@@ -454,7 +425,7 @@ def stage2_d2(
     _check_unlabeled_batch(dataset, plan)
     lab = dataset.labeled_indices
     unl = dataset.unlabeled_indices
-    state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
+    state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
@@ -506,7 +477,7 @@ def stage2_d2(
                 )
                 dl /= n_lab + n_unl
                 backward(params, trace, dl, state.grads, ws)
-                sgd_nesterov_step(params, state.grads, state, segment.lr)
+                sgd_nesterov_step(state, segment.lr)
                 predictions[b] = trace.prediction[n_lab:]
                 # Not trace.prediction: softmax is not bit-equal to exp of
                 # log_softmax, and the loss columns are kept bit-stable.
@@ -554,27 +525,14 @@ def stage3_finetune(
     targets = np.empty(ids.size, dtype=np.int64)
     targets[:lab.size] = dataset.true_classes[lab]
     targets[lab.size:] = np.argmax(store.logits[unl], axis=1)
-    state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
-    feats = dataset.features[ids]
-    ws = Workspace(params, min(plan.batch_labeled + plan.batch_unlabeled, ids.size))
-    rows = _eval_rows(dataset)
     # Stage 3 never changes the store, so its two columns are constant.
-    acc_pseudo = _pseudo_accuracy(store, *_known_unlabeled(dataset))
-    h_pseudo = float(np.mean(entropy(store.probs(unl)))) if unl.size else float("nan")
-    records = []
-    for epoch in range(plan.stage3_epochs):
-        lr = cosine_lr(epoch, plan.stage3_horizon, plan.stage3_lr)
-        ce, h_pred = _supervised_epoch(
-            params, state, ws, feats, targets, lr, rng, "stage3", epoch
-        )
-        acc_labeled, acc_test, _ = _accuracy(params, rows)
-        records.append(MetricsRecord(
-            "stage3", epoch, lr,
-            loss_total=ce, loss_c=ce, loss_e=h_pred,
-            acc_labeled=acc_labeled, acc_test=acc_test, acc_pseudo=acc_pseudo,
-            mean_h_pred=h_pred, mean_h_pseudo=h_pseudo,
-        ))
-    _check_params(params, "stage3")
+    records = _supervised_stage(
+        "stage3", dataset, params, plan, rng, ids, targets,
+        min(plan.batch_labeled + plan.batch_unlabeled, ids.size),
+        plan.stage3_epochs, plan.stage3_horizon, plan.stage3_lr,
+        acc_pseudo=_pseudo_accuracy(store, *_known_unlabeled(dataset)),
+        mean_h_pseudo=float(np.mean(entropy(store.probs(unl)))) if unl.size else math.nan,
+    )
     return params, records
 
 

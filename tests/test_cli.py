@@ -1,6 +1,7 @@
 """Config parsing, CLI modes, exit codes, and artifact replay."""
 
 import importlib.util
+import logging
 import os
 import re
 import struct
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d2ssl import numerics
+from d2ssl import cli, numerics
 
 from d2ssl.cli import (
     ABLATION_AXES,
@@ -36,7 +37,7 @@ from d2ssl.errors import (
 from d2ssl.model import init_params, save_checkpoint
 from d2ssl.numerics import seeded_rng, softmax_pair
 from d2ssl.pseudo import D2Config, init_pseudo_labels, save_snapshot
-from d2ssl.trainer import SchedulePlan
+from d2ssl.trainer import MetricsRecord, SchedulePlan
 
 # Written by a default `d2ssl r2d2 --out reference` run.
 RESOLVED_FIXTURE = Path(__file__).resolve().parent / "data" / "config_resolved.cfg"
@@ -408,6 +409,87 @@ def test_main_ablation(tmp_path):
     assert "strategy:e_full" in names
     # 5 + 5 + 5 + 3 axis cells plus 5 strategy cells
     assert len(names) == 23
+
+
+def test_alpha_not_above_beta_warns_once_per_parsed_config(tmp_path, monkeypatch, caplog):
+    # A warning, not an error: the failure mode itself is studied.
+    def warnings():
+        return sum("<= beta=" in r.getMessage() for r in caplog.records)
+
+    extra = {"alpha": "0.02", "beta": "0.03"}
+    with caplog.at_level(logging.WARNING, logger="d2ssl"):
+        assert main(tiny_args("r2d2", tmp_path / "r2d2", extra)) == EXIT_OK
+        assert warnings() == 1
+        caplog.clear()
+        monkeypatch.setattr(cli, "run_r2d2", lambda *args: (
+            None, None, [MetricsRecord("stage3", 0, 0.0, acc_test=1.0)]))
+        assert main(tiny_args("ablation", tmp_path / "ablation", extra)) == EXIT_OK
+    # The run's config, then each cell whose alpha is not above its beta:
+    # beta 0.02 to 0.05, and every lam, loss and strategy cell.
+    assert warnings() == 1 + 4 + 5 + 3 + 5
+
+
+# Documented exit codes and their stderr prefixes (cli module docstring).
+EXIT_PREFIXES = {
+    EXIT_OK: "", EXIT_CONFIG: "configuration error: ", EXIT_IO: "I/O error: ",
+    EXIT_NUMERIC: "numeric abort: ",
+}
+
+
+@st.composite
+def tiny_r2d2_settings(draw):
+    """A tiny valid r2d2 config with up to three of its layer sizes,
+    horizons, batch sizes, filter, class count, OOD count and dataset
+    kind mutated, often into settings the program must refuse."""
+    cfg = {**TINY, "gauss_per_class": "20", "moons_per_class": "20"}
+    width, hidden, n_out, extra_out = 2, [4, 2], 4, 0
+    kinds = ["layers", "horizons", "batches", "filter", "classes", "ood", "dataset"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3, unique=True)):
+        if kind == "layers":
+            width = draw(st.sampled_from([2, 2, 3]))
+            hidden = draw(st.lists(st.integers(0, 6), max_size=3))
+            extra_out = draw(st.sampled_from([0, 0, 1]))
+        elif kind == "horizons":
+            for stage, most in (("stage1", 5), ("stage3", 3)):
+                cfg[f"{stage}_epochs"] = str(draw(st.integers(0, most)))
+                cfg[f"{stage}_horizon"] = str(draw(st.integers(-1, most)))
+        elif kind == "batches":
+            cfg["batch_labeled"] = str(draw(st.integers(0, 25)))
+            cfg["batch_unlabeled"] = str(draw(st.integers(0, 90)))
+        elif kind == "filter":
+            cfg["open_world"] = draw(st.sampled_from(["true", "false"]))
+            cfg["discard_fraction"] = draw(
+                st.sampled_from(["0", "0.1", "0.5", "0.99", "1", "-0.1"]))
+        elif kind == "classes":
+            n_out = draw(st.integers(1, 6))
+            cfg["gauss_classes"] = str(n_out)
+        elif kind == "ood":
+            cfg["ood_count"] = str(draw(st.sampled_from([1, 5, 40, 200, -1])))
+        else:
+            cfg["dataset"] = draw(st.sampled_from(["two_moons", "idx", "spiral"]))
+            n_out = 2 if cfg["dataset"] == "two_moons" else n_out
+    cfg["layer_sizes"] = ",".join(map(str, [width, *hidden, n_out + extra_out]))
+    return cfg
+
+
+@given(settings_=tiny_r2d2_settings())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_mutated_tiny_run_ends_in_a_documented_exit(tmp_path_factory, capsys, settings_):
+    """Whatever the mutation, a run ends in 0 or a typed error's exit
+    code with its message, never a traceback or an internal error."""
+    out = tmp_path_factory.mktemp("run")
+    args = ["r2d2", "--out", str(out)]
+    for key, value in settings_.items():
+        args += [f"--{key}", value]
+    capsys.readouterr()
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code in EXIT_PREFIXES, (code, err)
+    prefix = EXIT_PREFIXES[code]
+    assert err.startswith(prefix) if prefix else err == "", (code, err)
+    assert "Traceback" not in err
+    assert (out / "metrics.csv").exists() == (code == EXIT_OK)
 
 
 def test_out_env_var(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from d2ssl.diagnostics import numeric_gradient
 from d2ssl.errors import ConfigurationError, DimensionError, FormatError
 from d2ssl.model import (
     CHECKPOINT_MAGIC,
-    GradientSet,
     ModelParams,
     _act,
     _act_grad,
@@ -154,7 +153,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(p, path)
     q = load_checkpoint(path)
     assert q.layer_sizes == p.layer_sizes
-    assert q.layers[0].activation == "relu"
+    assert q.activation == "relu"
     for a, b in zip(p.tensors(), q.tensors()):
         np.testing.assert_array_equal(a, b)
 
@@ -184,7 +183,7 @@ def test_checkpoint_truncated(tmp_path):
 def test_head_has_no_bias():
     p = small_params()
     # logits must be exactly feature @ head_w: zero feature => zero logits
-    params = ModelParams(layers=[], head_w=p.head_w.copy())
+    params = ModelParams([3, 4], "tanh", p.head_w.ravel().copy())
     t = forward(params, np.zeros((1, 3)))
     np.testing.assert_array_equal(t.logits, np.zeros((1, 4)))
 
@@ -203,7 +202,7 @@ def _old_trace_and_backward(params, x, g):
     a = x
     for layer in params.layers:
         z = a @ layer.weight + layer.bias
-        a = _act(layer.activation, z)
+        a = _act(params.activation, z)
         pre.append(z)
         act.append(a)
     head_grad = a.T @ g
@@ -211,7 +210,7 @@ def _old_trace_and_backward(params, x, g):
     grads = [None] * len(params.layers)
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        dz = delta * act_grad(layer.activation, pre[i], act[i])
+        dz = delta * act_grad(params.activation, pre[i], act[i])
         a_prev = x if i == 0 else act[i - 1]
         grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
         if i > 0:
@@ -228,7 +227,7 @@ def test_backward_into_buffer_bit_equal_to_old_backward(sizes, activation):
     x = rng.standard_normal((120, 2))
     g = rng.standard_normal((120, sizes[-1])) / 120
     old = _old_trace_and_backward(p, x, g)
-    out = GradientSet.for_params(p)
+    out = p.zeros()
     out.flat[:] = np.nan  # every entry must be overwritten
     assert backward(p, forward(p, x), g, out=out) is out
     fresh = backward(p, forward(p, x), g)
@@ -250,28 +249,47 @@ def test_act_grad_from_output_bit_equal_to_old():
 @pytest.mark.parametrize("sizes", [[2, 5, 3, 4], [2, 4]])
 def test_params_are_views_of_one_flat_buffer(tmp_path, sizes):
     p = init_params(sizes, "relu", seeded_rng(3))
-    assert p.packed() is p.flat
     assert p.flat.size == sum(t.size for t in p.tensors())
     assert all(t.base is p.flat for t in p.tensors())
     assert np.concatenate([t.ravel() for t in p.tensors()]).tobytes() == p.flat.tobytes()
     q = p.copy()
-    assert q.packed() is q.flat and not np.shares_memory(q.flat, p.flat)
+    assert all(t.base is q.flat for t in q.tensors()) and not np.shares_memory(q.flat, p.flat)
     assert q.flat.tobytes() == p.flat.tobytes()
-    assert [l.activation for l in q.layers] == [l.activation for l in p.layers]
+    assert (q.layer_sizes, q.activation) == (p.layer_sizes, p.activation)
     save_checkpoint(p, tmp_path / "a.d2ck")
     r = load_checkpoint(tmp_path / "a.d2ck")
-    assert r.packed() is r.flat and r.flat.tobytes() == p.flat.tobytes()
+    assert all(t.base is r.flat for t in r.tensors()) and r.flat.tobytes() == p.flat.tobytes()
     save_checkpoint(r, tmp_path / "b.d2ck")
     assert (tmp_path / "a.d2ck").read_bytes() == (tmp_path / "b.d2ck").read_bytes()
 
 
-def test_params_from_separate_arrays_are_not_packed():
+def test_params_tensors_cannot_be_rebound():
+    # A write to flat reaches every tensor only while no tensor is rebound.
     p = small_params()
-    q = ModelParams(layers=p.layers, head_w=p.head_w.copy())
-    assert q.packed() is None
-    assert q.copy().flat.tobytes() == p.flat.tobytes()
-    p.head_w = p.head_w.copy()  # rebinding a tensor unpacks the params
-    assert p.packed() is None
+    for holder, name in [(p, "head_w"), (p, "flat"), (p, "layers"), (p, "activation"),
+                         (p.layers[0], "weight"), (p.layers[0], "bias")]:
+        with pytest.raises(AttributeError):
+            setattr(holder, name, np.zeros(1))
+    p.flat[:] = 1.5
+    assert all((t == 1.5).all() for t in p.tensors())
+
+
+@pytest.mark.parametrize("shape", [(0,), (44,), (46,), (90,), (5, 9)])
+def test_params_flat_of_wrong_length_raises(shape):
+    # [2, 5, 3, 4]: 2*5 + 5 + 5*3 + 3 + 3*4 = 45 parameters
+    assert ModelParams([2, 5, 3, 4], "tanh", np.zeros(45)).flat.size == 45
+    with pytest.raises(DimensionError, match="45 parameters"):
+        ModelParams([2, 5, 3, 4], "tanh", np.zeros(shape))
+
+
+@pytest.mark.parametrize("sizes", [[2, 5, 3, 4], [2, 4]])
+def test_params_zeros_is_a_fresh_buffer_of_the_same_layout(sizes):
+    p = init_params(sizes, "relu", seeded_rng(3))
+    z = p.zeros()
+    assert not np.shares_memory(z.flat, p.flat)
+    assert (z.layer_sizes, z.activation) == (p.layer_sizes, p.activation)
+    assert [t.shape for t in z.tensors()] == [t.shape for t in p.tensors()]
+    assert all(t.base is z.flat for t in z.tensors()) and not z.flat.any()
 
 
 def _checkpoint_blob(tmp_path):

@@ -55,14 +55,6 @@ def test_config_rejects_non_finite(key, value):
         D2Config(**{key: value})
 
 
-def test_config_warns_when_alpha_not_above_beta(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="d2ssl.pseudo"):
-        D2Config(alpha=0.01, beta=0.03)
-    assert any("alpha" in r.message for r in caplog.records)
-
-
 def test_loss_breakdown_weights():
     # At p_hat == p_tilde the matching term vanishes: total = beta * H.
     z = np.array([1.0, -0.5, 0.2])

@@ -57,6 +57,21 @@ def test_run_reference_flag_without_value_exits_config(tmp_path, capsys):
     assert not (tmp_path / "comparison.csv").exists()
 
 
+def test_run_reference_seed_is_not_taken_for_seeds():
+    args, extra = load("run_reference").parse_args(["--out", "x", "--seed", "3", "--beta", "0.1"])
+    assert args.seeds == 5
+    assert extra == ["--seed", "3", "--beta", "0.1"]
+
+
+def test_run_reference_seed_flag_exits_config(tmp_path, capsys):
+    # Each run's seed comes from --seeds; a --seed would be overwritten.
+    out = tmp_path / "out"
+    assert load("run_reference").main(["--out", str(out), "--seeds", "1", "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--seeds" in err
+    assert not out.exists()
+
+
 def test_run_reference_seeds_below_one_exits_config(tmp_path, capsys):
     assert load("run_reference").main(["--out", str(tmp_path / "out"), "--seeds", "0"]) == 2
     err = capsys.readouterr().err

@@ -65,7 +65,7 @@ def _calls(tmp_path):
         ("d2ssl.model", "forward"): (model.forward, (params, x), {}, 7),
         ("d2ssl.model", "backward"): (
             model.backward, (params, trace, trace.prediction),
-            {"out": model.GradientSet.for_params(params)}, 7),
+            {"out": params.zeros()}, 7),
         ("d2ssl.model", "save_checkpoint"): (
             model.save_checkpoint, (params, tmp_path / "model.d2ck"), {}, None),
         ("d2ssl.numerics", "softmax"): (numerics.softmax, (trace.logits,), {}, 7),

@@ -6,7 +6,7 @@ import pytest
 from d2ssl import trainer
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
-from d2ssl.model import ModelParams, Workspace, backward, forward, init_params
+from d2ssl.model import Workspace, backward, forward, init_params
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
     D2Config, PseudoLabelStore, convergence_residual, d2_loss, d2_update_pseudo_batch,
@@ -69,30 +69,29 @@ def test_nesterov_step_hand_computed():
     # eff = g + wd*w; buf = mu*buf + eff; w -= lr*(eff + mu*buf)
     params = init_params([1, 1], "linear", seeded_rng(0))
     params.head_w[...] = 2.0
-    state = OptimizerState.for_params(params, momentum=0.9, weight_decay=0.1)
-
-    class G:
-        def tensors(self):
-            return [np.array([[0.5]])]
+    state = OptimizerState(params, momentum=0.9, weight_decay=0.1)
+    state.grads.head_w[...] = 0.5
 
     g = 0.5 + 0.1 * 2.0           # 0.7
     buf = 0.9 * 0.0 + g           # 0.7
     expect = 2.0 - 0.01 * (g + 0.9 * buf)
-    sgd_nesterov_step(params, G(), state, lr=0.01)
+    sgd_nesterov_step(state, lr=0.01)
     assert params.head_w[0, 0] == pytest.approx(expect, abs=1e-15)
-    assert state.buffers[-1][0, 0] == pytest.approx(buf, abs=1e-15)
+    assert state.velocity[0] == pytest.approx(buf, abs=1e-15)
 
 
-def test_nesterov_shape_mismatch():
-    params = init_params([2, 3], "linear", seeded_rng(0))
-    state = OptimizerState.for_params(params, 0.9, 0.0)
-
-    class G:
-        def tensors(self):
-            return [np.zeros((3, 2))]
-
-    with pytest.raises(DimensionError):
-        sgd_nesterov_step(params, G(), state, 0.01)
+def test_optimizer_state_is_bound_to_its_params():
+    params = init_params([2, 5, 3], "tanh", seeded_rng(0))
+    before = params.copy()
+    state = OptimizerState(params, momentum=0.9, weight_decay=0.0)
+    for name in ("params", "grads", "velocity", "scratch", "momentum"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, None)
+    assert state.grads.layer_sizes == params.layer_sizes
+    assert not np.shares_memory(state.grads.flat, params.flat)
+    state.grads.flat[:] = 1.0
+    sgd_nesterov_step(state, 0.1)
+    assert np.array_equal(params.flat, before.flat - 0.1 * 1.9)
 
 
 def test_schedule_plan_validation():
@@ -360,58 +359,18 @@ def test_flat_nesterov_bit_equal_to_per_tensor_loop(weight_decay):
     params = init_params([2, 64, 2, 4], "tanh", seeded_rng(0))
     tensors = [t.copy() for t in params.tensors()]
     buffers = [np.zeros_like(t) for t in tensors]
-    state = OptimizerState.for_params(params, momentum=0.9, weight_decay=weight_decay)
+    state = OptimizerState(params, momentum=0.9, weight_decay=weight_decay)
     rng = seeded_rng(1)
     for step in range(50):
         lr = float(rng.uniform(0.001, 0.1))
         for g in state.grads.tensors():
             g[...] = rng.standard_normal(g.shape)
         _old_nesterov_step(tensors, state.grads.tensors(), buffers, 0.9, weight_decay, lr)
-        sgd_nesterov_step(params, state.grads, state, lr)
+        sgd_nesterov_step(state, lr)
         for a, b in zip(tensors, params.tensors()):
             assert a.tobytes() == b.tobytes(), step
-        for a, b in zip(buffers, state.buffers):
-            assert a.tobytes() == b.tobytes(), step
-
-
-def test_nesterov_rejects_unpacked_params():
-    # Params assembled from separate arrays are refused, not rebound or
-    # left unchanged: the step writes through the flat buffer only.
-    packed = init_params([2, 5, 3], "tanh", seeded_rng(0))
-    loose = ModelParams(layers=[l.__class__(l.weight.copy(), l.bias.copy(), l.activation)
-                                for l in packed.layers],
-                        head_w=packed.head_w.copy())
-    before = [t.copy() for t in loose.tensors()]
-    state = OptimizerState.for_params(loose, 0.9, 0.0)
-    state.grads.flat[:] = 1.0
-    with pytest.raises(DimensionError, match="not views of one flat buffer"):
-        sgd_nesterov_step(loose, state.grads, state, 0.05)
-    for a, b in zip(before, loose.tensors()):
-        assert a.tobytes() == b.tobytes()
-    packed.head_w = packed.head_w.copy()  # rebinding a tensor unpacks the params
-    state = OptimizerState.for_params(packed, 0.9, 0.0)
-    with pytest.raises(DimensionError, match="not views of one flat buffer"):
-        sgd_nesterov_step(packed, state.grads, state, 0.05)
-
-
-def test_nesterov_state_of_other_params():
-    params = init_params([2, 4, 3], "tanh", seeded_rng(0))
-    other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
-    state = OptimizerState.for_params(other, 0.9, 0.0)
-    with pytest.raises(DimensionError, match="optimizer state does not match"):
-        sgd_nesterov_step(params, state.grads, state, 0.05)
-
-
-def test_nesterov_gradient_count_mismatch():
-    params = init_params([2, 3, 3], "linear", seeded_rng(0))
-    state = OptimizerState.for_params(params, 0.9, 0.0)
-
-    class G:
-        def tensors(self):
-            return [np.zeros((3, 3))]
-
-    with pytest.raises(DimensionError):
-        sgd_nesterov_step(params, G(), state, 0.01)
+        velocity = np.concatenate([b.ravel() for b in buffers])
+        assert velocity.tobytes() == state.velocity.tobytes(), step
 
 
 def _old_labeled_draws(lab, lab_order, cursor, n_batches, batch_labeled, rng):
@@ -499,8 +458,8 @@ def _old_forward_backward(params, x, w):
     for layer in params.layers:
         a = a @ layer.weight
         a += layer.bias
-        a = a if layer.activation == "linear" else (
-            np.tanh(a, out=a) if layer.activation == "tanh" else np.maximum(a, 0.0, out=a))
+        a = a if params.activation == "linear" else (
+            np.tanh(a, out=a) if params.activation == "tanh" else np.maximum(a, 0.0, out=a))
         acts.append(a)
     logits = a @ params.head_w
     p, log_p = softmax_pair(logits)
@@ -511,7 +470,7 @@ def _old_forward_backward(params, x, w):
         layer, out = params.layers[i], acts[i]
         delta *= {"tanh": lambda: 1.0 - out * out,
                   "relu": lambda: (out > 0.0).astype(np.float64),
-                  "linear": lambda: np.ones_like(out)}[layer.activation]()
+                  "linear": lambda: np.ones_like(out)}[params.activation]()
         a_prev = x if i == 0 else acts[i - 1]
         grads[2 * i], grads[2 * i + 1] = a_prev.T @ delta, delta.sum(axis=0)
         if i > 0:
@@ -531,7 +490,7 @@ def test_workspace_steps_bit_equal_to_allocating_steps(sizes, activation, rows):
     ref = params.copy()
     ref_buffers = [np.zeros_like(t) for t in ref.tensors()]
     ws = Workspace(params, rows)
-    state = OptimizerState.for_params(params, momentum=0.9, weight_decay=2e-4)
+    state = OptimizerState(params, momentum=0.9, weight_decay=2e-4)
     rng = seeded_rng(5)
     for step in range(6):
         x = rng.standard_normal((rows, 2))
@@ -551,7 +510,7 @@ def test_workspace_steps_bit_equal_to_allocating_steps(sizes, activation, rows):
             buf *= 0.9
             buf += eff
             t -= 0.03 * (eff + 0.9 * buf)
-        sgd_nesterov_step(params, state.grads, state, 0.03)
+        sgd_nesterov_step(state, 0.03)
         assert params.flat.tobytes() == ref.flat.tobytes(), step
 
 
@@ -567,27 +526,13 @@ def test_workspace_serves_only_its_params_and_batch_size():
         backward(params.copy(), trace, ws.dl, ws=ws)
 
 
-def test_nesterov_checks_every_new_params_of_a_state():
-    # The checks run once per params object a state steps, not only on
-    # the state's first step.
-    params = init_params([2, 4, 3], "tanh", seeded_rng(0))
-    state = OptimizerState.for_params(params, 0.9, 0.0)
-    sgd_nesterov_step(params, state.grads, state, 0.05)
-    other = init_params([2, 3, 4], "tanh", seeded_rng(0))  # same tensor count
-    with pytest.raises(DimensionError, match="optimizer state does not match"):
-        sgd_nesterov_step(other, state.grads, state, 0.05)
-    loose = ModelParams(layers=params.layers, head_w=params.head_w.copy())
-    with pytest.raises(DimensionError, match="not views of one flat buffer"):
-        sgd_nesterov_step(loose, state.grads, state, 0.05)
-
-
 def _per_batch_stage2(ds, params, store, plan, cfg, rng):
     """Stage 2 as run before the pseudo-logit step moved to the end of
     the epoch: allocating forward and backward calls, and one pseudo-logit
     step per batch on that batch's rows. Returns the per-epoch mean
     losses (total, matching, entropy)."""
     lab, unl = ds.labeled_indices, ds.unlabeled_indices
-    state = OptimizerState.for_params(params, plan.momentum, plan.weight_decay)
+    state = OptimizerState(params, plan.momentum, plan.weight_decay)
     cfg_labeled = _labeled_config(cfg)
     n_lab = plan.batch_labeled if lab.size else 0
     n_unl = plan.batch_unlabeled
@@ -616,7 +561,7 @@ def _per_batch_stage2(ds, params, store, plan, cfg, rng):
                     p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg)
                 dl /= n_lab + n_unl
                 backward(params, trace, dl, out=state.grads)
-                sgd_nesterov_step(params, state.grads, state, segment.lr)
+                sgd_nesterov_step(state, segment.lr)
                 if cfg.lam > 0:
                     d2_update_pseudo_batch(store, ids[n_lab:], p[n_lab:], cfg, p_tilde[n_lab:])
                 l_c, l_e, total = d2_loss(log_p, p_tilde_log, cfg)
