@@ -24,7 +24,7 @@ import numpy as np
 from . import data as data_mod
 from . import diagnostics as diag
 from .errors import ConfigurationError, D2Error, FormatError, NumericError
-from .model import load_checkpoint, save_checkpoint
+from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
@@ -224,8 +224,15 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     cfg.d2_config()       # validate hyperparameters now
     cfg.schedule_plan()   # the schedule
     cfg.check_dataset()   # and the dataset keys
-    if len(cfg.model_sizes()) < 2:
-        raise ConfigurationError("layer_sizes needs at least two entries")
+    sizes = cfg.model_sizes()
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ConfigurationError(
+            f"layer_sizes needs at least two entries, each at least 1, got {cfg.layer_sizes}"
+        )
+    if cfg.activation not in ACTIVATIONS:
+        raise ConfigurationError(
+            f"unknown activation {cfg.activation!r}; choose from {', '.join(ACTIVATIONS)}"
+        )
     # The width and class count the dataset settings fix; idx data is
     # checked when it is loaded.
     shape = {"gaussians": (cfg.gauss_dim, cfg.gauss_classes), "two_moons": (2, 2)}
@@ -301,10 +308,10 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
     # leaves freed pages in the heap under it.
     diag.export_features(dataset, params, os.path.join(out_dir, "features.csv"))
     scores = diag.unlabeled_scores(dataset, params, store, d2cfg)
-    spec, frac = diag.t_histogram(dataset, params, store, d2cfg, scores=scores)
-    diag.write_histogram_csv(spec, os.path.join(out_dir, "t_histogram.csv"))
+    counts, frac = diag.t_histogram(scores[-1])
+    diag.write_histogram_csv(counts, os.path.join(out_dir, "t_histogram.csv"))
     if d2cfg.beta > 0:
-        records, summary = diag.flatness_audit(dataset, params, store, d2cfg, scores=scores)
+        records, summary = diag.flatness_audit(scores, d2cfg.beta)
         diag.write_flatness_csv(records, os.path.join(out_dir, "flatness_audit.csv"))
         with open(os.path.join(out_dir, "flatness_summary.csv"), "w") as fh:
             fh.write(",".join(summary.keys()) + "\n")
@@ -375,30 +382,17 @@ def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     epochs = _number_list(cfg.stage2_epochs, "stage2_epochs")
     lrs = _number_list(cfg.stage2_lrs, "stage2_lrs", float)
     n_seg = len(epochs)
-    total = sum(epochs)
-    flat_lr = lrs[0]
-    return {
-        "a_stage2_only": {
-            "stage2_epochs": str(total), "stage2_lrs": str(flat_lr),
-            "stage2_repredict": "0",
-        },
-        "b_repeat": {
-            "stage2_epochs": _join(epochs), "stage2_lrs": _join([flat_lr] * n_seg),
-            "stage2_repredict": _join([0] * n_seg),
-        },
-        "c_repredict": {
-            "stage2_epochs": _join(epochs), "stage2_lrs": _join([flat_lr] * n_seg),
-            "stage2_repredict": _join([0] + [1] * (n_seg - 1)),
-        },
-        "d_reduce_lr": {
-            "stage2_epochs": _join(epochs), "stage2_lrs": _join(lrs),
-            "stage2_repredict": _join([0] * n_seg),
-        },
-        "e_full": {
-            "stage2_epochs": _join(epochs), "stage2_lrs": _join(lrs),
-            "stage2_repredict": _join([0] + [1] * (n_seg - 1)),
-        },
+    flat_lrs = [lrs[0]] * n_seg
+    no_rep, rep = [0] * n_seg, [0] + [1] * (n_seg - 1)
+    table = {  # stage 2's (epochs, lrs, repredict) of each variant
+        "a_stage2_only": ([sum(epochs)], [lrs[0]], [0]),
+        "b_repeat": (epochs, flat_lrs, no_rep),
+        "c_repredict": (epochs, flat_lrs, rep),
+        "d_reduce_lr": (epochs, lrs, no_rep),
+        "e_full": (epochs, lrs, rep),
     }
+    keys = ("stage2_epochs", "stage2_lrs", "stage2_repredict")
+    return {name: dict(zip(keys, map(_join, row))) for name, row in table.items()}
 
 
 def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:

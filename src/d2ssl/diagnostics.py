@@ -9,7 +9,6 @@ the model or the store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -18,15 +17,15 @@ from .data import SplitDataset, write_csv_columns
 from .errors import ConfigurationError, NumericError
 from .model import ModelParams, forward_features, forward_logits
 from .numerics import entropy, softmax_pair
-from .pseudo import D2Config, PseudoLabelStore, d2_loss, convergence_residual
+from .pseudo import convergence_residual, d2_loss
 
 
-@dataclass
-class HistogramSpec:
-    lower: float
-    upper: float
-    bins: int
-    counts: np.ndarray | None = None
+# The bins of t_histogram.csv, and the |t| below which a sample counts
+# in t_converged_fraction.csv.
+HIST_LOWER, HIST_UPPER, HIST_BINS = -0.5, 0.5, 101
+T_CONVERGED = 1e-3
+# The |t| below which flatness_audit counts a sample as converged.
+FLATNESS_CONVERGED = 1e-4
 
 
 def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
@@ -66,9 +65,8 @@ def gradient_check(loss_fn, point: np.ndarray, analytic: np.ndarray, step: float
 
 def unlabeled_scores(dataset, params, store, cfg):
     """Per-unlabeled-sample (ids, p_hat_n, p_tilde_n, loss, residual) at
-    the arg-max class n of the prediction; t_histogram and
-    flatness_audit accept it precomputed. An empty pool gives empty
-    scores."""
+    the arg-max class n of the prediction, the input of t_histogram and
+    flatness_audit. An empty pool gives empty scores."""
     unl = dataset.unlabeled_indices
     if unl.size == 0:
         empty = np.zeros(0)
@@ -84,55 +82,30 @@ def unlabeled_scores(dataset, params, store, cfg):
     return unl, p_hat_n, p_tilde_n, total, t
 
 
-def t_histogram(
-    dataset: SplitDataset,
-    params: ModelParams,
-    store: PseudoLabelStore,
-    cfg: D2Config,
-    spec: HistogramSpec | None = None,
-    tolerance: float = 1e-3,
-    scores=None,
-) -> tuple[HistogramSpec, float]:
-    """Histogram of the per-sample convergence residual over the
-    unlabeled pool, plus the fraction with |t| below tolerance.
-
-    Pass scores = unlabeled_scores(...) when the caller already has them.
-    """
-    if spec is None:
-        spec = HistogramSpec(-0.5, 0.5, 101)
-    if scores is None:
-        scores = unlabeled_scores(dataset, params, store, cfg)
-    t = scores[-1]
-    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1)
-    counts, _ = np.histogram(np.clip(t, spec.lower, spec.upper), bins=edges)
-    spec.counts = counts
-    frac = float(np.mean(np.abs(t) < tolerance)) if t.size else float("nan")
-    return spec, frac
+def t_histogram(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Counts of the per-sample convergence residuals t of the unlabeled
+    pool (unlabeled_scores' last array) in the HIST_BINS bins, plus the
+    fraction with |t| below T_CONVERGED."""
+    edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1)
+    counts, _ = np.histogram(np.clip(t, HIST_LOWER, HIST_UPPER), bins=edges)
+    frac = float(np.mean(np.abs(t) < T_CONVERGED)) if t.size else float("nan")
+    return counts, frac
 
 
-def flatness_audit(
-    dataset: SplitDataset,
-    params: ModelParams,
-    store: PseudoLabelStore,
-    cfg: D2Config,
-    converged_tol: float = 1e-4,
-    scores=None,
-):
-    """Per-sample records for the flatness inequalities.
+def flatness_audit(scores, beta: float):
+    """Per-sample records for the flatness inequalities, from
+    scores = unlabeled_scores(...) under a loss with entropy weight beta.
 
     Returns (records, summary): records has columns
     (id, p_hat_n, p_tilde_n, loss, exp(-loss/beta), residual); the
     summary reports violation fractions among converged samples
-    (|residual| < converged_tol). Pass scores = unlabeled_scores(...)
-    when the caller already has them.
+    (|residual| < FLATNESS_CONVERGED).
     """
-    if cfg.beta == 0:
+    if beta == 0:
         raise ConfigurationError("flatness bound undefined for beta == 0")
-    if scores is None:
-        scores = unlabeled_scores(dataset, params, store, cfg)
     unl, p_hat_n, p_tilde_n, total, t = scores
-    bound = np.exp(-total / cfg.beta)
-    converged = np.abs(t) < converged_tol
+    bound = np.exp(-total / beta)
+    converged = np.abs(t) < FLATNESS_CONVERGED
     viol_flat = (p_tilde_n > p_hat_n + 1e-6) & converged
     viol_bound = (p_hat_n < bound - 1e-6) & converged
     records = np.column_stack([unl, p_hat_n, p_tilde_n, total, bound, t])
@@ -182,11 +155,12 @@ def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
     return dataset.n_samples
 
 
-def write_histogram_csv(spec: HistogramSpec, path) -> None:
-    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1).tolist()
-    counts = spec.counts.tolist()
+def write_histogram_csv(counts: np.ndarray, path) -> None:
+    """Write t_histogram counts as CSV, one row per bin."""
+    edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1).tolist()
+    counts = counts.tolist()
     write_csv_columns(path, ["bin_lower", "bin_upper", "count"], ["%.9g", "%.9g", "%s"],
-                      spec.bins, lambda start, stop: [edges[start:stop],
+                      HIST_BINS, lambda start, stop: [edges[start:stop],
                                                       edges[start + 1:stop + 1],
                                                       counts[start:stop]])
 

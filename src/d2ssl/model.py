@@ -39,12 +39,10 @@ def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {tag!r}")
 
 
-def _act_grad(tag: str, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _act_grad(tag: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Derivative of the activation from its output a alone, written
-    into out when given; for relu, a > 0 is z > 0 (NaN included, where
-    both are false)."""
-    if out is None:
-        out = np.empty_like(a)
+    into out; for relu, a > 0 is z > 0 (NaN included, where both are
+    false)."""
     if tag == "tanh":
         np.multiply(a, a, out=out)
         return np.subtract(1.0, out, out=out)
@@ -200,7 +198,9 @@ def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None) -> 
     if ws is None:
         x = _as_input(params, x)
         ws = Workspace(params, x.shape[0])
-    elif ws.params is not params or x.shape != ws.input_shape:
+    elif ws.params is not params:
+        raise DimensionError("workspace built for other params")
+    elif x.shape != ws.input_shape:
         raise DimensionError(f"input {x.shape} for a workspace of {ws.input_shape}")
     trace = ws.trace
     for _ in _hidden(params, x, trace.activations):

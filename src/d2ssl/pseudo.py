@@ -52,15 +52,6 @@ class D2Config:
 
 
 @dataclass
-class LossBreakdown:
-    l_c: float
-    l_e: float
-    total: float
-    alpha: float
-    beta: float
-
-
-@dataclass
 class PseudoLabelStore:
     """Per-sample pseudo-logits with a frozen flag per row."""
     logits: np.ndarray  # (n_samples, N)
@@ -109,11 +100,8 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
 
 
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
-    """Per-sample loss alpha*L_c + beta*L_e from log-probabilities.
-
-    Returns a LossBreakdown for 1-D inputs, or arrays (l_c, l_e, total)
-    for batched 2-D inputs.
-    """
+    """Per-sample loss alpha*L_c + beta*L_e from (B, N) log-probabilities,
+    as arrays (l_c, l_e, total) of B values each."""
     p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
     p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
     if p_hat_log.shape[-1] != p_tilde_log.shape[-1]:
@@ -126,10 +114,7 @@ def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
     else:  # squared_l2
         l_c = ((np.exp(p_tilde_log) - p_hat) ** 2).sum(axis=-1)
     l_e = entropy(p_hat, log_p=p_hat_log)
-    total = cfg.alpha * l_c + cfg.beta * l_e
-    if p_hat_log.ndim == 1:
-        return LossBreakdown(float(l_c), float(l_e), float(total), cfg.alpha, cfg.beta)
-    return l_c, l_e, total
+    return l_c, l_e, cfg.alpha * l_c + cfg.beta * l_e
 
 
 def grad_wrt_network_logits(
@@ -201,18 +186,14 @@ def d2_update_pseudo_batch(
     ids: np.ndarray,
     p_hat: np.ndarray,
     cfg: D2Config,
-    p_tilde: np.ndarray | None = None,
+    p_tilde: np.ndarray,
 ) -> None:
-    """Gradient step for several unfrozen samples at once.
-
-    Pass p_tilde = softmax(store.logits[ids]) when the caller already has it.
-    """
+    """Gradient step for several unfrozen samples at once; p_tilde is
+    softmax(store.logits[ids]), which every caller already has."""
     ids = np.asarray(ids)
     if store.frozen[ids].any():
         raise FrozenUpdateError("batch contains frozen samples")
     rows = np.take(store.logits, ids, axis=0)  # the rows logits[ids] gives, faster
-    if p_tilde is None:
-        p_tilde = softmax(rows)
     rows -= cfg.lam * grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
     store.logits[ids] = rows
 
@@ -231,16 +212,13 @@ def repredict(store: PseudoLabelStore, params, dataset) -> PseudoLabelStore:
 def convergence_residual(
     p_hat_log: np.ndarray, p_tilde_log: np.ndarray, loss_total, cfg: D2Config
 ):
-    """Residual (alpha-beta)*log p_hat_n - alpha*log p_tilde_n - L at the
-    arg-max class n of the prediction (ties to the lowest index, a NaN
-    counting as the maximum, as np.argmax does)."""
+    """Residual (alpha-beta)*log p_hat_n - alpha*log p_tilde_n - L of each
+    row of (B, N) log-probabilities, at the arg-max class n of the
+    prediction (ties to the lowest index, a NaN counting as the maximum,
+    as np.argmax does)."""
     p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
     p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
     a, b = cfg.alpha, cfg.beta
-    if p_hat_log.ndim == 1:
-        n = np.argmax(p_hat_log)
-        total = loss_total.total if isinstance(loss_total, LossBreakdown) else float(loss_total)
-        return float((a - b) * p_hat_log[n] - a * p_tilde_log[n] - total)
     # A pass per class over the class columns, which are whole rows of
     # a class-major softmax: no copy back to rows and no fancy gather.
     hat_cols, tilde_cols = p_hat_log.T, p_tilde_log.T

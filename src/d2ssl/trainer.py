@@ -517,10 +517,11 @@ def stage3_finetune(
     store: PseudoLabelStore,
     plan: SchedulePlan,
     rng: np.random.Generator,
-    active_unlabeled: np.ndarray | None = None,
+    unl: np.ndarray,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
+    """Cross entropy on the labeled rows and the unlabeled rows unl, with
+    the arg-max pseudo-labels of unl as their targets."""
     lab = dataset.labeled_indices
-    unl = dataset.unlabeled_indices if active_unlabeled is None else active_unlabeled
     ids = np.concatenate([lab, unl])
     targets = np.empty(ids.size, dtype=np.int64)
     targets[:lab.size] = dataset.true_classes[lab]
@@ -599,7 +600,7 @@ def run_r2d2(
     params, store, m2 = stage2_d2(dataset, params, store, plan, cfg, rng)
     active = (
         open_world_filter(store, dataset, plan.discard_fraction)
-        if plan.open_world else None
+        if plan.open_world else dataset.unlabeled_indices
     )
     params, m3 = stage3_finetune(dataset, params, store, plan, rng, active)
     return params, store, m1 + m2 + m3

@@ -81,10 +81,10 @@ def test_criterion_01_gradient_oracles():
         zt = rng.standard_normal(5)
 
         def net_loss(y):
-            return d2_loss(log_softmax(y), log_softmax(zt), cfg).total
+            return d2_loss(log_softmax(y[None]), log_softmax(zt[None]), cfg)[2][0]
 
         def pseudo_loss(y):
-            return d2_loss(log_softmax(zh), log_softmax(y), cfg).total
+            return d2_loss(log_softmax(zh[None]), log_softmax(y[None]), cfg)[2][0]
 
         worst = max(worst, gradient_check(
             net_loss, zh,

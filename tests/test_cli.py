@@ -246,6 +246,7 @@ BAD_SETTINGS = [
     ("gauss_spread", "inf", "gauss_spread"),
     ("stage1_horizon", "2", "stage1_horizon"), ("stage1_horizon", "0", "stage1_horizon"),
     ("stage3_horizon", "0", "stage3_horizon"), ("stage3_horizon", "-1", "stage3_horizon"),
+    ("activation", "foo", "activation"), ("layer_sizes", "2,0,4", "layer_sizes"),
 ]
 
 
@@ -257,8 +258,9 @@ def test_parse_rejects_bad_setting(key, value, named):
 
 @pytest.mark.parametrize("key,value", [setting[:2] for setting in BAD_SETTINGS])
 def test_main_bad_setting_exits_config_before_training(tmp_path, key, value):
-    assert main(tiny_args("r2d2", tmp_path, {key: value})) == EXIT_CONFIG
-    assert not (tmp_path / "metrics.csv").exists()
+    out = tmp_path / "out"
+    assert main(tiny_args("r2d2", out, {key: value})) == EXIT_CONFIG
+    assert not out.exists()  # no resolved config, no dataset, no metrics
 
 
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]

@@ -7,7 +7,9 @@ import pytest
 
 from d2ssl.data import BLOCK_ROWS, OOD_CLASS, SplitDataset, gen_gaussians, inject_ood, split
 from d2ssl.diagnostics import (
-    HistogramSpec,
+    HIST_BINS,
+    HIST_LOWER,
+    HIST_UPPER,
     entropy_cdf,
     export_features,
     flatness_audit,
@@ -63,34 +65,23 @@ def test_gradient_check_nonfinite_loss():
 
 def test_t_histogram_counts_and_fraction():
     ds, params, store, cfg = setup_run()
-    spec, frac = t_histogram(ds, params, store, cfg)
-    assert spec.counts.sum() == ds.unlabeled_indices.size
+    counts, frac = t_histogram(unlabeled_scores(ds, params, store, cfg)[-1])
+    assert counts.size == HIST_BINS
+    assert counts.sum() == ds.unlabeled_indices.size
     assert 0.0 <= frac <= 1.0
 
 
-def test_t_histogram_custom_spec(tmp_path):
-    ds, params, store, cfg = setup_run()
-    spec, _ = t_histogram(ds, params, store, cfg, HistogramSpec(-1.0, 1.0, 10))
-    assert spec.counts.size == 10
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(spec, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin_lower,bin_upper,count"
-    assert len(lines) == 11
-
-
 def test_flatness_audit_beta_zero_error():
-    ds, params, store, _ = setup_run()
-    cfg = D2Config(alpha=0.1, beta=0.0, lam=100.0)
+    ds, params, store, cfg = setup_run()
     with pytest.raises(ConfigurationError):
-        flatness_audit(ds, params, store, cfg)
+        flatness_audit(unlabeled_scores(ds, params, store, cfg), 0.0)
 
 
 def test_flatness_audit_universal_bound():
     # p_hat_n >= exp(-L/beta) holds for every sample, converged or not,
     # because L >= beta*H >= -beta*log(max p_hat).           [DERIVED]
     ds, params, store, cfg = setup_run()
-    records, summary = flatness_audit(ds, params, store, cfg)
+    records, summary = flatness_audit(unlabeled_scores(ds, params, store, cfg), cfg.beta)
     p_hat_n, bound = records[:, 1], records[:, 4]
     assert np.all(p_hat_n >= bound - 1e-9)
     assert summary["n_samples"] == ds.unlabeled_indices.size
@@ -138,19 +129,6 @@ def test_unlabeled_scores_bit_equal_to_forward_trace():
     want = (unl, trace.prediction[rows, n], np.exp(p_tilde_log)[rows, n], total, t)
     got = unlabeled_scores(ds, params, store, cfg)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-def test_precomputed_scores_give_the_same_audits():
-    ds, params, store, cfg = setup_run()
-    scores = unlabeled_scores(ds, params, store, cfg)
-    spec, frac = t_histogram(ds, params, store, cfg)
-    spec2, frac2 = t_histogram(ds, params, store, cfg, scores=scores)
-    np.testing.assert_array_equal(spec.counts, spec2.counts)
-    assert frac == frac2
-    records, summary = flatness_audit(ds, params, store, cfg)
-    records2, summary2 = flatness_audit(ds, params, store, cfg, scores=scores)
-    assert records.tobytes() == records2.tobytes()
-    assert summary == pytest.approx(summary2, nan_ok=True)
 
 
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
@@ -213,7 +191,7 @@ def flatness_by_rows(records):
 
 def test_flatness_csv_bytes_match_format(tmp_path):
     ds, params, store, cfg = setup_run()
-    records, _ = flatness_audit(ds, params, store, cfg)
+    records, _ = flatness_audit(unlabeled_scores(ds, params, store, cfg), cfg.beta)
     records[:len(EDGE_FLOATS), 1] = EDGE_FLOATS
     records[len(EDGE_FLOATS):2 * len(EDGE_FLOATS), 3] = [-v for v in EDGE_FLOATS]
     path = tmp_path / "flatness_audit.csv"
@@ -256,12 +234,12 @@ def test_flatness_csv_bytes_at_block_edges(tmp_path, n_rows):
 
 def test_histogram_csv_bytes_match_csv_writer(tmp_path):
     ds, params, store, cfg = setup_run()
-    spec, _ = t_histogram(ds, params, store, cfg, HistogramSpec(-1.0, 1.0, 10))
-    write_histogram_csv(spec, tmp_path / "new.csv")
-    edges = np.linspace(spec.lower, spec.upper, spec.bins + 1)
+    counts, _ = t_histogram(unlabeled_scores(ds, params, store, cfg)[-1])
+    write_histogram_csv(counts, tmp_path / "new.csv")
+    edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["bin_lower", "bin_upper", "count"])
-        for i in range(spec.bins):
-            w.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(spec.counts[i])])
+        for i in range(HIST_BINS):
+            w.writerow([f"{edges[i]:.9g}", f"{edges[i + 1]:.9g}", int(counts[i])])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -16,7 +16,6 @@ from d2ssl.pseudo import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     D2Config,
-    LossBreakdown,
     PseudoLabelStore,
     d2_loss,
     d2_update_pseudo_batch,
@@ -57,26 +56,26 @@ def test_config_rejects_non_finite(key, value):
 
 def test_loss_breakdown_weights():
     # At p_hat == p_tilde the matching term vanishes: total = beta * H.
-    z = np.array([1.0, -0.5, 0.2])
+    z = np.array([[1.0, -0.5, 0.2]])
     lp = log_softmax(z)
-    out = d2_loss(lp, lp, CFG)
-    assert isinstance(out, LossBreakdown)
-    assert out.l_c == pytest.approx(0.0, abs=1e-12)
-    assert out.total == pytest.approx(CFG.beta * out.l_e, abs=1e-12)
-    assert out.l_e == pytest.approx(float(entropy(np.exp(lp), log_p=lp)), abs=1e-12)
+    l_c, l_e, total = d2_loss(lp, lp, CFG)
+    assert l_c.shape == l_e.shape == total.shape == (1,)
+    assert l_c[0] == pytest.approx(0.0, abs=1e-12)
+    assert total[0] == pytest.approx(CFG.beta * l_e[0], abs=1e-12)
+    assert l_e[0] == pytest.approx(float(entropy(np.exp(lp), log_p=lp)[0]), abs=1e-12)
 
 
 def test_loss_hand_computed_two_class():
     # p_hat = (0.75, 0.25), p_tilde = (0.5, 0.5)            [DERIVED]
     # KL = 0.75 ln 1.5 + 0.25 ln 0.5, H = -(0.75 ln 0.75 + 0.25 ln 0.25)
-    lp_hat = np.log(np.array([0.75, 0.25]))
-    lp_til = np.log(np.array([0.5, 0.5]))
+    lp_hat = np.log(np.array([[0.75, 0.25]]))
+    lp_til = np.log(np.array([[0.5, 0.5]]))
     kl = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
     h = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    out = d2_loss(lp_hat, lp_til, CFG)
-    assert out.l_c == pytest.approx(kl, abs=1e-12)
-    assert out.l_e == pytest.approx(h, abs=1e-12)
-    assert out.total == pytest.approx(0.1 * kl + 0.03 * h, abs=1e-12)
+    l_c, l_e, total = d2_loss(lp_hat, lp_til, CFG)
+    assert l_c[0] == pytest.approx(kl, abs=1e-12)
+    assert l_e[0] == pytest.approx(h, abs=1e-12)
+    assert total[0] == pytest.approx(0.1 * kl + 0.03 * h, abs=1e-12)
 
 
 def test_loss_batched_matches_rowwise():
@@ -85,9 +84,9 @@ def test_loss_batched_matches_rowwise():
     zt = rng.standard_normal((6, 4))
     l_c, l_e, total = d2_loss(log_softmax(zh), log_softmax(zt), CFG)
     for i in range(6):
-        row = d2_loss(log_softmax(zh[i]), log_softmax(zt[i]), CFG)
-        assert l_c[i] == pytest.approx(row.l_c, abs=1e-12)
-        assert total[i] == pytest.approx(row.total, abs=1e-12)
+        row_c, _, row_total = d2_loss(log_softmax(zh[i:i + 1]), log_softmax(zt[i:i + 1]), CFG)
+        assert l_c[i] == pytest.approx(row_c[0], abs=1e-12)
+        assert total[i] == pytest.approx(row_total[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", CLASSIFICATION_LOSSES)
@@ -117,8 +116,7 @@ def test_network_gradient_matches_oracle(variant):
         zt = rng.standard_normal(5)
 
         def loss_of(y):
-            out = d2_loss(log_softmax(y), log_softmax(zt), cfg)
-            return out.total
+            return d2_loss(log_softmax(y[None]), log_softmax(zt[None]), cfg)[2][0]
 
         analytic = grad_wrt_network_logits(
             softmax(zh), log_softmax(zh), log_softmax(zt), cfg
@@ -135,8 +133,7 @@ def test_pseudo_gradient_matches_oracle(variant):
         zt = rng.standard_normal(5)
 
         def loss_of(y):
-            out = d2_loss(log_softmax(zh), log_softmax(y), cfg)
-            return out.total
+            return d2_loss(log_softmax(zh[None]), log_softmax(y[None]), cfg)[2][0]
 
         analytic = grad_wrt_pseudo_logits(softmax(zh), softmax(zt), cfg)
         assert gradient_check(loss_of, zt, analytic, step=1e-5) < 1e-6
@@ -153,9 +150,11 @@ def make_store(n=4, classes=3, frozen_first=True):
 def test_update_frozen_raises():
     store = make_store()
     with pytest.raises(FrozenUpdateError):
-        d2_update_pseudo_batch(store, np.array([0]), softmax(np.zeros((1, 3))), CFG)
+        d2_update_pseudo_batch(store, np.array([0]), softmax(np.zeros((1, 3))), CFG,
+                               store.probs([0]))
     with pytest.raises(FrozenUpdateError):
-        d2_update_pseudo_batch(store, np.array([0, 1]), softmax(np.zeros((2, 3))), CFG)
+        d2_update_pseudo_batch(store, np.array([0, 1]), softmax(np.zeros((2, 3))), CFG,
+                               store.probs([0, 1]))
 
 
 def test_update_moves_toward_prediction():
@@ -163,7 +162,7 @@ def test_update_moves_toward_prediction():
     cfg = D2Config(alpha=0.1, beta=0.03, lam=10.0)
     p_hat = softmax(np.array([[3.0, 0.0, 0.0]]))
     before = softmax(store.logits[1])[0]
-    d2_update_pseudo_batch(store, np.array([1]), p_hat, cfg)
+    d2_update_pseudo_batch(store, np.array([1]), p_hat, cfg, store.probs([1]))
     after = softmax(store.logits[1])[0]
     assert after > before  # pulled toward the sharper prediction
 
@@ -175,25 +174,27 @@ def test_update_conserves_logit_sum(variant):
     store = make_store(frozen_first=False)
     sums = store.logits.sum(axis=1).copy()
     p_hat = softmax(seeded_rng(6).standard_normal((4, 3)))
-    d2_update_pseudo_batch(store, np.arange(4), p_hat, cfg)
+    d2_update_pseudo_batch(store, np.arange(4), p_hat, cfg, store.probs())
     np.testing.assert_allclose(store.logits.sum(axis=1), sums, atol=1e-9)
 
 
 def test_residual_hand_computed():
     # t = (a-b) log p_hat_n - a log p_tilde_n - L at n = argmax p_hat  [DERIVED]
-    lp_hat = np.log(np.array([0.75, 0.25]))
-    lp_til = np.log(np.array([0.5, 0.5]))
-    out = d2_loss(lp_hat, lp_til, CFG)
-    t = convergence_residual(lp_hat, lp_til, out, CFG)
-    expected = 0.07 * np.log(0.75) - 0.1 * np.log(0.5) - out.total
-    assert t == pytest.approx(expected, abs=1e-12)
+    lp_hat = np.log(np.array([[0.75, 0.25]]))
+    lp_til = np.log(np.array([[0.5, 0.5]]))
+    _, _, total = d2_loss(lp_hat, lp_til, CFG)
+    t = convergence_residual(lp_hat, lp_til, total, CFG)
+    expected = 0.07 * np.log(0.75) - 0.1 * np.log(0.5) - total[0]
+    assert t.shape == (1,)
+    assert t[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_residual_argmax_tie_lowest_index():
-    lp = log_softmax(np.array([1.0, 1.0, 0.0]))
-    t = convergence_residual(lp, lp, d2_loss(lp, lp, CFG), CFG)
-    expected = 0.07 * lp[0] - 0.1 * lp[0] - d2_loss(lp, lp, CFG).total
-    assert t == pytest.approx(expected, abs=1e-12)
+    lp = log_softmax(np.array([[1.0, 1.0, 0.0]]))
+    total = d2_loss(lp, lp, CFG)[2]
+    t = convergence_residual(lp, lp, total, CFG)
+    expected = 0.07 * lp[0, 0] - 0.1 * lp[0, 0] - total[0]
+    assert t[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_residual_and_exponential_link_are_the_same_identity():
@@ -203,15 +204,15 @@ def test_residual_and_exponential_link_are_the_same_identity():
     cfg = CFG
     rng = seeded_rng(21)
     for _ in range(10):
-        lp_hat = log_softmax(rng.standard_normal(4))
-        lp_til = log_softmax(rng.standard_normal(4))
-        out = d2_loss(lp_hat, lp_til, cfg)
-        t = convergence_residual(lp_hat, lp_til, out, cfg)
-        n = int(np.argmax(lp_hat))
-        predicted = np.exp(-(out.total + t) / cfg.alpha) * np.exp(lp_hat[n]) ** (
+        lp_hat = log_softmax(rng.standard_normal((1, 4)))
+        lp_til = log_softmax(rng.standard_normal((1, 4)))
+        total = d2_loss(lp_hat, lp_til, cfg)[2][0]
+        t = convergence_residual(lp_hat, lp_til, total, cfg)[0]
+        n = int(np.argmax(lp_hat[0]))
+        predicted = np.exp(-(total + t) / cfg.alpha) * np.exp(lp_hat[0, n]) ** (
             1.0 - cfg.beta / cfg.alpha
         )
-        assert np.exp(lp_til[n]) == pytest.approx(predicted, rel=1e-9)
+        assert np.exp(lp_til[0, n]) == pytest.approx(predicted, rel=1e-9)
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -517,12 +517,12 @@ def test_workspace_steps_bit_equal_to_allocating_steps(sizes, activation, rows):
 def test_workspace_serves_only_its_params_and_batch_size():
     params = init_params([2, 5, 4], "tanh", seeded_rng(0))
     ws = Workspace(params, 10)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"input \(9, 2\) for a workspace of \(10, 2\)"):
         forward(params, np.zeros((9, 2)), ws)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="workspace built for other params"):
         forward(params.copy(), np.zeros((10, 2)), ws)
     trace = forward(params, np.zeros((10, 2)), ws)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="workspace built for other params"):
         backward(params.copy(), trace, ws.dl, ws=ws)
 
 
