@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Paired runs of the full pipeline against the supervised baseline.
 
-For each seed, trains both on the same dataset and prints the test-error
-delta; artifacts for each run land under OUT/seed<k>/{r2d2,baseline}.
+For each seed, trains the pipeline and prints the test-error delta to
+the baseline, which is the run's own stage 1; the metrics of both land
+under OUT/seed<k>/{r2d2,baseline}_metrics.csv.
 
 Usage: python scripts/run_reference.py --out runs/reference [--seeds 5]
        [--dataset gaussians|two_moons] [--key value ...]
@@ -13,9 +14,9 @@ import csv
 import os
 import sys
 
-from d2ssl.cli import ExperimentConfig, build_dataset, parse_config, parse_flags, run_guarded
+from d2ssl.cli import COMPARISON_PRESETS, compare_baseline, parse_flags, run_guarded
 from d2ssl.errors import ConfigurationError
-from d2ssl.trainer import run_r2d2, run_supervised_baseline, write_metrics
+from d2ssl.trainer import write_metrics
 
 
 def parse_args(argv=None):
@@ -23,18 +24,8 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--dataset", default="gaussians",
-                    choices=["gaussians", "two_moons"])
+    ap.add_argument("--dataset", default="gaussians", choices=sorted(COMPARISON_PRESETS))
     return ap.parse_known_args(argv)
-
-
-def build_config(seed: int, dataset: str, overrides: dict[str, str]) -> ExperimentConfig:
-    """The config of one seed: the dataset's defaults, then the --key value
-    flags, parsed and validated like the d2ssl command line's."""
-    base = {"dataset": dataset}
-    if dataset == "two_moons":
-        base.update(layer_sizes="2,64,2,2", stage2_epochs="100,100,100,100")
-    return parse_config("", {**base, **overrides, "seed": str(seed)})
 
 
 def compare(args, extra: list[str]) -> int:
@@ -46,14 +37,7 @@ def compare(args, extra: list[str]) -> int:
         raise ConfigurationError(f"seeds must be at least 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for seed in range(args.seeds):
-        cfg = build_config(seed, args.dataset, overrides)
-        ds = build_dataset(cfg)
-        _, _, m = run_r2d2(ds, cfg.model_sizes(), cfg.activation,
-                           cfg.d2_config(), cfg.schedule_plan(), seed)
-        _, mb = run_supervised_baseline(ds, cfg.model_sizes(), cfg.activation,
-                                        cfg.schedule_plan(), seed)
-        err, err_base = 1 - m[-1].acc_test, 1 - mb[-1].acc_test
+    for seed, err, err_base, m, mb in compare_baseline(args.dataset, args.seeds, overrides):
         seed_dir = os.path.join(args.out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         write_metrics(m, os.path.join(seed_dir, "r2d2_metrics.csv"))

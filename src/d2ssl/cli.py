@@ -28,8 +28,8 @@ from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, head_only_d2, run_r2d2, run_supervised_baseline,
-    write_metrics,
+    SchedulePlan, Stage2Segment, head_only_d2, open_world_filter, run_r2d2,
+    run_supervised_baseline, write_metrics,
 )
 
 log = logging.getLogger(__name__)
@@ -328,12 +328,17 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
         fh.write(f"{frac:.9g}\n")
 
 
-def run_mode_r2d2(cfg: ExperimentConfig, out_dir: str) -> None:
-    dataset = build_dataset(cfg)
-    params, store, metrics = run_r2d2(
+def train_r2d2(cfg: ExperimentConfig, dataset: data_mod.SplitDataset):
+    """run_r2d2 on dataset with cfg's model, loss, schedule and seed."""
+    return run_r2d2(
         dataset, cfg.model_sizes(), cfg.activation,
         cfg.d2_config(), cfg.schedule_plan(), cfg.seed,
     )
+
+
+def run_mode_r2d2(cfg: ExperimentConfig, out_dir: str) -> None:
+    dataset = build_dataset(cfg)
+    params, store, metrics = train_r2d2(cfg, dataset)
     write_metrics(metrics, os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(params, os.path.join(out_dir, "model.d2ck"))
     save_snapshot(store, os.path.join(out_dir, "pseudo.d2pl"))
@@ -368,6 +373,58 @@ def convergence_audit(
     return dataset, params, store, t, d2cfg
 
 
+# compare_baseline's settings per dataset: two moons has two classes and
+# longer joint segments.
+COMPARISON_PRESETS = {
+    "gaussians": {},
+    "two_moons": {"layer_sizes": "2,64,2,2", "stage2_epochs": "100,100,100,100"},
+}
+
+
+def compare_baseline(dataset: str, seeds: int, overrides: dict[str, str]):
+    """R2-D2 against the supervised baseline on seeds 0 to seeds-1, each
+    config the dataset's preset, then overrides, parsed and validated
+    like the command line's. Yields (seed, r2d2 error, baseline error,
+    r2d2 records, baseline records) as each seed finishes. The baseline
+    is the run's own stage 1: run_r2d2 starts with exactly
+    run_supervised_baseline's steps."""
+    for seed in range(seeds):
+        cfg = parse_config("", {"dataset": dataset, **COMPARISON_PRESETS[dataset],
+                                **overrides, "seed": str(seed)})
+        if cfg.stage1_epochs < 1:
+            raise ConfigurationError("the baseline comparison needs stage1_epochs >= 1")
+        _, _, metrics = train_r2d2(cfg, build_dataset(cfg))
+        baseline = [m for m in metrics if m.stage == "stage1"]
+        yield seed, 1 - metrics[-1].acc_test, 1 - baseline[-1].acc_test, metrics, baseline
+
+
+# The open-world study's class spread, OOD row count and discard fraction.
+OPEN_WORLD_SPREAD, OPEN_WORLD_OOD, OPEN_WORLD_DISCARD = 2.0, 660, 0.25
+
+
+def open_world_study(seeds: int, ood_count: int = OPEN_WORLD_OOD,
+                     discard: float = OPEN_WORLD_DISCARD, spread: float = OPEN_WORLD_SPREAD):
+    """Runs without and with the entropy filter on seeds 0 to seeds-1;
+    yields (seed, unfiltered error, filtered error, OOD share of the pool,
+    OOD share of what the filter discards at the end of the filtered run)
+    as each seed finishes."""
+    for seed in range(seeds):
+        err = {}
+        for open_world in (False, True):
+            cfg = parse_config("", {
+                "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
+                "open_world": str(open_world), "discard_fraction": str(discard),
+            })
+            ds = build_dataset(cfg)
+            _, store, metrics = train_r2d2(cfg, ds)
+            err[open_world] = 1 - metrics[-1].acc_test
+        unl = ds.unlabeled_indices
+        dropped = np.setdiff1d(unl, open_world_filter(store, ds, cfg.discard_fraction))
+        pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
+                      for ids in (unl, dropped))
+        yield seed, err[False], err[True], pool, drop
+
+
 ABLATION_AXES = {
     "alpha": ["0.1", "0.2", "0.3", "0.4", "0.5"],
     "beta": ["0.01", "0.02", "0.03", "0.04", "0.05"],
@@ -382,6 +439,8 @@ def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     epochs = _number_list(cfg.stage2_epochs, "stage2_epochs")
     lrs = _number_list(cfg.stage2_lrs, "stage2_lrs", float)
     n_seg = len(epochs)
+    if n_seg == 0:
+        raise ConfigurationError("the strategy cells need at least one stage-2 segment")
     flat_lrs = [lrs[0]] * n_seg
     no_rep, rep = [0] * n_seg, [0] + [1] * (n_seg - 1)
     table = {  # stage 2's (epochs, lrs, repredict) of each variant
@@ -395,28 +454,28 @@ def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     return {name: dict(zip(keys, map(_join, row))) for name, row in table.items()}
 
 
-def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
+def ablation_errors(cfg: ExperimentConfig, cells: dict[str, dict[str, str]]) -> dict[str, float]:
+    """The final test error of each cell: cfg with the cell's overrides,
+    on cfg's dataset. Every cell's config is parsed before any trains."""
+    configs = {
+        name: parse_config("", {**_cfg_as_overrides(cfg), **overrides})
+        for name, overrides in cells.items()
+    }
     dataset = build_dataset(cfg)
-    rows = []
+    return {name: 1.0 - train_r2d2(cell, dataset)[2][-1].acc_test
+            for name, cell in configs.items()}
 
-    def run_cell(name, overrides):
-        cell = parse_config("", {**_cfg_as_overrides(cfg), **overrides})
-        _, _, metrics = run_r2d2(
-            dataset, cell.model_sizes(), cell.activation,
-            cell.d2_config(), cell.schedule_plan(), cell.seed,
-        )
-        rows.append((name, overrides, 1.0 - metrics[-1].acc_test))
 
-    for key, values in ABLATION_AXES.items():
-        for value in values:
-            run_cell(f"{key}={value}", {key: value})
-    for name, overrides in strategy_cells(cfg).items():
-        run_cell(f"strategy:{name}", overrides)
+def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
+    cells = {f"{key}={value}": {key: value}
+             for key, values in ABLATION_AXES.items() for value in values}
+    cells.update((f"strategy:{name}", o) for name, o in strategy_cells(cfg).items())
+    errors = ablation_errors(cfg, cells)
     with open(os.path.join(out_dir, "ablation_summary.csv"), "w") as fh:
         fh.write("cell,overrides,test_error\n")
-        for name, overrides, err in rows:
+        for name, overrides in cells.items():
             txt = ";".join(f"{k}={v}" for k, v in overrides.items())
-            fh.write(f"{name},{txt},{err:.9g}\n")
+            fh.write(f"{name},{txt},{errors[name]:.9g}\n")
 
 
 def run_mode_diagnose(cfg: ExperimentConfig, out_dir: str) -> None:

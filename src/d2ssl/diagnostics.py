@@ -1,6 +1,6 @@
 """Read-only audits over a trained model and pseudo-label store:
-finite-difference gradient checking, residual histograms, flatness
-checks, entropy CDFs, and 2-D feature export.
+residual histograms, flatness checks, entropy CDFs, and 2-D feature
+export.
 
 Each exporter writes a CSV with a one-line header; none of them mutate
 the model or the store.
@@ -8,13 +8,11 @@ the model or the store.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 
 import numpy as np
 
 from .data import SplitDataset, write_csv_columns
-from .errors import ConfigurationError, NumericError
 from .model import ModelParams, forward_features, forward_logits
 from .numerics import entropy, softmax_pair
 from .pseudo import convergence_residual, d2_loss
@@ -26,41 +24,6 @@ HIST_LOWER, HIST_UPPER, HIST_BINS = -0.5, 0.5, 101
 T_CONVERGED = 1e-3
 # The |t| below which flatness_audit counts a sample as converged.
 FLATNESS_CONVERGED = 1e-4
-
-
-def numeric_gradient(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient, the independent oracle itself."""
-    point = np.asarray(point, dtype=np.float64)
-    flat = point.ravel()
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = float(loss_fn(point))
-        flat[i] = orig - step
-        f_minus = float(loss_fn(point))
-        flat[i] = orig
-        out[i] = (f_plus - f_minus) / (2.0 * step)
-    return out.reshape(point.shape)
-
-
-def gradient_check(loss_fn, point: np.ndarray, analytic: np.ndarray, step: float) -> float:
-    """Max relative error between analytic and central-difference
-    gradients of a scalar function at a point.
-
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-8)
-    per coordinate.
-    """
-    def finite_loss(x):
-        value = float(loss_fn(x))
-        if not math.isfinite(value):
-            raise NumericError("non-finite loss during gradient check")
-        return value
-
-    numeric = numeric_gradient(finite_loss, point, step).ravel()
-    analytic = np.asarray(analytic, dtype=np.float64).ravel()
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom, initial=0.0))
 
 
 def unlabeled_scores(dataset, params, store, cfg):
@@ -94,15 +57,13 @@ def t_histogram(t: np.ndarray) -> tuple[np.ndarray, float]:
 
 def flatness_audit(scores, beta: float):
     """Per-sample records for the flatness inequalities, from
-    scores = unlabeled_scores(...) under a loss with entropy weight beta.
+    scores = unlabeled_scores(...) under a loss with entropy weight beta > 0.
 
     Returns (records, summary): records has columns
     (id, p_hat_n, p_tilde_n, loss, exp(-loss/beta), residual); the
     summary reports violation fractions among converged samples
     (|residual| < FLATNESS_CONVERGED).
     """
-    if beta == 0:
-        raise ConfigurationError("flatness bound undefined for beta == 0")
     unl, p_hat_n, p_tilde_n, total, t = scores
     bound = np.exp(-total / beta)
     converged = np.abs(t) < FLATNESS_CONVERGED
@@ -121,10 +82,7 @@ def flatness_audit(scores, beta: float):
 
 def entropy_cdf(probs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """For each threshold, the count of rows with entropy below it."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise ConfigurationError("entropy grid must be strictly increasing")
-    ent = entropy(np.atleast_2d(probs))
+    ent = entropy(probs)
     return np.array([int(np.sum(ent < e)) for e in grid])
 
 

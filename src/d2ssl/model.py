@@ -100,10 +100,6 @@ class ModelParams:
         set_field(self, "head_w", views[-1])
 
     @property
-    def feature_dim(self) -> int:
-        return self.head_w.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.head_w.shape[1]
 

@@ -65,16 +65,11 @@ class PseudoLabelStore:
     def n_classes(self) -> int:
         return self.logits.shape[1]
 
-    def probs(self, ids=None) -> np.ndarray:
-        rows = self.logits if ids is None else self.logits[ids]
-        return softmax(rows)
+    def probs(self, ids) -> np.ndarray:
+        return softmax(self.logits[ids])
 
-    def log_probs(self, ids=None) -> np.ndarray:
-        rows = self.logits if ids is None else self.logits[ids]
-        return log_softmax(rows)
-
-    def copy(self) -> "PseudoLabelStore":
-        return PseudoLabelStore(self.logits.copy(), self.frozen.copy())
+    def log_probs(self, ids) -> np.ndarray:
+        return log_softmax(self.logits[ids])
 
 
 def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
@@ -102,8 +97,6 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
     """Per-sample loss alpha*L_c + beta*L_e from (B, N) log-probabilities,
     as arrays (l_c, l_e, total) of B values each."""
-    p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
-    p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
     if p_hat_log.shape[-1] != p_tilde_log.shape[-1]:
         raise DimensionError("log-probability length mismatch")
     p_hat = np.exp(p_hat_log)
@@ -122,17 +115,14 @@ def grad_wrt_network_logits(
     p_hat_log: np.ndarray,
     p_tilde_log: np.ndarray,
     cfg: D2Config,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Gradient of the total loss with respect to the network logits.
+    """Gradient of the total loss with respect to the network logits of
+    (B, N) batches, written into out.
 
     Closed forms chained through the softmax; entries sum to zero in
-    every variant (softmax gauge). Works on 1-D or batched 2-D inputs.
-    The result is written into out when given.
+    every variant (softmax gauge).
     """
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
-    p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
     if p_hat.shape[-1] != p_tilde_log.shape[-1]:
         raise DimensionError("length mismatch between prediction and pseudo-label")
     a, b = cfg.alpha, cfg.beta
@@ -163,8 +153,6 @@ def grad_wrt_pseudo_logits(
     The entropy term does not involve the pseudo-label, so only the
     matching term contributes. Entries sum to zero in all variants.
     """
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    p_tilde = np.asarray(p_tilde, dtype=np.float64)
     if p_hat.shape[-1] != p_tilde.shape[-1]:
         raise DimensionError("length mismatch between prediction and pseudo-label")
     a = cfg.alpha
@@ -174,11 +162,10 @@ def grad_wrt_pseudo_logits(
         log_ratio = np.log(np.maximum(p_tilde, TINY)) - np.log(np.maximum(p_hat, TINY))
         inner = np.sum(p_tilde * log_ratio, axis=-1, keepdims=True)
         return a * p_tilde * (log_ratio - inner)
-    if cfg.classification_loss == "squared_l2":
-        diff = p_tilde - p_hat
-        inner = np.sum(p_tilde * diff, axis=-1, keepdims=True)
-        return 2.0 * a * p_tilde * (diff - inner)
-    raise ConfigurationError(f"unknown classification loss {cfg.classification_loss!r}")
+    # squared_l2
+    diff = p_tilde - p_hat
+    inner = np.sum(p_tilde * diff, axis=-1, keepdims=True)
+    return 2.0 * a * p_tilde * (diff - inner)
 
 
 def d2_update_pseudo_batch(
@@ -190,7 +177,6 @@ def d2_update_pseudo_batch(
 ) -> None:
     """Gradient step for several unfrozen samples at once; p_tilde is
     softmax(store.logits[ids]), which every caller already has."""
-    ids = np.asarray(ids)
     if store.frozen[ids].any():
         raise FrozenUpdateError("batch contains frozen samples")
     rows = np.take(store.logits, ids, axis=0)  # the rows logits[ids] gives, faster
@@ -216,8 +202,6 @@ def convergence_residual(
     row of (B, N) log-probabilities, at the arg-max class n of the
     prediction (ties to the lowest index, a NaN counting as the maximum,
     as np.argmax does)."""
-    p_hat_log = np.asarray(p_hat_log, dtype=np.float64)
-    p_tilde_log = np.asarray(p_tilde_log, dtype=np.float64)
     a, b = cfg.alpha, cfg.beta
     # A pass per class over the class columns, which are whole rows of
     # a class-major softmax: no copy back to rows and no fancy gather.
@@ -230,8 +214,7 @@ def convergence_residual(
         np.logical_not(wins, out=wins)
         np.putmask(best, wins, hat)
         np.putmask(pick, wins, tilde)
-    total = np.asarray(loss_total, dtype=np.float64)
-    return (a - b) * best - a * pick - total
+    return (a - b) * best - a * pick - loss_total
 
 
 def _snapshot_record(n_classes: int) -> np.dtype:

@@ -332,8 +332,6 @@ def open_world_filter(
 ) -> np.ndarray:
     """Active unlabeled indices after discarding the highest-entropy
     fraction of the pool (ties discarded at the lowest sample id)."""
-    if not 0.0 <= discard_fraction < 1.0:
-        raise ConfigurationError("discard_fraction must be in [0, 1)")
     unl = dataset.unlabeled_indices
     if discard_fraction == 0.0 or unl.size == 0:
         return unl.copy()
@@ -422,7 +420,7 @@ def stage2_d2(
     cfg: D2Config,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
-    _check_unlabeled_batch(dataset, plan)
+    """The joint segments; run_r2d2 checks the unlabeled batch first."""
     lab = dataset.labeled_indices
     unl = dataset.unlabeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
@@ -499,6 +497,13 @@ def stage2_d2(
             extra = _stage2_epoch_metrics(
                 store, cfg, active_unl, unl_logits, drift_base
             )
+            for column, value in extra.items():
+                if not math.isfinite(value):
+                    # Name the params when a step left them non-finite.
+                    _check_params(params, f"stage2 epoch {epoch_global}")
+                    raise NumericError(
+                        f"non-finite {column} at stage2 epoch {epoch_global}: {value}"
+                    )
             records.append(MetricsRecord(
                 "stage2", epoch_global, segment.lr,
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,

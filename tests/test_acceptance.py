@@ -18,15 +18,18 @@ import pytest
 
 from d2ssl.cli import (
     ExperimentConfig,
-    _cfg_as_overrides,
+    ablation_errors,
     build_dataset,
+    compare_baseline,
     convergence_audit,
     main,
+    open_world_study,
     parse_config,
     strategy_cells,
+    train_r2d2,
 )
-from d2ssl.data import OOD_CLASS, load_idx
-from d2ssl.diagnostics import gradient_check
+from d2ssl.data import load_idx
+from d2ssl.diagnostics import unlabeled_scores
 from d2ssl.errors import FormatError
 from d2ssl.model import backward, forward, init_params
 from d2ssl.numerics import log_softmax, seeded_rng, softmax
@@ -37,11 +40,7 @@ from d2ssl.pseudo import (
     grad_wrt_network_logits,
     grad_wrt_pseudo_logits,
 )
-from d2ssl.trainer import (
-    open_world_filter,
-    run_r2d2,
-    run_supervised_baseline,
-)
+from gradient_oracle import gradient_check
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -54,10 +53,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def run_experiment(**overrides):
     cfg = ExperimentConfig(**overrides)
     ds = build_dataset(cfg)
-    params, store, metrics = run_r2d2(
-        ds, cfg.model_sizes(), cfg.activation,
-        cfg.d2_config(), cfg.schedule_plan(), cfg.seed,
-    )
+    params, store, metrics = train_r2d2(cfg, ds)
     return cfg, ds, params, store, metrics
 
 
@@ -88,8 +84,8 @@ def test_criterion_01_gradient_oracles():
 
         worst = max(worst, gradient_check(
             net_loss, zh,
-            grad_wrt_network_logits(softmax(zh), log_softmax(zh),
-                                    log_softmax(zt), cfg),
+            grad_wrt_network_logits(softmax(zh[None]), log_softmax(zh[None]),
+                                    log_softmax(zt[None]), cfg, np.empty((1, 5))),
             step=1e-5,
         ))
         worst = max(worst, gradient_check(
@@ -113,7 +109,7 @@ def test_criterion_01_gradient_oracles():
 
         trace = forward(params, x)
         dl = grad_wrt_network_logits(
-            trace.prediction, trace.log_prediction, p_tilde_log, cfg
+            trace.prediction, trace.log_prediction, p_tilde_log, cfg, np.empty((4, 3))
         )
         grads = backward(params, trace, dl)
         for k, tensor in enumerate(params.tensors()):
@@ -158,19 +154,8 @@ def converged_population():
     frozen after the warm-up, 5000 full-batch steps on the head weights
     and pseudo-logits."""
     ds, params, store, t, d2 = convergence_audit(parse_config("", {"seed": "0"}))
-    unl = ds.unlabeled_indices
-    trace = forward(params, ds.features[unl])
-    p_tilde = store.probs(unl)
-    rows = np.arange(unl.size)
-    n = np.argmax(trace.log_prediction, axis=1)
-    _, _, total = d2_loss(trace.log_prediction, store.log_probs(unl), d2)
-    return {
-        "cfg": d2,
-        "t": t,
-        "p_hat_n": trace.prediction[rows, n],
-        "p_tilde_n": p_tilde[rows, n],
-        "loss": total,
-    }
+    _, p_hat_n, p_tilde_n, loss, _ = unlabeled_scores(ds, params, store, d2)
+    return {"cfg": d2, "t": t, "p_hat_n": p_hat_n, "p_tilde_n": p_tilde_n, "loss": loss}
 
 
 def test_criterion_03_residual_convergence(converged_population):
@@ -239,25 +224,10 @@ def test_criterion_06_reprediction_lowers_pseudo_entropy():
 def test_criterion_07_ssl_gain():
     """Full pipeline beats the supervised baseline on >= 4/5 seeds on
     the reference Gaussian config and on two-moons."""
-    results = {}
-    for name, extra in [
-        ("gaussians", {}),
-        ("two_moons", {"dataset": "two_moons", "layer_sizes": "2,64,2,2",
-                       "stage2_epochs": "100,100,100,100"}),
-    ]:
-        wins = 0
-        for seed in range(5):
-            cfg = ExperimentConfig(seed=seed, **extra)
-            ds = build_dataset(cfg)
-            _, _, m = run_r2d2(
-                ds, cfg.model_sizes(), cfg.activation,
-                cfg.d2_config(), cfg.schedule_plan(), seed,
-            )
-            _, mb = run_supervised_baseline(
-                ds, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), seed,
-            )
-            wins += (1 - m[-1].acc_test) < (1 - mb[-1].acc_test)
-        results[name] = wins
+    results = {
+        name: sum(err < err_base for _, err, err_base, *_ in compare_baseline(name, 5, {}))
+        for name in ("gaussians", "two_moons")
+    }
     ok = all(w >= 4 for w in results.values())
     report(7, ok, f"SSL wins: gaussians {results['gaussians']}/5, "
                   f"two_moons {results['two_moons']}/5 (need >= 4/5 each)")
@@ -271,15 +241,7 @@ def test_criterion_08_strategy_table():
     {stage2 only} >= {+repeat} >= {full} with the full schedule
     strictly beating plain repetition."""
     base = ExperimentConfig(seed=0, gauss_spread=2.0)
-    ds = build_dataset(base)
-    errors = {}
-    for name, overrides in strategy_cells(base).items():
-        cell = parse_config("", {**_cfg_as_overrides(base), **overrides})
-        _, _, m = run_r2d2(
-            ds, cell.model_sizes(), cell.activation,
-            cell.d2_config(), cell.schedule_plan(), cell.seed,
-        )
-        errors[name] = 1 - m[-1].acc_test
+    errors = ablation_errors(base, strategy_cells(base))
     table = ", ".join(f"{k}={v:.4f}" for k, v in errors.items())
     a, b, e = errors["a_stage2_only"], errors["b_repeat"], errors["e_full"]
     report(8, a >= b >= e and b > e, f"full table: {table}; "
@@ -310,26 +272,9 @@ def test_criterion_10_open_world_filter():
     """25% injected OOD unlabeled samples: the discarded set is
     OOD-enriched on 5/5 seeds, and filtered error <= unfiltered error
     on >= 3/5 seeds."""
-    enrich = 0
-    not_worse = 0
-    for seed in range(5):
-        err = {}
-        kept = {}
-        for tag, ow in [("unfiltered", False), ("filtered", True)]:
-            cfg, ds, _, store, metrics = run_experiment(
-                seed=seed, gauss_spread=2.0, ood_count=660,
-                open_world=ow, discard_fraction=0.25,
-            )
-            err[tag] = 1 - metrics[-1].acc_test
-            kept[tag] = (ds, store)
-        ds, store = kept["filtered"]
-        unl = ds.unlabeled_indices
-        keep = open_world_filter(store, ds, 0.25)
-        dropped = np.setdiff1d(unl, keep)
-        pool_frac = float(np.mean(ds.true_classes[unl] == OOD_CLASS))
-        drop_frac = float(np.mean(ds.true_classes[dropped] == OOD_CLASS))
-        enrich += drop_frac > pool_frac
-        not_worse += err["filtered"] <= err["unfiltered"]
+    rows = list(open_world_study(5))
+    enrich = sum(drop_frac > pool_frac for *_, pool_frac, drop_frac in rows)
+    not_worse = sum(filtered <= unfiltered for _, unfiltered, filtered, *_ in rows)
     report(
         10,
         enrich == 5 and not_worse >= 3,

@@ -1,6 +1,5 @@
 """Config parsing, CLI modes, exit codes, and artifact replay."""
 
-import importlib.util
 import logging
 import os
 import re
@@ -366,6 +365,11 @@ def diagnose_argv(tmp_path, sizes="2,64,2,4", store_rows=None, csv_line=None):
 def test_main_diagnose_consistent_inputs(tmp_path):
     assert main(diagnose_argv(tmp_path)) == EXIT_OK
     assert (tmp_path / "diag" / "features.csv").exists()
+    # With beta 0 the flatness bound exp(-loss/beta) is undefined, and
+    # the flatness audit is skipped.
+    assert main(diagnose_argv(tmp_path) + ["--out", str(tmp_path / "b0"), "--beta", "0"]) == 0
+    assert (tmp_path / "b0" / "t_histogram.csv").exists()
+    assert not (tmp_path / "b0" / "flatness_audit.csv").exists()
 
 
 @pytest.mark.parametrize("case,message", [
@@ -411,6 +415,31 @@ def test_main_ablation(tmp_path):
     assert "strategy:e_full" in names
     # 5 + 5 + 5 + 3 axis cells plus 5 strategy cells
     assert len(names) == 23
+
+
+def test_main_ablation_without_stage2_segments_exits_config(tmp_path, monkeypatch, capsys):
+    # The strategy cells vary the stage-2 segments; with none there is no
+    # table, and the run stops before any cell trains.
+    def no_training(*args):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(cli, "run_r2d2", no_training)
+    extra = {"stage2_epochs": "", "stage2_lrs": "", "stage2_repredict": ""}
+    assert main(tiny_args("ablation", tmp_path, extra)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: the strategy cells need at least one stage-2 segment\n")
+    assert not (tmp_path / "ablation_summary.csv").exists()
+
+
+def test_main_non_finite_stage2_metric_exits_numeric(tmp_path, capsys):
+    # A pseudo-logit step this large overflows the pseudo-logits, and the
+    # residual columns of the epoch turn NaN while every loss stays finite.
+    extra = {"alpha": "0.9", "lam": "1.7e308", "stage2_epochs": "2",
+             "stage2_lrs": "0.01", "stage2_repredict": "0"}
+    assert main(tiny_args("r2d2", tmp_path, extra)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric abort: non-finite t_abs_p50 at stage2 epoch 1: nan\n")
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_alpha_not_above_beta_warns_once_per_parsed_config(tmp_path, monkeypatch, caplog):
@@ -515,15 +544,24 @@ def test_out_in_config_file_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "envout").exists()
 
 
-def test_reference_script_parses_flags_like_the_cli():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_reference.py"
-    spec = importlib.util.spec_from_file_location("run_reference", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    cfg = script.build_config(3, "gaussians", {"open_world": "false", "alpha": "0.2"})
-    assert cfg.open_world is False
-    assert (cfg.seed, cfg.alpha) == (3, 0.2)
-    moons = script.build_config(0, "two_moons", {})
-    assert moons.layer_sizes == "2,64,2,2"
+def test_reference_script_parses_flags_like_the_cli(monkeypatch):
+    # scripts/run_reference.py hands its --key value flags to compare_baseline.
+    runs = []
+
+    def run_r2d2(dataset, sizes, activation, d2cfg, plan, seed):
+        runs.append((dataset.n_samples, sizes, d2cfg, plan, seed))
+        return None, None, [MetricsRecord("stage1", 0, 0.0, acc_test=1.0)]
+
+    monkeypatch.setattr(cli, "run_r2d2", run_r2d2)
+    flags = {"open_world": "false", "alpha": "0.2", "gauss_per_class": "30"}
+    assert [row[:3] for row in cli.compare_baseline("gaussians", 2, flags)] == [
+        (0, 0.0, 0.0), (1, 0.0, 0.0)]
+    (n, sizes, d2cfg, plan, seed), _ = runs
+    assert (n, sizes, d2cfg.alpha, plan.open_world, seed) == (120, [2, 64, 2, 4], 0.2, False, 0)
+    runs.clear()
+    assert len(list(cli.compare_baseline("two_moons", 1, {"moons_per_class": "30"}))) == 1
+    (n, sizes, _, plan, _), = runs
+    assert (n, sizes) == (60, [2, 64, 2, 2])
+    assert [s.epochs for s in plan.stage2_segments] == [100, 100, 100, 100]
     with pytest.raises(ConfigurationError):
-        script.build_config(0, "gaussians", {"open_world": "maybe"})
+        next(cli.compare_baseline("gaussians", 1, {"open_world": "maybe"}))

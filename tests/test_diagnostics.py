@@ -1,4 +1,5 @@
-"""Diagnostics: oracle helpers, audits, and CSV exporters."""
+"""Diagnostics: audits and CSV exporters, and the finite-difference
+oracle of gradient_oracle.py that the gradient tests use."""
 
 import csv
 
@@ -13,19 +14,18 @@ from d2ssl.diagnostics import (
     entropy_cdf,
     export_features,
     flatness_audit,
-    gradient_check,
-    numeric_gradient,
     t_histogram,
     unlabeled_scores,
     write_flatness_csv,
     write_histogram_csv,
 )
-from d2ssl.errors import ConfigurationError, NumericError
+from d2ssl.errors import NumericError
 from d2ssl.model import forward, init_params
 from d2ssl.numerics import seeded_rng
 from d2ssl.pseudo import (
     D2Config, convergence_residual, d2_loss, init_pseudo_labels,
 )
+from gradient_oracle import gradient_check, numeric_gradient
 
 CENTERS = 3.0 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
@@ -71,12 +71,6 @@ def test_t_histogram_counts_and_fraction():
     assert 0.0 <= frac <= 1.0
 
 
-def test_flatness_audit_beta_zero_error():
-    ds, params, store, cfg = setup_run()
-    with pytest.raises(ConfigurationError):
-        flatness_audit(unlabeled_scores(ds, params, store, cfg), 0.0)
-
-
 def test_flatness_audit_universal_bound():
     # p_hat_n >= exp(-L/beta) holds for every sample, converged or not,
     # because L >= beta*H >= -beta*log(max p_hat).           [DERIVED]
@@ -92,8 +86,6 @@ def test_entropy_cdf_monotone():
     grid = np.array([0.01, 0.4, 0.8])
     cdf = entropy_cdf(probs, grid)
     np.testing.assert_array_equal(cdf, [1, 2, 3])
-    with pytest.raises(ConfigurationError):
-        entropy_cdf(probs, np.array([0.5, 0.4]))
 
 
 def test_export_features_2d(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2ssl.diagnostics import numeric_gradient
 from d2ssl.errors import ConfigurationError, DimensionError, FormatError
 from d2ssl.model import (
     CHECKPOINT_MAGIC,
@@ -24,6 +23,7 @@ from d2ssl.model import (
     save_checkpoint,
 )
 from d2ssl.numerics import seeded_rng
+from gradient_oracle import numeric_gradient
 
 
 def small_params(activation="tanh", seed=0):
@@ -33,7 +33,7 @@ def small_params(activation="tanh", seed=0):
 def test_init_shapes_and_determinism():
     p = small_params()
     assert p.layer_sizes == [2, 5, 3, 4]
-    assert p.feature_dim == 3 and p.n_classes == 4
+    assert p.n_classes == 4
     assert p.layers[0].weight.shape == (2, 5)
     assert p.layers[1].weight.shape == (5, 3)
     assert p.head_w.shape == (3, 4)

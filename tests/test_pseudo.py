@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from d2ssl.diagnostics import gradient_check
 from d2ssl.errors import ConfigurationError, FormatError, FrozenUpdateError
+from gradient_oracle import gradient_check
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
     CLASSIFICATION_LOSSES,
@@ -94,7 +94,8 @@ def test_loss_batched_matches_rowwise():
 @settings(max_examples=60, deadline=None)
 def test_network_gradient_gauge_sum_zero(variant, zh, zt):
     cfg = D2Config(alpha=0.1, beta=0.03, classification_loss=variant)
-    g = grad_wrt_network_logits(softmax(zh), log_softmax(zh), log_softmax(zt), cfg)
+    g = grad_wrt_network_logits(softmax(zh[None]), log_softmax(zh[None]),
+                                log_softmax(zt[None]), cfg, np.empty((1, 4)))
     assert abs(g.sum()) < 1e-10
 
 
@@ -119,7 +120,8 @@ def test_network_gradient_matches_oracle(variant):
             return d2_loss(log_softmax(y[None]), log_softmax(zt[None]), cfg)[2][0]
 
         analytic = grad_wrt_network_logits(
-            softmax(zh), log_softmax(zh), log_softmax(zt), cfg
+            softmax(zh[None]), log_softmax(zh[None]), log_softmax(zt[None]), cfg,
+            np.empty((1, 5)),
         )
         assert gradient_check(loss_of, zh, analytic, step=1e-5) < 1e-6
 
@@ -174,7 +176,7 @@ def test_update_conserves_logit_sum(variant):
     store = make_store(frozen_first=False)
     sums = store.logits.sum(axis=1).copy()
     p_hat = softmax(seeded_rng(6).standard_normal((4, 3)))
-    d2_update_pseudo_batch(store, np.arange(4), p_hat, cfg, store.probs())
+    d2_update_pseudo_batch(store, np.arange(4), p_hat, cfg, store.probs(np.arange(4)))
     np.testing.assert_allclose(store.logits.sum(axis=1), sums, atol=1e-9)
 
 
@@ -342,8 +344,9 @@ def test_loss_and_gradients_bit_equal_on_class_major_inputs(n_classes, variant):
     for got, want in zip(d2_loss(p_hat_log, p_tilde_log, cfg),
                          d2_loss(c(p_hat_log), c(p_tilde_log), cfg)):
         assert got.tobytes() == want.tobytes()
-    got = grad_wrt_network_logits(p_hat, p_hat_log, p_tilde_log, cfg)
-    want = grad_wrt_network_logits(c(p_hat), c(p_hat_log), c(p_tilde_log), cfg)
+    got = grad_wrt_network_logits(p_hat, p_hat_log, p_tilde_log, cfg, np.empty(p_hat.shape))
+    want = grad_wrt_network_logits(c(p_hat), c(p_hat_log), c(p_tilde_log), cfg,
+                                   np.empty(p_hat.shape))
     assert got.tobytes() == want.tobytes()
     got = grad_wrt_pseudo_logits(p_hat, p_tilde, cfg)
     want = grad_wrt_pseudo_logits(c(p_hat), c(p_tilde), cfg)

@@ -2,10 +2,13 @@
 in exit code 2 with the command line's message rather than a traceback."""
 
 import csv
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from d2ssl import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,13 +25,29 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# The outputs of the one-seed runs, pinned before the two study loops
+# moved into d2ssl.cli.
+REFERENCE_SHA256 = {
+    "comparison.csv": "b4468280eb617a80e393a90d92907f04a54d7acb3ae91cea7b2ec45cc53c61a1",
+    "seed0/r2d2_metrics.csv": "81e469281d8ba7d3358891143ced8924d734adc5b21ffa561fb77d56ef4c8f00",
+    "seed0/baseline_metrics.csv":
+        "19c8ec33c523b1c2cad9fedf59d954a12e7d0ca85d24ba6492eaa9bf16ccf2de",
+}
+OPEN_WORLD_SHA256 = "2f6335539e442323830fe227febe7eb2325fd2e9699413d50454798f5bac2573"
+
+
 def test_run_reference_one_seed(tmp_path):
     assert load("run_reference").main(["--out", str(tmp_path), "--seeds", "1"]) == 0
     (row,) = read_rows(tmp_path / "comparison.csv")
     assert row["seed"] == "0"
     err, base = float(row["r2d2_error"]), float(row["baseline_error"])
     assert float(row["delta"]) == pytest.approx(base - err)
-    assert (tmp_path / "seed0" / "r2d2_metrics.csv").exists()
+    for name, digest in REFERENCE_SHA256.items():
+        assert sha256(tmp_path / name) == digest, name
 
 
 def test_run_open_world_one_seed(tmp_path):
@@ -40,6 +59,7 @@ def test_run_open_world_one_seed(tmp_path):
         assert 0.0 <= float(row[key]) <= 1.0, key
     # 660 OOD rows in a pool of about 2000 known ones
     assert 0.2 < float(row["pool_ood_fraction"]) < 0.3
+    assert sha256(tmp_path / "open_world.csv") == OPEN_WORLD_SHA256
 
 
 def test_run_convergence_audit_few_steps(tmp_path):
@@ -86,10 +106,20 @@ def test_run_reference_makes_out_before_training(tmp_path, monkeypatch, capsys):
     def no_training(*args):
         raise AssertionError("trained before making --out")
 
-    monkeypatch.setattr(script, "run_r2d2", no_training)
+    monkeypatch.setattr(cli, "run_r2d2", no_training)
     (tmp_path / "file").write_text("")
     assert script.main(["--out", str(tmp_path / "file" / "out"), "--seeds", "1"]) == 3
     assert capsys.readouterr().err.startswith("I/O error:")
+
+
+def test_run_reference_without_stage1_exits_config(tmp_path, capsys):
+    # The baseline is stage 1; with no stage-1 epoch it has no test error.
+    out = tmp_path / "out"
+    assert load("run_reference").main(["--out", str(out), "--seeds", "1",
+                                       "--stage1_epochs", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the baseline comparison needs stage1_epochs >= 1\n")
+    assert not (out / "comparison.csv").exists()
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -1,0 +1,61 @@
+"""No test-only code in src/: every name a module of d2ssl defines, at
+its top level or in one of its classes, is read somewhere in the
+program (src/, scripts/ or bench/) or exported in d2ssl.__all__. Code
+that only tests reach belongs under tests/."""
+
+import ast
+from pathlib import Path
+
+import d2ssl
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = ("src", "scripts", "bench")
+
+
+def _targets(node):
+    """The names a def, class or assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def defined_names(tree):
+    """(name, line) of each name bound at the top level of a module or
+    of one of its classes, dunders left out."""
+    out = []
+    for node in tree.body:
+        out += [(name, node.lineno) for name in _targets(node)]
+        if isinstance(node, ast.ClassDef):
+            out += [(name, item.lineno) for item in node.body for name in _targets(item)]
+    return [(name, line) for name, line in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def read_names(tree):
+    """Every name read as an ast.Name or an ast.Attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_name_in_src_is_used_by_the_program():
+    program = [path for top in PROGRAM for path in sorted((ROOT / top).rglob("*.py"))
+               if not path.name.startswith("test_")]
+    used = set(d2ssl.__all__)
+    for path in program:
+        used |= read_names(ast.parse(path.read_text()))
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted((ROOT / "src" / "d2ssl").glob("*.py"))
+        for name, line in defined_names(ast.parse(path.read_text()))
+        if name not in used
+    ]
+    assert not unused, "defined in src/ but read only by tests: " + ", ".join(unused)

@@ -1,5 +1,7 @@
 """Scheduler, optimizer, filtering, and pipeline behavior tests."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,34 @@ def test_frozen_rows_never_move():
     expected[np.arange(lab.size), ds.true_classes[lab]] = cfg.init_scale
     np.testing.assert_array_equal(store.logits[lab], expected)
     assert store.frozen[lab].all()
+
+
+@pytest.mark.parametrize("open_world", [False, True])
+def test_run_r2d2_stage1_is_the_supervised_baseline(monkeypatch, open_world):
+    """run_r2d2 starts with exactly run_supervised_baseline's steps, so
+    its stage-1 records and its params after stage 1 are the baseline's,
+    bit for bit; the baseline comparison reads the baseline from them."""
+    ds = tiny_dataset()
+    if open_world:
+        ood = gen_gaussians(1, 2, 30, np.zeros((1, 2)), 1.0, seeded_rng(9))
+        ds = inject_ood(ds, ood, 20, seeded_rng(9))
+    plan = tiny_plan(open_world=open_world, discard_fraction=0.2)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
+    base_params, base_records = run_supervised_baseline(ds, [2, 8, 3, 4], "tanh", plan, seed=5)
+
+    after_stage1 = []
+
+    def stage1_spy(*args):
+        params, records = stage1_supervised(*args)
+        after_stage1.append(params.copy())
+        return params, records
+
+    monkeypatch.setattr(trainer, "stage1_supervised", stage1_spy)
+    _, _, records = run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=5)
+    stage1 = [r for r in records if r.stage == "stage1"]
+    assert len(stage1) == len(base_records) == plan.stage1_epochs
+    assert [repr(astuple(r)) for r in stage1] == [repr(astuple(r)) for r in base_records]
+    assert after_stage1[0].flat.tobytes() == base_params.flat.tobytes()
 
 
 def test_numeric_abort_on_divergence():
@@ -555,10 +585,10 @@ def _per_batch_stage2(ds, params, store, plan, cfg, rng):
                 p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
                 p, log_p = trace.prediction, trace.log_prediction
                 dl = np.empty_like(p)
-                dl[:n_lab] = grad_wrt_network_logits(
-                    p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled)
-                dl[n_lab:] = grad_wrt_network_logits(
-                    p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg)
+                grad_wrt_network_logits(
+                    p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled, dl[:n_lab])
+                grad_wrt_network_logits(
+                    p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg, dl[n_lab:])
                 dl /= n_lab + n_unl
                 backward(params, trace, dl, out=state.grads)
                 sgd_nesterov_step(state, segment.lr)
@@ -591,7 +621,8 @@ def test_epoch_pseudo_step_equals_per_batch_steps(loss, n_classes, open_world, l
                    labeled_full_loss=labeled_full_loss)
     params = init_params([2, 8, 3, n_classes], "tanh", seeded_rng(2))
     store = init_pseudo_labels(ds, params, cfg)
-    want_params, want_store = params.copy(), store.copy()
+    want_params = params.copy()
+    want_store = PseudoLabelStore(store.logits.copy(), store.frozen.copy())
     want = _per_batch_stage2(ds, want_params, want_store, plan, cfg, seeded_rng(3))
     params, store, records = stage2_d2(ds, params, store, plan, cfg, seeded_rng(3))
     assert params.flat.tobytes() == want_params.flat.tobytes()
