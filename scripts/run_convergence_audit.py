@@ -17,10 +17,13 @@ from d2ssl.cli import (
     AUDIT_LAM, AUDIT_LR, AUDIT_STEPS, _emit_diagnostics, convergence_audit, parse_config,
     run_guarded,
 )
+from d2ssl.errors import ConfigurationError
 
 
 def audit(args) -> int:
     cfg = parse_config("", {"seed": str(args.seed), "out": args.out})
+    if args.steps < 0:
+        raise ConfigurationError(f"steps must be at least 0, got {args.steps}")
     os.makedirs(args.out, exist_ok=True)
     ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, args.lam)
     frac = float(np.mean(np.abs(t) < 1e-3))

@@ -15,9 +15,12 @@ import sys
 from d2ssl.cli import (
     OPEN_WORLD_DISCARD, OPEN_WORLD_OOD, OPEN_WORLD_SPREAD, open_world_study, run_guarded,
 )
+from d2ssl.errors import ConfigurationError
 
 
 def study(args) -> int:
+    if args.seeds < 1:
+        raise ConfigurationError(f"seeds must be at least 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for row in open_world_study(args.seeds, args.ood_count, args.discard, args.spread):

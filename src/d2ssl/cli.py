@@ -141,10 +141,19 @@ class ExperimentConfig:
         return _number_list(self.layer_sizes, "layer_sizes")
 
     def check_dataset(self) -> None:
-        """Reject dataset settings build_dataset cannot use. Class and
-        per-class sample counts are checked where the data is built."""
+        """Reject dataset settings build_dataset cannot use. The split's
+        class counts and the width and classes of idx data are checked
+        once the data is built."""
+        if self.dataset not in ("gaussians", "two_moons", "idx"):
+            raise ConfigurationError(f"unknown dataset {self.dataset!r}")
+        if self.dataset == "idx" and not (self.idx_images and self.idx_labels):
+            raise ConfigurationError("idx dataset requires idx_images and idx_labels")
+        # A per-class count is checked for the dataset it builds only, so
+        # old resolved configs still replay.
+        per_class = {"gaussians": {"gauss_per_class": 1}, "two_moons": {"moons_per_class": 1}}
         least = {"seed": 0, "gauss_classes": 1, "gauss_dim": 1, "labeled_per_class": 0,
-                 "ood_count": 0, "gauss_spread": 0.0, "moons_noise": 0.0}
+                 "ood_count": 0, "gauss_spread": 0.0, "moons_noise": 0.0,
+                 **per_class.get(self.dataset, {})}
         for key, low in least.items():
             value = getattr(self, key)
             if not low <= value < math.inf:
@@ -238,6 +247,15 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     shape = {"gaussians": (cfg.gauss_dim, cfg.gauss_classes), "two_moons": (2, 2)}
     if cfg.dataset in shape:
         cfg.check_layer_sizes(*shape[cfg.dataset])
+    if cfg.dataset == "gaussians":  # after the sizes, which bound the centers' count
+        centers = _gauss_centers(cfg.gauss_classes, cfg.gauss_dim, cfg.gauss_center_scale)
+        for i in range(cfg.gauss_classes - 1):
+            # np.allclose(centers[i], centers[j]) for every later class j at once
+            same = np.isclose(centers[i], centers[i + 1:]).all(axis=1)
+            if same.any():
+                raise ConfigurationError(
+                    f"duplicate centers for classes {i} and {i + 1 + int(np.argmax(same))}: "
+                    f"gauss_center_scale {cfg.gauss_center_scale} in gauss_dim {cfg.gauss_dim}")
     if cfg.alpha <= cfg.beta:
         # Deliberately a warning, once per parsed config: the failure
         # mode itself is studied.
@@ -284,13 +302,9 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
         )
     elif cfg.dataset == "two_moons":
         raw = data_mod.gen_two_moons(cfg.moons_per_class, cfg.moons_noise, rng)
-    elif cfg.dataset == "idx":
-        if not cfg.idx_images or not cfg.idx_labels:
-            raise ConfigurationError("idx dataset requires idx_images and idx_labels")
+    else:  # idx
         raw = data_mod.load_idx(cfg.idx_images, cfg.idx_labels)
         cfg.check_layer_sizes(raw.dim, raw.n_classes)
-    else:
-        raise ConfigurationError(f"unknown dataset {cfg.dataset!r}")
     ds = data_mod.split(raw, cfg.labeled_per_class, cfg.test_fraction, rng)
     if cfg.ood_count > 0:
         source = data_mod.gen_gaussians(
@@ -363,11 +377,11 @@ def convergence_audit(
     3-5): the supervised warm-up, pseudo-labels from its head, then
     head_only_d2 with the backbone frozen, under cfg's loss with pseudo
     step lam. Returns (dataset, params, store, residual, loss config)."""
+    d2cfg = replace(cfg.d2_config(), lam=lam)  # checked before the warm-up trains
     dataset = build_dataset(cfg)
     params, _ = run_supervised_baseline(
         dataset, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), cfg.seed,
     )
-    d2cfg = replace(cfg.d2_config(), lam=lam)
     store = init_pseudo_labels(dataset, params, d2cfg)
     params, store, t = head_only_d2(dataset, params, store, d2cfg, steps, lr)
     return dataset, params, store, t, d2cfg
@@ -409,13 +423,14 @@ def open_world_study(seeds: int, ood_count: int = OPEN_WORLD_OOD,
     OOD share of what the filter discards at the end of the filtered run)
     as each seed finishes."""
     for seed in range(seeds):
+        configs = {open_world: parse_config("", {
+            "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
+            "open_world": str(open_world), "discard_fraction": str(discard),
+        }) for open_world in (False, True)}
+        # Neither open_world nor discard_fraction enters build_dataset.
+        ds = build_dataset(configs[False])
         err = {}
-        for open_world in (False, True):
-            cfg = parse_config("", {
-                "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
-                "open_world": str(open_world), "discard_fraction": str(discard),
-            })
-            ds = build_dataset(cfg)
+        for open_world, cfg in configs.items():
             _, store, metrics = train_r2d2(cfg, ds)
             err[open_world] = 1 - metrics[-1].acc_test
         unl = ds.unlabeled_indices

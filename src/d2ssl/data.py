@@ -193,17 +193,9 @@ def gen_gaussians(
     spread: float,
     rng: np.random.Generator,
 ) -> SplitDataset:
-    """Isotropic Gaussian blobs, one per class, all initially unsplit
-    (role unlabeled until split() assigns roles)."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape != (n_classes, dim):
-        raise ConfigurationError(f"centers must be ({n_classes}, {dim})")
-    if per_class <= 0:
-        raise ConfigurationError("per_class must be positive")
-    for i in range(n_classes):
-        for j in range(i + 1, n_classes):
-            if np.allclose(centers[i], centers[j]):
-                raise ConfigurationError(f"duplicate centers for classes {i} and {j}")
+    """Isotropic Gaussian blobs around the (n_classes, dim) centers, one
+    per class, all initially unsplit (role unlabeled until split()
+    assigns roles)."""
     feats = np.zeros((n_classes * per_class, dim))
     classes = np.zeros(n_classes * per_class, dtype=np.int64)
     for c in range(n_classes):
@@ -218,10 +210,6 @@ def gen_two_moons(
     n_per_moon: int, noise: float, rng: np.random.Generator
 ) -> SplitDataset:
     """Two interleaved half-circles, the standard 2-class toy set."""
-    if n_per_moon <= 0:
-        raise ConfigurationError("n_per_moon must be positive")
-    if noise < 0:
-        raise ConfigurationError("noise must be non-negative")
     t = np.linspace(0.0, np.pi, n_per_moon)
     upper = np.column_stack([np.cos(t), np.sin(t)])
     lower = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
@@ -318,16 +306,8 @@ def split(
 def inject_ood(
     dataset: SplitDataset, ood_source: SplitDataset, count: int, rng: np.random.Generator
 ) -> SplitDataset:
-    """Append out-of-distribution samples to the unlabeled pool with the
-    sentinel hidden class."""
-    if ood_source.dim != dataset.dim:
-        raise ConfigurationError(
-            f"OOD feature dim {ood_source.dim} != dataset dim {dataset.dim}"
-        )
-    if count == 0:
-        return dataset.copy()
-    if count > ood_source.n_samples:
-        raise ConfigurationError("not enough OOD samples to inject")
+    """Append count of ood_source's samples, which have the dataset's
+    width, to the unlabeled pool with the sentinel hidden class."""
     pick = rng.choice(ood_source.n_samples, size=count, replace=False)
     feats = np.vstack([dataset.features, ood_source.features[pick]])
     classes = np.concatenate(

@@ -21,9 +21,5 @@ class FrozenUpdateError(D2Error):
     """Attempted gradient update of a frozen pseudo-logit entry."""
 
 
-class ScheduleError(D2Error):
-    """Learning-rate schedule queried outside its horizon."""
-
-
 class NumericError(D2Error):
     """Non-finite value where a finite one is required."""

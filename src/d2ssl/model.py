@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import DimensionError, FormatError
 from .numerics import softmax_buffers, softmax_pair
 
 CHECKPOINT_MAGIC = b"D2CK"
@@ -34,9 +34,7 @@ def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.tanh(z, out=out)
     if tag == "relu":
         return np.maximum(z, 0.0, out=out)
-    if tag == "linear":
-        return z
-    raise ConfigurationError(f"unknown activation {tag!r}")
+    return z  # linear
 
 
 def _act_grad(tag: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -48,10 +46,8 @@ def _act_grad(tag: str, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.subtract(1.0, out, out=out)
     if tag == "relu":
         return np.greater(a, 0.0, out=out)
-    if tag == "linear":
-        out[...] = 1.0
-        return out
-    raise ConfigurationError(f"unknown activation {tag!r}")
+    out[...] = 1.0  # linear
+    return out
 
 
 def tensor_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
@@ -132,12 +128,6 @@ def init_params(
     layer_sizes is [input, hidden..., D, N]; the last entry is the class
     count, the second-to-last the feature dimension D.
     """
-    if len(layer_sizes) < 2:
-        raise ConfigurationError("layer_sizes needs at least input and class count")
-    if any(s <= 0 for s in layer_sizes):
-        raise ConfigurationError(f"non-positive layer size in {layer_sizes}")
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}")
     params = ModelParams(layer_sizes, activation)
     for layer in params.layers:
         fan_in = layer.weight.shape[0]
@@ -145,14 +135,6 @@ def init_params(
     d = layer_sizes[-2]
     params.head_w[...] = rng.standard_normal(params.head_w.shape) / np.sqrt(d)
     return params
-
-
-def _as_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    expected = params.layer_sizes[0]
-    if x.shape[1] != expected:
-        raise DimensionError(f"input dim {x.shape[1]}, expected {expected}")
-    return x
 
 
 def _hidden(params: ModelParams, a: np.ndarray, outs=None) -> Iterator[np.ndarray]:
@@ -188,15 +170,14 @@ class Workspace:
 
 
 def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
-    """Run the backbone and head; x is (d_in,) or (B, d_in). With ws, x
-    must be a (B, d_in) batch of its size and the returned trace is
-    ws.trace; without, a fresh workspace holds it."""
+    """Run the backbone and head on a (B, d_in) float64 batch x. The
+    returned trace is ws.trace, of a workspace of B rows; without ws, a
+    fresh workspace holds it."""
     if ws is None:
-        x = _as_input(params, x)
-        ws = Workspace(params, x.shape[0])
+        ws = Workspace(params, len(x))
     elif ws.params is not params:
         raise DimensionError("workspace built for other params")
-    elif x.shape != ws.input_shape:
+    if x.shape != ws.input_shape:
         raise DimensionError(f"input {x.shape} for a workspace of {ws.input_shape}")
     trace = ws.trace
     for _ in _hidden(params, x, trace.activations):
@@ -214,7 +195,7 @@ def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     trace is kept. The bits of a product can depend on the row count of
     x, so a pool is never split into row blocks here: a block's rows
     need not equal the same rows of the whole pool."""
-    feature = _as_input(params, x)
+    feature = x
     for feature in _hidden(params, feature):  # ends as the last layer's
         pass
     return feature
@@ -228,32 +209,17 @@ def forward_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_features(params, x) @ params.head_w
 
 
-def backward(
-    params: ModelParams,
-    trace: ForwardTrace,
-    dl_dlogits: np.ndarray,
-    out: ModelParams | None = None,
-    ws: Workspace | None = None,
-) -> ModelParams:
+def backward(params: ModelParams, trace: ForwardTrace, out: ModelParams,
+             ws: Workspace) -> ModelParams:
     """Exact parameter gradients of the scalar whose logit-gradient rows
-    are dl_dlogits, summed over the batch, in params' layout; written
-    into out when given (params.zeros() makes one), else into a new one.
-    The deltas go through ws's buffers when given (the workspace of the
-    forward that made trace), else through a fresh workspace.
-    dl_dlogits is made C-contiguous first, so the matrix products see
-    the same operand layout, and give the same bits, whatever its
-    layout (a class-major softmax hands out transposed views)."""
-    g = np.ascontiguousarray(np.atleast_2d(dl_dlogits), dtype=np.float64)
-    if g.shape != trace.logits.shape:
-        raise DimensionError(
-            f"logit-gradient shape {g.shape} does not match logits {trace.logits.shape}"
-        )
-    if ws is None:
-        ws = Workspace(params, g.shape[0])
-    elif ws.params is not params:
+    are ws.dl, summed over the batch, written into out (params.zeros()
+    makes one). ws is the workspace of the forward that made trace; the
+    caller fills its dl, which is C-ordered, so the matrix products see
+    one operand layout, and give the same bits, whatever layout the
+    gradient was computed in."""
+    if ws.params is not params:
         raise DimensionError("workspace built for other params")
-    if out is None:
-        out = params.zeros()
+    g = ws.dl
     np.matmul(trace.feature.T, g, out=out.head_w)
     layers = params.layers
     if layers:  # gradient w.r.t. feature

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError, FrozenUpdateError
+from .errors import ConfigurationError, FormatError, FrozenUpdateError
 from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax
 
 
@@ -77,12 +77,7 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
     head logits; test rows get zeros (never used in training)."""
     from .model import forward_logits  # local import to avoid cycle at module load
 
-    n = params.n_classes
-    if dataset.n_classes != n:
-        raise ConfigurationError(
-            f"dataset has {dataset.n_classes} classes, head outputs {n}"
-        )
-    logits = np.zeros((dataset.n_samples, n))
+    logits = np.zeros((dataset.n_samples, params.n_classes))
     frozen = np.zeros(dataset.n_samples, dtype=bool)
     lab = dataset.labeled_indices
     if lab.size:
@@ -97,8 +92,6 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
     """Per-sample loss alpha*L_c + beta*L_e from (B, N) log-probabilities,
     as arrays (l_c, l_e, total) of B values each."""
-    if p_hat_log.shape[-1] != p_tilde_log.shape[-1]:
-        raise DimensionError("log-probability length mismatch")
     p_hat = np.exp(p_hat_log)
     if cfg.classification_loss == "forward_kl":
         l_c = kl_divergence(p_hat_log, p_tilde_log, p=p_hat)
@@ -123,8 +116,6 @@ def grad_wrt_network_logits(
     Closed forms chained through the softmax; entries sum to zero in
     every variant (softmax gauge).
     """
-    if p_hat.shape[-1] != p_tilde_log.shape[-1]:
-        raise DimensionError("length mismatch between prediction and pseudo-label")
     a, b = cfg.alpha, cfg.beta
     if cfg.classification_loss == "forward_kl":
         # d/dy_n [ sum_j p_j ((a-b) log p_j - a log q_j) ] = p_n (g_n - L)
@@ -153,8 +144,6 @@ def grad_wrt_pseudo_logits(
     The entropy term does not involve the pseudo-label, so only the
     matching term contributes. Entries sum to zero in all variants.
     """
-    if p_hat.shape[-1] != p_tilde.shape[-1]:
-        raise DimensionError("length mismatch between prediction and pseudo-label")
     a = cfg.alpha
     if cfg.classification_loss == "forward_kl":
         return a * (p_tilde - p_hat)

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import OOD_CLASS, SplitDataset
-from .errors import ConfigurationError, NumericError, ScheduleError
-from .model import ModelParams, Workspace, backward, forward, forward_logits, init_params
+from .errors import ConfigurationError, NumericError
+from .model import (
+    ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
+)
 from .numerics import entropy, log_softmax, row_sums, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
@@ -182,10 +184,7 @@ def sgd_nesterov_step(state: OptimizerState, lr: float) -> None:
 
 
 def cosine_lr(t: int, horizon: int, lr0: float) -> float:
-    if horizon <= 0:
-        raise ScheduleError("cosine horizon must be positive")
-    if t < 0 or t > horizon:
-        raise ScheduleError(f"step {t} outside horizon [0, {horizon}]")
+    """The learning rate at step t of 0..horizon."""
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / horizon))
 
 
@@ -293,7 +292,7 @@ def _supervised_stage(
             np.copyto(dl, trace.prediction)
             dl[batch_rows, target] -= 1.0
             dl /= batch
-            backward(params, trace, dl, state.grads, ws)
+            backward(params, trace, state.grads, ws)
             sgd_nesterov_step(state, lr)
             loss_sum += float(ce.sum())
             _check_loss(loss_sum, stage, epoch, b)
@@ -474,7 +473,7 @@ def stage2_d2(
                     n_lab, cfg, cfg_labeled, dl,
                 )
                 dl /= n_lab + n_unl
-                backward(params, trace, dl, state.grads, ws)
+                backward(params, trace, state.grads, ws)
                 sgd_nesterov_step(state, segment.lr)
                 predictions[b] = trace.prediction[n_lab:]
                 # Not trace.prediction: softmax is not bit-equal to exp of
@@ -564,10 +563,10 @@ def head_only_d2(
     unl = dataset.unlabeled_indices
     ids = np.concatenate([lab, unl])
     n_lab = lab.size
-    feats = forward(params, dataset.features[ids]).feature
+    feats = forward_features(params, dataset.features[ids])
     head = params.head_w.copy()
     cfg_labeled = _labeled_config(cfg)
-    dl = np.empty((ids.size, head.shape[1]))  # C order for the product, as in backward
+    dl = np.empty((ids.size, head.shape[1]))  # C-ordered for the product, like ws.dl
     for _ in range(steps):
         p, log_p = softmax_pair(feats @ head)
         p_tilde, p_tilde_log = softmax_pair(np.take(store.logits, ids, axis=0))

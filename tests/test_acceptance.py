@@ -31,7 +31,7 @@ from d2ssl.cli import (
 from d2ssl.data import load_idx
 from d2ssl.diagnostics import unlabeled_scores
 from d2ssl.errors import FormatError
-from d2ssl.model import backward, forward, init_params
+from d2ssl.model import Workspace, backward, forward, init_params
 from d2ssl.numerics import log_softmax, seeded_rng, softmax
 from d2ssl.pseudo import (
     CLASSIFICATION_LOSSES,
@@ -107,11 +107,12 @@ def test_criterion_01_gradient_oracles():
             _, _, total = d2_loss(tr.log_prediction, p_tilde_log, cfg)
             return float(total.sum())
 
-        trace = forward(params, x)
-        dl = grad_wrt_network_logits(
-            trace.prediction, trace.log_prediction, p_tilde_log, cfg, np.empty((4, 3))
+        ws = Workspace(params, 4)
+        trace = forward(params, x, ws)
+        grad_wrt_network_logits(
+            trace.prediction, trace.log_prediction, p_tilde_log, cfg, ws.dl
         )
-        grads = backward(params, trace, dl)
+        grads = backward(params, trace, params.zeros(), ws)
         for k, tensor in enumerate(params.tensors()):
             def loss_of(t, tensor=tensor):
                 saved = tensor.copy()

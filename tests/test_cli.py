@@ -1,6 +1,8 @@
 """Config parsing, CLI modes, exit codes, and artifact replay."""
 
+import csv
 import logging
+import math
 import os
 import re
 import struct
@@ -30,13 +32,12 @@ from d2ssl.cli import (
     parse_config,
     strategy_cells,
 )
-from d2ssl.errors import (
-    ConfigurationError, DimensionError, FrozenUpdateError, ScheduleError,
-)
+from d2ssl.errors import ConfigurationError, D2Error, DimensionError, FrozenUpdateError
 from d2ssl.model import init_params, save_checkpoint
 from d2ssl.numerics import seeded_rng, softmax_pair
 from d2ssl.pseudo import D2Config, init_pseudo_labels, save_snapshot
-from d2ssl.trainer import MetricsRecord, SchedulePlan
+from d2ssl.data import OOD_CLASS
+from d2ssl.trainer import METRICS_HEADER, MetricsRecord, SchedulePlan
 
 # Written by a default `d2ssl r2d2 --out reference` run.
 RESOLVED_FIXTURE = Path(__file__).resolve().parent / "data" / "config_resolved.cfg"
@@ -176,7 +177,7 @@ def test_main_non_finite_params_at_stage_end(tmp_path, capsys):
     assert not (tmp_path / "model.d2ck").exists()
 
 
-@pytest.mark.parametrize("error", [DimensionError, ScheduleError, FrozenUpdateError])
+@pytest.mark.parametrize("error", [DimensionError, D2Error, FrozenUpdateError])
 def test_main_internal_error_exits_5(tmp_path, monkeypatch, capsys, error):
     def broken(cfg, out_dir):
         raise error("an invariant broke")
@@ -246,6 +247,9 @@ BAD_SETTINGS = [
     ("stage1_horizon", "2", "stage1_horizon"), ("stage1_horizon", "0", "stage1_horizon"),
     ("stage3_horizon", "0", "stage3_horizon"), ("stage3_horizon", "-1", "stage3_horizon"),
     ("activation", "foo", "activation"), ("layer_sizes", "2,0,4", "layer_sizes"),
+    ("dataset", "spiral", "unknown dataset"), ("dataset", "idx", "idx_images"),
+    ("gauss_per_class", "0", "gauss_per_class"),
+    ("gauss_center_scale", "0", "duplicate centers"),
 ]
 
 
@@ -260,6 +264,26 @@ def test_main_bad_setting_exits_config_before_training(tmp_path, key, value):
     out = tmp_path / "out"
     assert main(tiny_args("r2d2", out, {key: value})) == EXIT_CONFIG
     assert not out.exists()  # no resolved config, no dataset, no metrics
+
+
+# Dataset settings refused at parse time that need a second key to get
+# past the layer-size check: gauss_dim 1 alone already contradicts
+# layer_sizes 2,64,2,4, and two moons have two classes.
+BAD_DATASETS = {
+    "gauss_dim_1": ({"gauss_dim": "1", "layer_sizes": "1,64,2,4"}, "duplicate centers"),
+    "moons_per_class_0": ({"dataset": "two_moons", "layer_sizes": "2,64,2,2",
+                           "moons_per_class": "0"}, "moons_per_class"),
+}
+
+
+@pytest.mark.parametrize("extra,named", BAD_DATASETS.values(), ids=BAD_DATASETS.keys())
+def test_main_bad_dataset_exits_config_before_training(tmp_path, capsys, extra, named):
+    with pytest.raises(ConfigurationError, match=named):
+        parse_config("", {**TINY, **extra})
+    out = tmp_path / "out"
+    assert main(tiny_args("r2d2", out, extra)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
 
 
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
@@ -467,14 +491,22 @@ EXIT_PREFIXES = {
 }
 
 
+LAM_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "500", "1e5", "1e150", "1e300", "1e308", "1.7e308"]),
+    st.floats(0.0, 1e308).map(repr),
+)
+
+
 @st.composite
 def tiny_r2d2_settings(draw):
     """A tiny valid r2d2 config with up to three of its layer sizes,
-    horizons, batch sizes, filter, class count, OOD count and dataset
-    kind mutated, often into settings the program must refuse."""
+    horizons, batch sizes, filter, class count, OOD count, dataset kind,
+    loss weights and stage-2 segments mutated, often into settings the
+    program must refuse or that overflow."""
     cfg = {**TINY, "gauss_per_class": "20", "moons_per_class": "20"}
     width, hidden, n_out, extra_out = 2, [4, 2], 4, 0
-    kinds = ["layers", "horizons", "batches", "filter", "classes", "ood", "dataset"]
+    kinds = ["layers", "horizons", "batches", "filter", "classes", "ood", "dataset", "loss",
+             "stage2"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=3, unique=True)):
         if kind == "layers":
             width = draw(st.sampled_from([2, 2, 3]))
@@ -496,6 +528,18 @@ def tiny_r2d2_settings(draw):
             cfg["gauss_classes"] = str(n_out)
         elif kind == "ood":
             cfg["ood_count"] = str(draw(st.sampled_from([1, 5, 40, 200, -1])))
+        elif kind == "loss":
+            cfg["lam"] = draw(LAM_VALUES)
+            cfg["alpha"] = draw(st.sampled_from(["0.01", "0.1", "0.9", "5", "1e3", "1e300", "0"]))
+            cfg["beta"] = draw(st.sampled_from(["0", "0.03", "0.2", "2", "1e300", "-0.1"]))
+        elif kind == "stage2":
+            n = draw(st.integers(0, 3))
+            lengths = draw(st.sampled_from([(n, n, n)] * 4 + [(n, n, n + 1), (n + 1, n, n)]))
+            for key, (values, length) in zip(
+                    ("stage2_epochs", "stage2_lrs", "stage2_repredict"),
+                    zip(([0, 1, 2, 3], ["0", "0.01", "0.5", "30"], [0, 1]), lengths)):
+                cfg[key] = ",".join(map(str, draw(st.lists(
+                    st.sampled_from(values), min_size=length, max_size=length))))
         else:
             cfg["dataset"] = draw(st.sampled_from(["two_moons", "idx", "spiral"]))
             n_out = 2 if cfg["dataset"] == "two_moons" else n_out
@@ -521,6 +565,49 @@ def test_main_mutated_tiny_run_ends_in_a_documented_exit(tmp_path_factory, capsy
     assert err.startswith(prefix) if prefix else err == "", (code, err)
     assert "Traceback" not in err
     assert (out / "metrics.csv").exists() == (code == EXIT_OK)
+    if code == EXIT_OK:
+        assert_stage_columns_finite(out / "metrics.csv", settings_)
+
+
+# The metrics.csv columns each stage fills.
+STAGE_COLUMNS = {
+    "stage1": ["lr", "loss_total", "loss_c", "loss_e", "acc_labeled", "acc_test", "mean_H_pred"],
+    "stage2": METRICS_HEADER.split(",")[2:],
+    "stage3": ["lr", "loss_total", "loss_c", "loss_e", "acc_labeled", "acc_test",
+               "acc_pseudo", "mean_H_pseudo", "mean_H_pred"],
+}
+
+
+def _column_pool(stage, column):
+    """The pool whose rows a stage's column averages, when that pool can
+    be empty: the test rows, the unlabeled rows of a known class, or the
+    active unlabeled rows of stages 2 and 3."""
+    if column == "acc_test":
+        return "test"
+    if column == "acc_pseudo":
+        return "known"
+    if column == "mean_H_pseudo" or stage == "stage2" and column not in ("lr", "acc_labeled"):
+        return "active"
+    return None
+
+
+def assert_stage_columns_finite(path, settings_):
+    """Every column a stage fills is finite in each of its rows, unless
+    the pool it averages is empty."""
+    cfg = parse_config("", settings_)
+    ds = build_dataset(cfg)
+    unl = ds.unlabeled_indices.size
+    pools = {
+        "test": ds.test_indices.size,
+        "known": int(np.sum(ds.true_classes[ds.unlabeled_indices] != OOD_CLASS)),
+        "active": unl - math.ceil(cfg.discard_fraction * unl) if cfg.open_world else unl,
+    }
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            for column in STAGE_COLUMNS[row["stage"]]:
+                pool = _column_pool(row["stage"], column)
+                if pool is None or pools[pool]:
+                    assert math.isfinite(float(row[column])), (row["epoch"], column, row)
 
 
 def test_out_env_var(tmp_path, monkeypatch):

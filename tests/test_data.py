@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2ssl.cli import build_dataset, parse_config
 from d2ssl.data import (
     BLOCK_ROWS,
     OOD_CLASS,
@@ -41,17 +42,21 @@ def test_gaussians_deterministic():
     np.testing.assert_array_equal(a.features, b.features)
 
 
+# The generators trust their arguments: parse_config checks the settings
+# build_dataset hands them.
 def test_gaussians_duplicate_centers_error():
-    bad = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ConfigurationError):
-        gen_gaussians(2, 2, 5, bad, 1.0, seeded_rng(0))
+    for bad in ({"gauss_center_scale": "0"},
+                {"gauss_dim": "1", "layer_sizes": "1,64,2,4"},
+                {"gauss_classes": "2", "gauss_center_scale": "1e-9", "layer_sizes": "2,64,2,2"}):
+        with pytest.raises(ConfigurationError, match="duplicate centers for classes 0 and "):
+            parse_config("", bad)
 
 
 def test_gaussians_validation():
-    with pytest.raises(ConfigurationError):
-        gen_gaussians(4, 2, 0, CENTERS, 1.0, seeded_rng(0))
-    with pytest.raises(ConfigurationError):
-        gen_gaussians(4, 3, 5, CENTERS, 1.0, seeded_rng(0))
+    with pytest.raises(ConfigurationError, match="gauss_per_class"):
+        parse_config("", {"gauss_per_class": "0"})
+    with pytest.raises(ConfigurationError, match="layer_sizes"):
+        parse_config("", {"gauss_dim": "3"})  # the centers and the model take 2
 
 
 def test_two_moons_noise_zero_on_arcs():
@@ -69,10 +74,10 @@ def test_two_moons_balanced():
 
 
 def test_two_moons_validation():
-    with pytest.raises(ConfigurationError):
-        gen_two_moons(0, 0.1, seeded_rng(0))
-    with pytest.raises(ConfigurationError):
-        gen_two_moons(10, -0.1, seeded_rng(0))
+    moons = {"dataset": "two_moons", "layer_sizes": "2,64,2,2"}
+    for key, value in (("moons_per_class", "0"), ("moons_noise", "-0.1")):
+        with pytest.raises(ConfigurationError, match=key):
+            parse_config("", {**moons, key: value})
 
 
 @given(labeled=st.integers(1, 5), frac=st.floats(0.1, 0.6))
@@ -126,11 +131,13 @@ def test_inject_ood():
 
 
 def test_inject_ood_dim_mismatch():
-    raw = gen_gaussians(4, 2, 10, CENTERS, 1.0, seeded_rng(0))
-    ds = split(raw, 1, 0.2, seeded_rng(0))
-    ood3 = gen_gaussians(1, 3, 5, np.zeros((1, 3)), 1.0, seeded_rng(0))
-    with pytest.raises(ConfigurationError):
-        inject_ood(ds, ood3, 3, seeded_rng(0))
+    # inject_ood trusts its source's width: build_dataset draws the OOD
+    # rows in the dataset's own width.
+    ds = build_dataset(parse_config("", {"gauss_dim": "3", "layer_sizes": "3,8,4",
+                                         "gauss_per_class": "30", "ood_count": "7"}))
+    assert ds.dim == 3
+    ood = ds.true_classes == OOD_CLASS
+    assert ood.sum() == 7 and np.all(ds.roles[ood] == ROLE_UNLABELED)
 
 
 def test_csv_round_trip(tmp_path):

@@ -131,3 +131,27 @@ def test_run_open_world_bad_setting_exits_config(tmp_path, capsys, flags, named)
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and named in err
     assert not (tmp_path / "open_world.csv").exists()
+
+
+def test_run_open_world_seeds_below_one_exits_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert load("run_open_world").main(["--out", str(out), "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "configuration error: seeds must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_run_convergence_audit_negative_steps_exits_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert load("run_convergence_audit").main(["--out", str(out), "--steps", "-3"]) == 2
+    assert capsys.readouterr().err == "configuration error: steps must be at least 0, got -3\n"
+    assert not out.exists()
+
+
+def test_run_convergence_audit_bad_lam_exits_config_before_training(tmp_path, monkeypatch,
+                                                                    capsys):
+    def no_training(*args):
+        raise AssertionError("the warm-up trained")
+
+    monkeypatch.setattr(cli, "run_supervised_baseline", no_training)
+    assert load("run_convergence_audit").main(["--out", str(tmp_path), "--lam", "-1"]) == 2
+    assert capsys.readouterr().err == "configuration error: lambda must be non-negative\n"

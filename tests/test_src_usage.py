@@ -1,7 +1,9 @@
 """No test-only code in src/: every name a module of d2ssl defines, at
 its top level or in one of its classes, is read somewhere in the
 program (src/, scripts/ or bench/) or exported in d2ssl.__all__. Code
-that only tests reach belongs under tests/."""
+that only tests reach belongs under tests/. And every exception class
+of errors.py that ends a run is raised by the program, so the exit-code
+table of cli.run_guarded names no error that cannot happen."""
 
 import ast
 from pathlib import Path
@@ -59,3 +61,27 @@ def test_every_name_in_src_is_used_by_the_program():
         if name not in used
     ]
     assert not unused, "defined in src/ but read only by tests: " + ", ".join(unused)
+
+
+def raised_names(tree):
+    """The name of every class a raise statement raises, as X or X(...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised_by_the_program():
+    tree = ast.parse((ROOT / "src" / "d2ssl" / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases}
+    raised = set()
+    for top in ("src", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            raised |= raised_names(ast.parse(path.read_text()))
+    # A base class is raised through its subclasses.
+    never = [node.name for node in classes if node.name not in bases | raised]
+    assert not never, "error classes that nothing in src/ or scripts/ raises: " + ", ".join(never)

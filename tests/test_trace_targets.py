@@ -58,14 +58,15 @@ def _calls(tmp_path):
     d2 = D2Config()
     store = init_pseudo_labels(ds, params, d2)
     x = ds.features[:7]
-    trace = model.forward(params, x)
+    ws = model.Workspace(params, 7)
+    trace = model.forward(params, x, ws)
+    ws.dl[...] = trace.prediction
     unl = ds.unlabeled_indices[:4]
     p_tilde = store.probs(unl)
     return {
         ("d2ssl.model", "forward"): (model.forward, (params, x), {}, 7),
         ("d2ssl.model", "backward"): (
-            model.backward, (params, trace, trace.prediction),
-            {"out": params.zeros()}, 7),
+            model.backward, (params, trace, params.zeros(), ws), {}, 7),
         ("d2ssl.model", "save_checkpoint"): (
             model.save_checkpoint, (params, tmp_path / "model.d2ck"), {}, None),
         ("d2ssl.numerics", "softmax"): (numerics.softmax, (trace.logits,), {}, 7),

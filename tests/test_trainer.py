@@ -7,7 +7,7 @@ import pytest
 
 from d2ssl import trainer
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
-from d2ssl.errors import ConfigurationError, DimensionError, NumericError, ScheduleError
+from d2ssl.errors import ConfigurationError, DimensionError, NumericError
 from d2ssl.model import Workspace, backward, forward, init_params
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
@@ -58,12 +58,14 @@ def test_cosine_lr_endpoints():
 
 
 def test_cosine_lr_outside_horizon():
-    with pytest.raises(ScheduleError):
-        cosine_lr(101, 100, 0.1)
-    with pytest.raises(ScheduleError):
-        cosine_lr(-1, 100, 0.1)
-    with pytest.raises(ScheduleError):
-        cosine_lr(0, 0, 0.1)
+    # cosine_lr trusts its step: SchedulePlan refuses a zero horizon and
+    # a stage whose steps 0..epochs-1 would run past its horizon.
+    _plan_error(stage1_epochs=4, stage1_horizon=2)
+    _plan_error(stage3_epochs=1, stage3_horizon=0)
+    rng = seeded_rng(0)
+    plan = tiny_plan(stage1_epochs=3, stage1_horizon=2)  # the last step is the horizon
+    _, records = stage1_supervised(tiny_dataset(), init_params([2, 5, 4], "tanh", rng), plan, rng)
+    assert [r.lr for r in records] == [cosine_lr(t, 2, 0.05) for t in range(3)]
 
 
 def test_nesterov_step_hand_computed():
@@ -532,7 +534,7 @@ def test_workspace_steps_bit_equal_to_allocating_steps(sizes, activation, rows):
         for a, b in zip(want_trace, got, strict=True):
             assert a.tobytes() == b.tobytes(), step
         np.multiply(trace.prediction, w, out=ws.dl)
-        backward(params, trace, ws.dl, state.grads, ws)
+        backward(params, trace, state.grads, ws)
         for a, b in zip(want_grads, state.grads.tensors(), strict=True):
             assert a.tobytes() == b.tobytes(), step
         for t, g, buf in zip(ref.tensors(), want_grads, ref_buffers):
@@ -553,12 +555,12 @@ def test_workspace_serves_only_its_params_and_batch_size():
         forward(params.copy(), np.zeros((10, 2)), ws)
     trace = forward(params, np.zeros((10, 2)), ws)
     with pytest.raises(DimensionError, match="workspace built for other params"):
-        backward(params.copy(), trace, ws.dl, ws=ws)
+        backward(params.copy(), trace, params.zeros(), ws)
 
 
 def _per_batch_stage2(ds, params, store, plan, cfg, rng):
     """Stage 2 as run before the pseudo-logit step moved to the end of
-    the epoch: allocating forward and backward calls, and one pseudo-logit
+    the epoch: a fresh workspace per batch, and one pseudo-logit
     step per batch on that batch's rows. Returns the per-epoch mean
     losses (total, matching, entropy)."""
     lab, unl = ds.labeled_indices, ds.unlabeled_indices
@@ -581,16 +583,17 @@ def _per_batch_stage2(ds, params, store, plan, cfg, rng):
             for b in range(n_batches):
                 ids = np.concatenate([l_ids[b * n_lab:(b + 1) * n_lab],
                                       unl_order[b * n_unl:(b + 1) * n_unl]])
-                trace = forward(params, ds.features[ids])
+                ws = Workspace(params, ids.size)
+                trace = forward(params, ds.features[ids], ws)
                 p_tilde, p_tilde_log = softmax_pair(store.logits[ids])
                 p, log_p = trace.prediction, trace.log_prediction
-                dl = np.empty_like(p)
+                dl = ws.dl
                 grad_wrt_network_logits(
                     p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled, dl[:n_lab])
                 grad_wrt_network_logits(
                     p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg, dl[n_lab:])
                 dl /= n_lab + n_unl
-                backward(params, trace, dl, out=state.grads)
+                backward(params, trace, state.grads, ws)
                 sgd_nesterov_step(state, segment.lr)
                 if cfg.lam > 0:
                     d2_update_pseudo_batch(store, ids[n_lab:], p[n_lab:], cfg, p_tilde[n_lab:])
