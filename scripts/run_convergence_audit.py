@@ -21,11 +21,12 @@ from d2ssl.errors import ConfigurationError
 
 
 def audit(args) -> int:
-    cfg = parse_config("", {"seed": str(args.seed), "out": args.out})
+    # lam is parsed with the config, so a bad one fails before --out is made.
+    cfg = parse_config("", {"seed": str(args.seed), "out": args.out, "lam": repr(args.lam)})
     if args.steps < 0:
         raise ConfigurationError(f"steps must be at least 0, got {args.steps}")
     os.makedirs(args.out, exist_ok=True)
-    ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, args.lam)
+    ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, cfg.lam)
     frac = float(np.mean(np.abs(t) < 1e-3))
     print(f"{frac:.1%} of unlabeled samples converged to |t| < 1e-3")
     _emit_diagnostics(args.out, ds, params, store, d2)

@@ -21,9 +21,10 @@ from d2ssl.errors import ConfigurationError
 def study(args) -> int:
     if args.seeds < 1:
         raise ConfigurationError(f"seeds must be at least 1, got {args.seeds}")
+    runs = open_world_study(args.seeds, args.ood_count, args.discard, args.spread)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for row in open_world_study(args.seeds, args.ood_count, args.discard, args.spread):
+    for row in runs:
         rows.append(row)
         print("seed {}: unfiltered {:.4f}  filtered {:.4f}  pool OOD {:.3f}  "
               "discarded OOD {:.3f}".format(*row))

@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -418,26 +418,32 @@ OPEN_WORLD_SPREAD, OPEN_WORLD_OOD, OPEN_WORLD_DISCARD = 2.0, 660, 0.25
 
 def open_world_study(seeds: int, ood_count: int = OPEN_WORLD_OOD,
                      discard: float = OPEN_WORLD_DISCARD, spread: float = OPEN_WORLD_SPREAD):
-    """Runs without and with the entropy filter on seeds 0 to seeds-1;
-    yields (seed, unfiltered error, filtered error, OOD share of the pool,
-    OOD share of what the filter discards at the end of the filtered run)
-    as each seed finishes."""
-    for seed in range(seeds):
-        configs = {open_world: parse_config("", {
-            "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
-            "open_world": str(open_world), "discard_fraction": str(discard),
-        }) for open_world in (False, True)}
-        # Neither open_world nor discard_fraction enters build_dataset.
-        ds = build_dataset(configs[False])
-        err = {}
-        for open_world, cfg in configs.items():
-            _, store, metrics = train_r2d2(cfg, ds)
-            err[open_world] = 1 - metrics[-1].acc_test
-        unl = ds.unlabeled_indices
-        dropped = np.setdiff1d(unl, open_world_filter(store, ds, cfg.discard_fraction))
-        pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
-                      for ids in (unl, dropped))
-        yield seed, err[False], err[True], pool, drop
+    """Runs without and with the entropy filter on seeds 0 to seeds-1.
+    Every seed's configs are parsed before this returns; the iterator it
+    returns yields (seed, unfiltered error, filtered error, OOD share of
+    the pool, OOD share of what the filter discards at the end of the
+    filtered run) as each seed finishes."""
+    configs = [{open_world: parse_config("", {
+        "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
+        "open_world": str(open_world), "discard_fraction": str(discard),
+    }) for open_world in (False, True)} for seed in range(seeds)]
+    return (_open_world_seed(seed, pair) for seed, pair in enumerate(configs))
+
+
+def _open_world_seed(seed: int, configs: dict[bool, ExperimentConfig]):
+    """open_world_study's row of one seed, from its unfiltered and
+    filtered configs. Neither open_world nor discard_fraction enters
+    build_dataset, so both runs share one dataset."""
+    ds = build_dataset(configs[False])
+    err = {}
+    for open_world, cfg in configs.items():
+        _, store, metrics = train_r2d2(cfg, ds)
+        err[open_world] = 1 - metrics[-1].acc_test
+    unl = ds.unlabeled_indices
+    dropped = np.setdiff1d(unl, open_world_filter(store, ds, cfg.discard_fraction))
+    pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
+                  for ids in (unl, dropped))
+    return seed, err[False], err[True], pool, drop
 
 
 ABLATION_AXES = {
@@ -471,14 +477,20 @@ def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
 
 def ablation_errors(cfg: ExperimentConfig, cells: dict[str, dict[str, str]]) -> dict[str, float]:
     """The final test error of each cell: cfg with the cell's overrides,
-    on cfg's dataset. Every cell's config is parsed before any trains."""
+    on cfg's dataset. Every cell's config is parsed before any trains,
+    and cells whose configs are equal share one run (a run is fixed by
+    its config)."""
     configs = {
         name: parse_config("", {**_cfg_as_overrides(cfg), **overrides})
         for name, overrides in cells.items()
     }
     dataset = build_dataset(cfg)
-    return {name: 1.0 - train_r2d2(cell, dataset)[2][-1].acc_test
-            for name, cell in configs.items()}
+    runs = {}  # the error of each distinct config, by its field values
+    for cell in configs.values():
+        key = astuple(cell)
+        if key not in runs:
+            runs[key] = 1.0 - train_r2d2(cell, dataset)[2][-1].acc_test
+    return {name: runs[astuple(cell)] for name, cell in configs.items()}
 
 
 def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:

@@ -90,8 +90,8 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
 
 
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
-    """Per-sample loss alpha*L_c + beta*L_e from (B, N) log-probabilities,
-    as arrays (l_c, l_e, total) of B values each."""
+    """Per-sample loss alpha*L_c + beta*L_e from (..., N) log-probabilities,
+    as arrays (l_c, l_e, total) of shape (...)."""
     p_hat = np.exp(p_hat_log)
     if cfg.classification_loss == "forward_kl":
         l_c = kl_divergence(p_hat_log, p_tilde_log, p=p_hat)

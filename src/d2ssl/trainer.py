@@ -188,12 +188,23 @@ def cosine_lr(t: int, horizon: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / horizon))
 
 
-def _check_loss(loss_sum: float, stage: str, epoch: int, batch: int) -> None:
-    """Stop at the batch whose loss made the epoch's running loss sum
-    non-finite. A non-finite addend keeps the sum non-finite, so this
-    also covers the epoch mean."""
-    if not math.isfinite(loss_sum):
-        raise NumericError(f"non-finite loss at {stage} epoch {epoch} batch {batch}: {loss_sum}")
+def _epoch_loss_sums(
+    stage: str, epoch: int, checked: np.ndarray, *others: np.ndarray
+) -> list[float]:
+    """The epoch sums of per-row losses laid out (batches, rows), checked
+    first: each batch's row sum, added batch by batch into Python floats,
+    bit-equal to summing each batch as it ran. A numeric abort names the
+    first batch whose running sum of checked turned non-finite; a
+    non-finite addend keeps the sum non-finite, so this also covers the
+    epoch mean."""
+    sums = [0.0] * (1 + len(others))
+    batch_sums = zip(*(a.sum(axis=1).tolist() for a in (checked, *others)))
+    for batch, row in enumerate(batch_sums):
+        for i, value in enumerate(row):
+            sums[i] += value
+        if not math.isfinite(sums[0]):
+            raise NumericError(f"non-finite loss at {stage} epoch {epoch} batch {batch}: {sums[0]}")
+    return sums
 
 
 @dataclass
@@ -245,7 +256,7 @@ def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarr
 
 def _check_params(params: ModelParams, stage: str) -> None:
     """Stop a stage whose last steps left a non-finite parameter; the
-    per-batch loss check cannot see the step after the last batch."""
+    loss check cannot see the step after the last batch."""
     if not np.isfinite(params.flat).all():
         raise NumericError(f"non-finite params at the end of {stage}")
 
@@ -276,27 +287,32 @@ def _supervised_stage(
     rows = _eval_rows(dataset)
     batch_rows = np.arange(batch)
     dl = ws.dl
+    n_batches = ids.size // batch
+    count = n_batches * batch
+    # Each batch's softmax pair, for the epoch's one pass over the loss
+    # columns.
+    preds = np.empty((n_batches, batch, params.n_classes))
+    log_preds = np.empty_like(preds)
     records = []
     for epoch in range(epochs):
         lr = cosine_lr(epoch, horizon, lr0)
-        n_batches = ids.size // batch
-        count = n_batches * batch
         order = rng.permutation(ids.size)
         epoch_feats, epoch_targets = np.take(feats, order, axis=0), np.take(targets, order)
-        loss_sum = ent_sum = 0.0
         for b in range(n_batches):
             rows_b = slice(b * batch, (b + 1) * batch)
             trace = forward(params, epoch_feats[rows_b], ws)
-            target = epoch_targets[rows_b]
-            ce = -trace.log_prediction[batch_rows, target]
+            preds[b] = trace.prediction
+            log_preds[b] = trace.log_prediction
             np.copyto(dl, trace.prediction)
-            dl[batch_rows, target] -= 1.0
+            dl[batch_rows, epoch_targets[rows_b]] -= 1.0
             dl /= batch
             backward(params, trace, state.grads, ws)
             sgd_nesterov_step(state, lr)
-            loss_sum += float(ce.sum())
-            _check_loss(loss_sum, stage, epoch, b)
-            ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
+        batch_targets = epoch_targets[:count].reshape(n_batches, batch, 1)
+        loss_sum, ent_sum = _epoch_loss_sums(
+            stage, epoch, -np.take_along_axis(log_preds, batch_targets, axis=2)[..., 0],
+            entropy(preds, log_p=log_preds),
+        )
         ce, h_pred = loss_sum / count, ent_sum / count
         acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(MetricsRecord(
@@ -357,27 +373,24 @@ def _check_unlabeled_batch(dataset: SplitDataset, plan: SchedulePlan) -> None:
 def _draw_labeled(lab, order, cursor, need, rng):
     """The next need labeled ids from order, starting at cursor; each
     time order runs out it is replaced by a fresh permutation of lab.
-    Returns the ids and the new (order, cursor)."""
-    parts = []
-    while need > 0:
-        if cursor >= order.size:
-            order = rng.permutation(lab)
-            cursor = 0
-        take = min(need, order.size - cursor)
-        parts.append(order[cursor:cursor + take])
-        cursor += take
-        need -= take
-    ids = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-    return ids, order, cursor
+    The k fresh orders are drawn in one rng.permuted call, which gives
+    the ids and generator state of k rng.permutation(lab) calls. Returns
+    the ids and the new (order, cursor)."""
+    left = order.size - cursor
+    if need <= left:
+        return order[cursor:cursor + need], order, cursor + need
+    k = -(-(need - left) // lab.size)
+    fresh = rng.permuted(np.broadcast_to(lab, (k, lab.size)), axis=1)
+    ids = np.concatenate([order[cursor:], fresh.ravel()])[:need]
+    return ids, fresh[-1], need - left - (k - 1) * lab.size
 
 
-def _stage2_epoch_metrics(store, cfg, active_unl, unl_logits, drift_base) -> dict:
-    """Full-pool diagnostics computed once per epoch, from the network
-    logits of the active unlabeled rows."""
+def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
+    """Full-pool diagnostics computed once per epoch, from the
+    pseudo-logits and the network logits of the active unlabeled rows."""
     out = {}
-    if active_unl.size:
+    if pseudo_logits.size:
         p_hat, p_hat_log = softmax_pair(unl_logits)
-        pseudo_logits = np.take(store.logits, active_unl, axis=0)
         p_tilde, p_tilde_log = softmax_pair(pseudo_logits)
         _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
         t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
@@ -444,8 +457,10 @@ def stage2_d2(
         lab_cursor = 0
         n_batches = active_unl.size // n_unl
         # Each batch's unlabeled predictions, for the epoch's one
-        # pseudo-logit step.
-        predictions = np.empty((n_batches, n_unl, store.logits.shape[1]))
+        # pseudo-logit step, and its log-predictions, for the epoch's one
+        # pass over the loss columns.
+        predictions = np.empty((n_batches, n_unl, store.n_classes))
+        log_predictions = np.empty((n_batches, n_lab + n_unl, store.n_classes))
         for _ in range(segment.epochs):
             unl_order = rng.permutation(active_unl)
             l_ids, lab_order, lab_cursor = _draw_labeled(
@@ -464,38 +479,35 @@ def stage2_d2(
             feats = np.take(dataset.features, ids, axis=0)
             if n_batches:
                 p_tildes, p_tilde_logs = softmax_pair(np.take(store.logits, ids, axis=0))
-            sum_c = sum_e = sum_total = 0.0
             for b in range(n_batches):
                 trace = forward(params, feats[b], ws)
-                p_tilde_log = p_tilde_logs[b]
                 _network_logit_grad(
-                    trace.prediction, trace.log_prediction, p_tilde_log,
+                    trace.prediction, trace.log_prediction, p_tilde_logs[b],
                     n_lab, cfg, cfg_labeled, dl,
                 )
                 dl /= n_lab + n_unl
                 backward(params, trace, state.grads, ws)
                 sgd_nesterov_step(state, segment.lr)
                 predictions[b] = trace.prediction[n_lab:]
-                # Not trace.prediction: softmax is not bit-equal to exp of
-                # log_softmax, and the loss columns are kept bit-stable.
-                l_c, l_e, total = d2_loss(trace.log_prediction, p_tilde_log, cfg)
-                sum_c += float(l_c.sum())
-                sum_e += float(l_e.sum())
-                sum_total += float(total.sum())
-                _check_loss(sum_total, "stage2", epoch_global, b)
-            if cfg.lam > 0 and n_batches:
-                d2_update_pseudo_batch(
-                    store, ids[:, n_lab:], predictions, cfg, p_tildes[:, n_lab:],
-                )
-            n_seen = ids.size
-            mean_c, mean_e, mean_total = (
-                (sum_c / n_seen, sum_e / n_seen, sum_total / n_seen)
-                if n_seen else (float("nan"),) * 3
-            )
+                log_predictions[b] = trace.log_prediction
+            mean_total = mean_c = mean_e = math.nan
+            if n_batches:
+                # From the log-predictions, not the predictions: softmax is
+                # not bit-equal to exp of log_softmax, and the loss columns
+                # are kept bit-stable.
+                l_c, l_e, total = d2_loss(log_predictions, p_tilde_logs, cfg)
+                sums = _epoch_loss_sums("stage2", epoch_global, total, l_c, l_e)
+                mean_total, mean_c, mean_e = (s / ids.size for s in sums)
+                if cfg.lam > 0:
+                    d2_update_pseudo_batch(
+                        store, ids[:, n_lab:], predictions, cfg, p_tildes[:, n_lab:],
+                    )
+            # Checked after the loss and before any metric column reads them.
+            pseudo_logits = np.take(store.logits, active_unl, axis=0)
+            if not np.isfinite(pseudo_logits).all():
+                raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch_global}")
             acc_labeled, acc_test, unl_logits = _accuracy(params, rows)
-            extra = _stage2_epoch_metrics(
-                store, cfg, active_unl, unl_logits, drift_base
-            )
+            extra = _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base)
             for column, value in extra.items():
                 if not math.isfinite(value):
                     # Name the params when a step left them non-finite.

@@ -441,6 +441,27 @@ def test_main_ablation(tmp_path):
     assert len(names) == 23
 
 
+def test_ablation_trains_each_distinct_config_once(monkeypatch):
+    # alpha=0.1, beta=0.03, classification_loss=forward_kl and
+    # strategy:e_full all parse to the base config: one run, four cells.
+    runs = []
+
+    def run_r2d2(dataset, sizes, activation, d2cfg, plan, seed):
+        runs.append((d2cfg, plan))
+        return None, None, [MetricsRecord("stage3", 0, 0.0, acc_test=len(runs) / 100)]
+
+    monkeypatch.setattr(cli, "run_r2d2", run_r2d2)
+    cfg = parse_config("", TINY)
+    cells = {f"{key}={value}": {key: value}
+             for key, values in cli.ABLATION_AXES.items() for value in values}
+    cells.update((f"strategy:{name}", o) for name, o in cli.strategy_cells(cfg).items())
+    errors = cli.ablation_errors(cfg, cells)
+    assert len(cells) == 23 and len(runs) == 20
+    shared = ["alpha=0.1", "beta=0.03", "classification_loss=forward_kl", "strategy:e_full"]
+    assert {errors[name] for name in shared} == {errors["alpha=0.1"]}
+    assert len({errors[name] for name in cells if name not in shared}) == 19
+
+
 def test_main_ablation_without_stage2_segments_exits_config(tmp_path, monkeypatch, capsys):
     # The strategy cells vary the stage-2 segments; with none there is no
     # table, and the run stops before any cell trains.
@@ -463,6 +484,18 @@ def test_main_non_finite_stage2_metric_exits_numeric(tmp_path, capsys):
     assert main(tiny_args("r2d2", tmp_path, extra)) == EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric abort: non-finite t_abs_p50 at stage2 epoch 1: nan\n")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_main_pseudo_logit_overflow_exits_numeric(tmp_path, capsys):
+    # lam x alpha is twice the largest float: the second epoch's pseudo-
+    # logit step, once predictions and pseudo-labels have drifted apart,
+    # overflows the store while the epoch's losses stay finite.
+    extra = {"alpha": "2", "lam": "1.7e308", "stage2_epochs": "2",
+             "stage2_lrs": "0.01", "stage2_repredict": "0"}
+    assert main(tiny_args("r2d2", tmp_path, extra)) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric abort: non-finite pseudo-logits at stage2 epoch 1\n")
     assert not (tmp_path / "metrics.csv").exists()
 
 

@@ -127,10 +127,12 @@ def test_run_reference_without_stage1_exits_config(tmp_path, capsys):
     (["--discard", "1.5"], "discard_fraction"),
 ])
 def test_run_open_world_bad_setting_exits_config(tmp_path, capsys, flags, named):
-    assert load("run_open_world").main(["--out", str(tmp_path)] + flags) == 2
+    # Every seed's configs are parsed before --out is made.
+    out = tmp_path / "out"
+    assert load("run_open_world").main(["--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and named in err
-    assert not (tmp_path / "open_world.csv").exists()
+    assert not out.exists()
 
 
 def test_run_open_world_seeds_below_one_exits_config(tmp_path, capsys):
@@ -153,5 +155,7 @@ def test_run_convergence_audit_bad_lam_exits_config_before_training(tmp_path, mo
         raise AssertionError("the warm-up trained")
 
     monkeypatch.setattr(cli, "run_supervised_baseline", no_training)
-    assert load("run_convergence_audit").main(["--out", str(tmp_path), "--lam", "-1"]) == 2
+    out = tmp_path / "out"
+    assert load("run_convergence_audit").main(["--out", str(out), "--lam", "-1"]) == 2
     assert capsys.readouterr().err == "configuration error: lambda must be non-negative\n"
+    assert not out.exists()

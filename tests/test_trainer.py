@@ -4,6 +4,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from d2ssl import trainer
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
@@ -29,6 +31,7 @@ from d2ssl.trainer import (
     sgd_nesterov_step,
     stage1_supervised,
     stage2_d2,
+    stage3_finetune,
     write_metrics,
 )
 
@@ -444,6 +447,35 @@ def test_epoch_labeled_draw_matches_per_batch_draw(n_lab):
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
+@given(n_lab=st.integers(1, 25),
+       steps=st.lists(st.tuples(st.integers(0, 19), st.integers(1, 30)), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+# From a fresh order of 7: two orders, ending on a boundary; then three
+# fresh orders, ending mid-order; then the rest of that order.
+@example(n_lab=7, steps=[(2, 7), (3, 5), (1, 6)], seed=0)
+@example(n_lab=1, steps=[(19, 20), (0, 20), (1, 1)], seed=1)
+@example(n_lab=25, steps=[(3, 1), (19, 20), (2, 11)], seed=2)
+@settings(max_examples=300, deadline=None)
+def test_labeled_draw_matches_per_batch_draw_for_any_pool(n_lab, steps, seed):
+    """The epoch draw, whose fresh orders come from one rng.permuted call,
+    gives the per-batch draw's ids, order, cursor and generator state
+    for draws that end mid-order, on an order boundary or several orders
+    on."""
+    lab = np.arange(100, 100 + n_lab)
+    old_rng, new_rng = seeded_rng(seed), seeded_rng(seed)
+    old_order, new_order = old_rng.permutation(lab), new_rng.permutation(lab)
+    old_cursor = new_cursor = 0
+    for n_batches, batch_labeled in steps:
+        old, old_order, old_cursor = _old_labeled_draws(
+            lab, old_order, old_cursor, n_batches, batch_labeled, old_rng)
+        new, new_order, new_cursor = _draw_labeled(
+            lab, new_order, new_cursor, n_batches * batch_labeled, new_rng)
+        expected = np.concatenate(old) if old else np.array([], dtype=np.int64)
+        assert new.dtype == expected.dtype and new.tobytes() == expected.tobytes()
+        assert new_cursor == old_cursor and new_order.tobytes() == old_order.tobytes()
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 def test_numeric_abort_names_stage_epoch_and_batch():
     ds = tiny_dataset()
     plan = tiny_plan(stage1_epochs=30, stage1_horizon=30, stage1_lr=1e12)
@@ -463,8 +495,27 @@ def test_stage2_abort_at_the_batch_of_a_nan_pseudo_logit():
     rng.permutation(ds.labeled_indices)
     bad = rng.permutation(ds.unlabeled_indices)[plan.batch_unlabeled + 3]
     store.logits[bad, 0] = np.nan
+    before = store.logits.copy()
     with pytest.raises(NumericError, match=r"non-finite loss at stage2 epoch 0 batch 1: nan"):
         stage2_d2(ds, params, store, plan, cfg, seeded_rng(1))
+    # The loss is checked before the epoch's pseudo-logit step.
+    assert store.logits.tobytes() == before.tobytes()
+
+
+def test_stage3_abort_at_the_batch_of_a_nan_feature():
+    ds = tiny_dataset()
+    params = init_params([2, 8, 3, 4], "tanh", seeded_rng(0))
+    store = init_pseudo_labels(ds, params, D2Config())
+    plan = tiny_plan()
+    lab, unl = ds.labeled_indices, ds.unlabeled_indices
+    ids = np.concatenate([lab, unl])
+    batch = plan.batch_labeled + plan.batch_unlabeled
+    assert ids.size // batch == 3
+    # Stage 3 orders its rows by one permutation per epoch; the row at
+    # position batch + 3 of epoch 0 is in its second batch of three.
+    ds.features[ids[seeded_rng(1).permutation(ids.size)[batch + 3]]] = np.nan
+    with pytest.raises(NumericError, match=r"^non-finite loss at stage3 epoch 0 batch 1: nan$"):
+        stage3_finetune(ds, params, store, plan, seeded_rng(1), unl)
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 7, 8, 11])
@@ -631,6 +682,83 @@ def test_epoch_pseudo_step_equals_per_batch_steps(loss, n_classes, open_world, l
     assert params.flat.tobytes() == want_params.flat.tobytes()
     assert store.logits.tobytes() == want_store.logits.tobytes()
     assert [(r.loss_total, r.loss_c, r.loss_e) for r in records] == want
+
+
+def test_stage2_takes_the_loss_once_per_epoch(monkeypatch):
+    # One d2_loss over the epoch's batches for the loss columns, and one
+    # over the active pool for the metric columns, in each of the six
+    # stage-2 epochs.
+    shapes = []
+
+    def counting_loss(p_hat_log, p_tilde_log, cfg):
+        shapes.append(p_hat_log.shape)
+        return d2_loss(p_hat_log, p_tilde_log, cfg)
+
+    monkeypatch.setattr(trainer, "d2_loss", counting_loss)
+    ds = tiny_dataset()
+    run_r2d2(ds, [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
+    assert sorted(shapes) == [(3, 26, 4)] * 6 + [(72, 4)] * 6
+
+
+def _per_batch_supervised(features, params, plan, rng, ids, targets, batch, epochs, horizon,
+                          lr0):
+    """The loss columns of a cross-entropy stage as taken before they
+    moved to the end of the epoch: each batch's CE and entropy, summed as
+    it ran. Returns each epoch's (mean CE, mean entropy)."""
+    state = OptimizerState(params, plan.momentum, plan.weight_decay)
+    ws = Workspace(params, batch)
+    rows = np.arange(batch)
+    n_batches = ids.size // batch
+    means = []
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, horizon, lr0)
+        order = rng.permutation(ids.size)
+        loss_sum = ent_sum = 0.0
+        for b in range(n_batches):
+            pick = order[b * batch:(b + 1) * batch]
+            trace = forward(params, features[ids[pick]], ws)
+            target = targets[pick]
+            ce = -trace.log_prediction[rows, target]
+            np.copyto(ws.dl, trace.prediction)
+            ws.dl[rows, target] -= 1.0
+            ws.dl /= batch
+            backward(params, trace, state.grads, ws)
+            sgd_nesterov_step(state, lr)
+            loss_sum += float(ce.sum())
+            ent_sum += float(entropy(trace.prediction, log_p=trace.log_prediction).sum())
+        means.append((loss_sum / (n_batches * batch), ent_sum / (n_batches * batch)))
+    return means
+
+
+@pytest.mark.parametrize("n_classes", [3, 4, 9])
+def test_supervised_loss_columns_equal_per_batch_sums(n_classes):
+    centers = 4.0 * seeded_rng(n_classes).standard_normal((n_classes, 2))
+    ds = split(gen_gaussians(n_classes, 2, 40, centers, 1.0, seeded_rng(1)), 3, 0.3,
+               seeded_rng(1))
+    plan = tiny_plan(stage1_epochs=4, stage1_horizon=4, stage3_epochs=3, stage3_horizon=3,
+                     batch_labeled=2, batch_unlabeled=17)
+    lab, unl = ds.labeled_indices, ds.unlabeled_indices
+    params = init_params([2, 8, 3, n_classes], "tanh", seeded_rng(2))
+    want_params = params.copy()
+    want = _per_batch_supervised(ds.features, want_params, plan, seeded_rng(3), lab,
+                                 ds.true_classes[lab], 2, 4, 4, plan.stage1_lr)
+    _, records = stage1_supervised(ds, params, plan, seeded_rng(3))
+    assert lab.size // 2 >= 4
+    assert [(r.loss_total, r.loss_c, r.loss_e, r.mean_h_pred) for r in records] == [
+        (ce, ce, h, h) for ce, h in want]
+    assert params.flat.tobytes() == want_params.flat.tobytes()
+
+    store = init_pseudo_labels(ds, params, D2Config())
+    ids = np.concatenate([lab, unl])
+    targets = np.concatenate([ds.true_classes[lab], np.argmax(store.logits[unl], axis=1)])
+    assert ids.size // 19 >= 4
+    want_params = params.copy()
+    want = _per_batch_supervised(ds.features, want_params, plan, seeded_rng(4), ids, targets,
+                                 19, 3, 3, plan.stage3_lr)
+    _, records = stage3_finetune(ds, params, store, plan, seeded_rng(4), unl)
+    assert [(r.loss_total, r.loss_c, r.loss_e, r.mean_h_pred) for r in records] == [
+        (ce, ce, h, h) for ce, h in want]
+    assert params.flat.tobytes() == want_params.flat.tobytes()
 
 
 def _old_convergence_residual(p_hat_log, p_tilde_log, total, cfg):
