@@ -25,6 +25,8 @@ def audit(args) -> int:
     cfg = parse_config("", {"seed": str(args.seed), "out": args.out, "lam": repr(args.lam)})
     if args.steps < 0:
         raise ConfigurationError(f"steps must be at least 0, got {args.steps}")
+    if not 0.0 <= args.lr < np.inf:
+        raise ConfigurationError(f"lr must be finite and non-negative, got {args.lr}")
     os.makedirs(args.out, exist_ok=True)
     ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, cfg.lam)
     frac = float(np.mean(np.abs(t) < 1e-3))

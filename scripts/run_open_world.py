@@ -8,13 +8,13 @@ Usage: python scripts/run_open_world.py --out runs/openworld
 """
 
 import argparse
-import csv
 import os
 import sys
 
 from d2ssl.cli import (
     OPEN_WORLD_DISCARD, OPEN_WORLD_OOD, OPEN_WORLD_SPREAD, open_world_study, run_guarded,
 )
+from d2ssl.data import write_csv_columns
 from d2ssl.errors import ConfigurationError
 
 
@@ -28,11 +28,10 @@ def study(args) -> int:
         rows.append(row)
         print("seed {}: unfiltered {:.4f}  filtered {:.4f}  pool OOD {:.3f}  "
               "discarded OOD {:.3f}".format(*row))
-    with open(os.path.join(args.out, "open_world.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "unfiltered_error", "filtered_error",
-                    "pool_ood_fraction", "discard_ood_fraction"])
-        w.writerows(rows)
+    write_csv_columns(os.path.join(args.out, "open_world.csv"),
+                      ["seed", "unfiltered_error", "filtered_error", "pool_ood_fraction",
+                       "discard_ood_fraction"], ["%s"] * 5, len(rows),
+                      lambda start, stop: list(zip(*rows[start:stop])))
     return 0
 
 

@@ -10,11 +10,11 @@ Usage: python scripts/run_reference.py --out runs/reference [--seeds 5]
 """
 
 import argparse
-import csv
 import os
 import sys
 
 from d2ssl.cli import COMPARISON_PRESETS, compare_baseline, parse_flags, run_guarded
+from d2ssl.data import write_csv_columns
 from d2ssl.errors import ConfigurationError
 from d2ssl.trainer import write_metrics
 
@@ -45,10 +45,9 @@ def compare(args, extra: list[str]) -> int:
         rows.append((seed, err, err_base, err_base - err))
         print(f"seed {seed}: r2d2 {err:.4f}  baseline {err_base:.4f}  "
               f"delta {err_base - err:+.4f}")
-    with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "r2d2_error", "baseline_error", "delta"])
-        w.writerows(rows)
+    write_csv_columns(os.path.join(args.out, "comparison.csv"),
+                      ["seed", "r2d2_error", "baseline_error", "delta"], ["%s"] * 4, len(rows),
+                      lambda start, stop: list(zip(*rows[start:stop])))
     wins = sum(r[3] > 0 for r in rows)
     print(f"{wins}/{len(rows)} seeds improved over the baseline")
     return 0

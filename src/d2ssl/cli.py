@@ -317,9 +317,10 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
 
 
 def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
-    # The feature export's whole-pool forward is the peak of a diagnose
-    # run; it goes first, before the smaller unlabeled-pool forward
-    # leaves freed pages in the heap under it.
+    # The feature export's whole-pool forward is the peak of a process's
+    # first diagnose run: it goes before the smaller unlabeled-pool
+    # forward leaves freed pages in the heap under it. A later run in the
+    # same process starts over heap that glibc kept from the last one.
     diag.export_features(dataset, params, os.path.join(out_dir, "features.csv"))
     scores = diag.unlabeled_scores(dataset, params, store, d2cfg)
     counts, frac = diag.t_histogram(scores[-1])
@@ -327,19 +328,22 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
     if d2cfg.beta > 0:
         records, summary = diag.flatness_audit(scores, d2cfg.beta)
         diag.write_flatness_csv(records, os.path.join(out_dir, "flatness_audit.csv"))
-        with open(os.path.join(out_dir, "flatness_summary.csv"), "w") as fh:
-            fh.write(",".join(summary.keys()) + "\n")
-            fh.write(",".join(f"{v:.9g}" for v in summary.values()) + "\n")
+        _write_table(os.path.join(out_dir, "flatness_summary.csv"), list(summary),
+                     ["%.9g"] * len(summary), [[v] for v in summary.values()])
     grid = np.linspace(0.0, np.log(store.n_classes) + 1e-9, 51)[1:]
     unl = dataset.unlabeled_indices
     cdf = diag.entropy_cdf(store.probs(unl), grid) if unl.size else np.zeros(50, int)
-    with open(os.path.join(out_dir, "entropy_cdf.csv"), "w") as fh:
-        fh.write("threshold,count_below\n")
-        for e, c in zip(grid, cdf):
-            fh.write(f"{e:.9g},{int(c)}\n")
-    with open(os.path.join(out_dir, "t_converged_fraction.csv"), "w") as fh:
-        fh.write("fraction_abs_t_below_1e-3\n")
-        fh.write(f"{frac:.9g}\n")
+    _write_table(os.path.join(out_dir, "entropy_cdf.csv"), ["threshold", "count_below"],
+                 ["%.9g", "%d"], [grid.tolist(), cdf.tolist()])
+    _write_table(os.path.join(out_dir, "t_converged_fraction.csv"),
+                 ["fraction_abs_t_below_1e-3"], ["%.9g"], [[frac]])
+
+
+def _write_table(path, header: list[str], formats: list[str], columns: list) -> None:
+    """The small tables of cli: whole columns, LF line ends."""
+    data_mod.write_csv_columns(path, header, formats, len(columns[0]),
+                               lambda start, stop: [c[start:stop] for c in columns],
+                               line_end="\n")
 
 
 def train_r2d2(cfg: ExperimentConfig, dataset: data_mod.SplitDataset):
@@ -498,11 +502,9 @@ def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
              for key, values in ABLATION_AXES.items() for value in values}
     cells.update((f"strategy:{name}", o) for name, o in strategy_cells(cfg).items())
     errors = ablation_errors(cfg, cells)
-    with open(os.path.join(out_dir, "ablation_summary.csv"), "w") as fh:
-        fh.write("cell,overrides,test_error\n")
-        for name, overrides in cells.items():
-            txt = ";".join(f"{k}={v}" for k, v in overrides.items())
-            fh.write(f"{name},{txt},{errors[name]:.9g}\n")
+    overrides = [";".join(f"{k}={v}" for k, v in o.items()) for o in cells.values()]
+    _write_table(os.path.join(out_dir, "ablation_summary.csv"), ["cell", "overrides", "test_error"],
+                 ["%s", "%s", "%.9g"], [list(cells), overrides, [errors[c] for c in cells]])
 
 
 def run_mode_diagnose(cfg: ExperimentConfig, out_dir: str) -> None:

@@ -13,7 +13,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -169,20 +169,41 @@ def _parse_column(col: list[str], parse, name: str, first_line: int,
 
 
 def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, columns,
-                      line_end: str = "\r\n") -> None:
+                      line_end: str = "\r\n", header_end: str | None = None) -> None:
     """Write n_rows rows as a CSV file, BLOCK_ROWS rows at a time:
     columns(start, stop) gives the columns of rows start..stop-1, and
     formats holds the %-format of each column's fields. The bytes are
-    those csv.writer writes for the printed fields (comma-separated,
-    CRLF line ends unless line_end says otherwise). No printed field may
-    contain a comma, a quote or a line break."""
-    line = ",".join(formats) + line_end
+    those csv.writer writes for the printed fields, with CRLF line ends
+    unless line_end says otherwise; header_end ends the header line
+    instead when given (metrics.csv has an LF header over CRLF rows)."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + line_end)
+        fh.write(",".join(map(_quoted, header)) + (header_end or line_end))
         for start in range(0, n_rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_rows)
-            fields = chain.from_iterable(zip(*columns(start, stop)))
-            fh.write((line * (stop - start)) % tuple(fields))
+            fh.write(_block_text(formats, line_end,
+                                 tuple(chain.from_iterable(zip(*columns(start, stop))))))
+
+
+def _block_text(formats: list[str], line_end: str, fields: tuple) -> str:
+    """The lines of one block of row-major fields. The block is printed
+    whole, and again field by field, quoted, only if it has a double
+    quote or more commas, CRs and LFs than separators and line ends
+    (counted on its UTF-8 bytes, which no other character uses)."""
+    width = len(formats)
+    rows = len(fields) // width
+    text = ((",".join(formats) + line_end) * rows) % fields
+    raw = np.frombuffer(text.encode(), np.uint8)
+    marks = sum(np.count_nonzero(raw == c) for c in b",\r\n")
+    if '"' not in text and marks == rows * (width - 1 + len(line_end)):
+        return text
+    texts = [_quoted(fmt % value) for fmt, value in zip(cycle(formats), fields)]
+    return "".join(",".join(texts[i:i + width]) + line_end for i in range(0, len(texts), width))
+
+
+def _quoted(text: str) -> str:
+    """A field as csv.writer prints it: in double quotes, with its double
+    quotes doubled, if it holds a comma, a double quote or a line break."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
 
 
 def gen_gaussians(

@@ -15,13 +15,12 @@ the Nesterov step updates their flat buffer in place.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import OOD_CLASS, SplitDataset
+from .data import OOD_CLASS, SplitDataset, write_csv_columns
 from .errors import ConfigurationError, NumericError
 from .model import (
     ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
@@ -141,22 +140,15 @@ class MetricsRecord:
     t_abs_p95: float = math.nan
     sum_drift_max: float = math.nan
 
-    def row(self) -> list[str]:
-        vals = [
-            self.lr, self.loss_total, self.loss_c, self.loss_e,
-            self.acc_labeled, self.acc_test, self.acc_pseudo,
-            self.mean_h_pseudo, self.mean_h_pred,
-            self.t_abs_p50, self.t_abs_p95, self.sum_drift_max,
-        ]
-        return [self.stage, str(self.epoch)] + [f"{v:.9g}" for v in vals]
-
 
 def write_metrics(records: list[MetricsRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        w = csv.writer(fh)
-        for rec in records:
-            w.writerow(rec.row())
+    """metrics.csv: an LF header line over CRLF rows, floats as %.9g."""
+    rows = [(r.stage, r.epoch, r.lr, r.loss_total, r.loss_c, r.loss_e, r.acc_labeled,
+             r.acc_test, r.acc_pseudo, r.mean_h_pseudo, r.mean_h_pred, r.t_abs_p50,
+             r.t_abs_p95, r.sum_drift_max) for r in records]
+    write_csv_columns(path, METRICS_HEADER.split(","), ["%s", "%d"] + ["%.9g"] * 12,
+                      len(rows), lambda start, stop: list(zip(*rows[start:stop])),
+                      header_end="\n")
 
 
 def sgd_nesterov_step(state: OptimizerState, lr: float) -> None:

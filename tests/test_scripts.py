@@ -159,3 +159,17 @@ def test_run_convergence_audit_bad_lam_exits_config_before_training(tmp_path, mo
     assert load("run_convergence_audit").main(["--out", str(out), "--lam", "-1"]) == 2
     assert capsys.readouterr().err == "configuration error: lambda must be non-negative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+def test_run_convergence_audit_bad_lr_exits_config_before_training(tmp_path, monkeypatch,
+                                                                   capsys, lr):
+    def no_training(*args):
+        raise AssertionError("the warm-up trained")
+
+    monkeypatch.setattr(cli, "run_supervised_baseline", no_training)
+    out = tmp_path / "out"
+    assert load("run_convergence_audit").main(["--out", str(out), "--lr", lr]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: lr must be finite and non-negative, got {float(lr)}\n")
+    assert not out.exists()

@@ -3,7 +3,8 @@ its top level or in one of its classes, is read somewhere in the
 program (src/, scripts/ or bench/) or exported in d2ssl.__all__. Code
 that only tests reach belongs under tests/. And every exception class
 of errors.py that ends a run is raised by the program, so the exit-code
-table of cli.run_guarded names no error that cannot happen."""
+table of cli.run_guarded names no error that cannot happen. And
+data.py is the one module that writes CSV: no other imports csv."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,15 @@ def test_every_error_class_is_raised_by_the_program():
     # A base class is raised through its subclasses.
     never = [node.name for node in classes if node.name not in bases | raised]
     assert not never, "error classes that nothing in src/ or scripts/ raises: " + ", ".join(never)
+
+
+def test_only_data_imports_csv():
+    importers = []
+    for top in ("src", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if "csv" in names and path.name != "data.py":
+                    importers.append(str(path.relative_to(ROOT)))
+    assert not importers, "csv imported outside data.py by: " + ", ".join(importers)
