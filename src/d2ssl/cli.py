@@ -334,7 +334,7 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
     unl = dataset.unlabeled_indices
     cdf = diag.entropy_cdf(store.probs(unl), grid) if unl.size else np.zeros(50, int)
     _write_table(os.path.join(out_dir, "entropy_cdf.csv"), ["threshold", "count_below"],
-                 ["%.9g", "%d"], [grid.tolist(), cdf.tolist()])
+                 ["%.9g", "%d"], [grid, cdf])
     _write_table(os.path.join(out_dir, "t_converged_fraction.csv"),
                  ["fraction_abs_t_below_1e-3"], ["%.9g"], [[frac]])
 
@@ -530,7 +530,20 @@ def run_mode_diagnose(cfg: ExperimentConfig, out_dir: str) -> None:
     d_in = params.layer_sizes[0]
     if dataset.dim != d_in:
         raise FormatError(f"checkpoint takes {d_in} inputs, dataset has {dataset.dim}")
+    names = [f"layer {i} {kind}" for i in range(len(params.layers)) for kind in ("weight", "bias")]
+    for name, tensor in zip(names + ["head weight"], params.tensors()):
+        _reject_non_finite(tensor, lambda *at, n=name: f"checkpoint {n} entry {at}: non-finite")
+    _reject_non_finite(store.logits, lambda i, k: f"snapshot sample {i}: non-finite logit {k}")
+    _reject_non_finite(dataset.features, lambda i, j: f"dataset CSV line {i + 2}: non-finite x{j}")
     _emit_diagnostics(out_dir, dataset, params, store, cfg.d2_config())
+
+
+def _reject_non_finite(array: np.ndarray, place) -> None:
+    """FormatError at array's first non-finite entry: place(*index), value."""
+    bad = np.flatnonzero(~np.isfinite(array))
+    if bad.size:
+        at = tuple(map(int, np.unravel_index(bad[0], array.shape)))
+        raise FormatError(f"{place(*at)} {array[at]}")
 
 
 MODES = {

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -74,14 +75,14 @@ class SplitDataset:
 
     def label_columns(self, start: int, stop: int) -> list:
         """The id, role and class columns of rows start..stop-1 in the
-        CSV layout, each field printed with %s; the class of an
-        out-of-distribution row is empty."""
-        classes = self.true_classes[start:stop].tolist()
-        class_names = {c: "" if c == OOD_CLASS else c for c in set(classes)}
+        CSV layout, each field printed with %s: the ids as an integer
+        array, the role names and the classes as Coded columns; the class
+        of an out-of-distribution row is empty."""
+        classes, class_codes = np.unique(self.true_classes[start:stop], return_inverse=True)
         return [
-            range(start, stop),
-            list(map(_ROLE_NAMES.__getitem__, self.roles[start:stop].tolist())),
-            list(map(class_names.__getitem__, classes)),
+            np.arange(start, stop),
+            Coded(list(_ROLE_NAMES.values()), self.roles[start:stop]),
+            Coded(["" if c == OOD_CLASS else c for c in classes.tolist()], class_codes),
         ]
 
     def save_csv(self, path) -> None:
@@ -90,8 +91,7 @@ class SplitDataset:
         header = ["id", "role", "class"] + [f"x{i}" for i in range(self.dim)]
         write_csv_columns(
             path, header, ["%s"] * 3 + ["%r"] * self.dim, self.n_samples,
-            lambda start, stop: self.label_columns(start, stop)
-            + self.features[start:stop].T.tolist(),
+            lambda start, stop: self.label_columns(start, stop) + list(self.features[start:stop].T),
         )
 
     @classmethod
@@ -173,37 +173,205 @@ def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, 
     """Write n_rows rows as a CSV file, BLOCK_ROWS rows at a time:
     columns(start, stop) gives the columns of rows start..stop-1, and
     formats holds the %-format of each column's fields. The bytes are
-    those csv.writer writes for the printed fields, with CRLF line ends
-    unless line_end says otherwise; header_end ends the header line
-    instead when given (metrics.csv has an LF header over CRLF rows)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quoted, header)) + (header_end or line_end))
+    those csv.writer writes for the fields fmt % value prints, with CRLF
+    line ends unless line_end says otherwise; header_end ends the header
+    line instead when given (metrics.csv has an LF header over CRLF rows).
+
+    A block is one uint8 matrix, written as its valid bytes. Numpy kernels
+    print float64 arrays under %r, %s or %.9g and integer arrays under %s
+    or %d, with NUL in their holes, and fmt % value the values they cannot
+    print exactly. Any other column is printed by fmt % value and quoted
+    once per distinct text (a Coded column once per value)."""
+    end = np.frombuffer(line_end.encode(), np.uint8)[None]
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_quoted, header)) + (header_end or line_end)).encode())
         for start in range(0, n_rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_rows)
-            fh.write(_block_text(formats, line_end,
-                                 tuple(chain.from_iterable(zip(*columns(start, stop))))))
+            rows = min(BLOCK_ROWS, n_rows - start)
+            fh.write(_block(formats, columns(start, start + rows), rows, end))
 
 
-def _block_text(formats: list[str], line_end: str, fields: tuple) -> str:
-    """The lines of one block of row-major fields. The block is printed
-    whole, and again field by field, quoted, only if it has a double
-    quote or more commas, CRs and LFs than separators and line ends
-    (counted on its UTF-8 bytes, which no other character uses)."""
-    width = len(formats)
-    rows = len(fields) // width
-    text = ((",".join(formats) + line_end) * rows) % fields
-    raw = np.frombuffer(text.encode(), np.uint8)
-    marks = sum(np.count_nonzero(raw == c) for c in b",\r\n")
-    if '"' not in text and marks == rows * (width - 1 + len(line_end)):
-        return text
-    texts = [_quoted(fmt % value) for fmt, value in zip(cycle(formats), fields)]
-    return "".join(",".join(texts[i:i + width]) + line_end for i in range(0, len(texts), width))
+def _block(formats: list[str], columns, rows: int, end: np.ndarray) -> np.ndarray:
+    """One block's matrix of fields, separators and line ends, compacted."""
+    parts, masks, width, separator = [], [], 0, np.full((1, 1), ord(","), np.uint8)
+    for fmt, column in zip(formats, columns):
+        matrix, mask = _field(fmt, column, rows)
+        if mask is not None:
+            masks.append((width, mask))
+        parts += [matrix, separator]
+        width += matrix.shape[1] + 1
+    parts[-1] = end
+    block = np.concatenate([np.broadcast_to(p, (rows, p.shape[1])) for p in parts], axis=1)
+    valid = block != 0
+    for at, mask in masks:
+        valid[:, at:at + mask.shape[1]] = mask
+    return block[valid]
+
+
+Coded = namedtuple("Coded", "values codes")  # row i holds values[codes[i]]
+
+
+def _field(fmt: str, column, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (rows, width) byte matrix of one column's fields, and the mask
+    of its valid bytes, or None when they are its non-NUL bytes."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64 and fmt in ("%r", "%s", "%.9g"):
+            return _float_field(fmt, column), None
+        if column.dtype.kind in "iu" and fmt in ("%s", "%d"):
+            return _int_field(fmt, column), None
+        column = column.tolist()
+    if isinstance(column, Coded):
+        texts, codes = [fmt % value for value in column.values], column.codes
+    else:
+        index = {}
+        codes = [index.setdefault(fmt % value, len(index)) for value in islice(column, rows)]
+        texts = list(index)
+    table, lengths = _text_matrix(map(_quoted, texts))
+    return table[codes], (np.arange(table.shape[1]) < lengths[:, None])[codes]
 
 
 def _quoted(text: str) -> str:
     """A field as csv.writer prints it: in double quotes, with its double
     quotes doubled, if it holds a comma, a double quote or a line break."""
     return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
+
+
+def _text_matrix(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each text in a NUL-padded row, and their lengths."""
+    raw = [text.encode() for text in texts]
+    lengths = np.array([len(r) for r in raw], np.int64)
+    table = np.zeros((len(raw), int(lengths.max(initial=0))), np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
+    return table, lengths
+
+
+def _fallback(fmt: str, values: np.ndarray, ok: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """A kernel's matrix with its rows not ok replaced by fmt % value."""
+    rows = np.flatnonzero(~ok)
+    table = _text_matrix([fmt % value for value in values[rows].tolist()])[0]
+    if table.shape[1] > matrix.shape[1]:
+        matrix = np.pad(matrix, ((0, 0), (0, table.shape[1] - matrix.shape[1])))
+    matrix[rows] = 0
+    matrix[rows, :table.shape[1]] = table
+    return matrix
+
+
+# The kernels' tables: the ASCII digits of 0000..9999 as <u4, then the
+# same with NUL for the zeros before the first nonzero digit (_LEADING4)
+# or after the last (_TRAILING4); the powers of 5 and 10 in a uint64.
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, 10000) + ord("0")  # row k: digit k
+_LEADING4, _TRAILING4 = (
+    np.ascontiguousarray((_DIGITS * ~np.stack([np.zeros_like(blank), blank])).transpose(0, 2, 1))
+    .view("<u4").ravel()
+    for blank in (np.logical_and.accumulate(_DIGITS == ord("0")),
+                  np.logical_and.accumulate(_DIGITS[::-1] == ord("0"))[::-1]))
+_POW5 = np.uint64(5) ** np.arange(28, dtype=np.uint64)
+_POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+
+
+def _digit_text(values: np.ndarray, width: int, leading: bool):
+    """The width ASCII digits of values below 10**width, one row each, NUL
+    for the zeros before the first nonzero digit (leading; 0 keeps its
+    last) or after the last; and which byte columns any row fills."""
+    groups = -(-width // 4)
+    parts = [(values // 10**(4 * k) % 10000).astype(np.int64) for k in range(groups)][::-1]
+    text = np.empty((len(values), groups), "<u4")
+    filled = np.empty(groups, "<u4")
+    blank = np.full(len(values), 10000)
+    for k in range(groups) if leading else reversed(range(groups)):
+        text[:, k] = (_LEADING4 if leading else _TRAILING4)[parts[k] + blank]
+        blank *= parts[k] == 0
+        filled[k] = np.bitwise_or.reduce(text[:, k])
+    text = text.view(np.uint8)[:, 4 * groups - width:]
+    if leading:
+        text[:, -1] = np.maximum(text[:, -1], ord("0"))
+    return text, (filled.view(np.uint8) != 0)[4 * groups - width:]
+
+
+def _int_field(fmt: str, column: np.ndarray) -> np.ndarray:
+    """Integers as %d prints them, from the 4-digit table, right-aligned
+    after the sign; values of 10**16 or more in size go through %."""
+    ok = (column < 10**16) & (column > -10**16)
+    signed = np.where(ok, column, 0).astype(np.int64)
+    width = len(str(np.abs(signed).max()))
+    matrix = np.empty((len(column), width + 1), np.uint8)
+    matrix[:, 0] = (signed < 0) * ord("-")
+    matrix[:, 1:] = _digit_text(np.abs(signed), width, True)[0]
+    return _fallback(fmt, column, ok, matrix)
+
+
+def _float_field(fmt: str, x: np.ndarray) -> np.ndarray:
+    """Float64 values as fmt % value prints them: %r (or %s) the shortest
+    round-trip digits, %.9g nine significant digits, both in fixed
+    notation. Zero, subnormals, inf, nan, %r's powers of two (the gap below
+    is half the gap above), exact ties at the printed length, values the
+    scaling cannot bring into range and 20-digit fractions go through %."""
+    shortest = fmt != "%.9g"
+    digits, top = (17, 15) if shortest else (9, 8)
+    # With x = M*2**E (M with its hidden bit), e10 = floor(log10|x|)
+    # estimated and s = digits-1-e10, |x|*10**s = I + R/2**t exactly for
+    # P = M*5**s, a 128-bit product of 32-bit limbs, t = -(E+s),
+    # I = P >> t and R = P mod 2**t. A row is kept when x is normal, e10
+    # lies in -4..top, 1 <= t <= 55 and 10**(digits-1) <= I < 10**digits.
+    bits = x.view("<u8")
+    biased = (bits >> 52).astype(np.int64) & 0x7FF
+    normal = (biased > 0) & (biased < 0x7FF)
+    e10 = np.floor(np.log10(np.abs(np.where(normal, x, 1.0)))).astype(np.int64)
+    s = digits - 1 - np.minimum(np.maximum(e10, -4), top)
+    t = 1075 - biased - s
+    ok = normal & (e10 >= -4) & (e10 <= top) & (t >= 1) & (t <= 55)
+    shift = np.minimum(np.maximum(t, 1), 55).astype(np.uint64)
+    mantissa, five = bits & (2**52 - 1) | 2**52, _POW5[s]
+    m0, m1, f0, f1 = mantissa & (2**32 - 1), mantissa >> 32, five & (2**32 - 1), five >> 32
+    low, mid = m0 * f0, m0 * f1 + m1 * f0
+    carry = (low >> 32) + (mid & (2**32 - 1))
+    lo = low & (2**32 - 1) | carry << 32
+    hi = m1 * f1 + (mid >> 32) + (carry >> 32)
+    scaled = hi << (64 - shift) | lo >> shift
+    ok &= (hi >> shift == 0) & (scaled >= _POW10[digits - 1]) & (scaled < _POW10[digits])
+    scaled, rest, unit, five = (v.astype(np.int64) for v in
+                                (scaled, lo & ((1 << shift) - 1), 1 << shift, five))
+    del biased, s, t, shift, mantissa, m0, m1, f0, f1, low, mid, carry, lo, hi  # block memory
+    value, tie = scaled + (2 * rest > unit), 2 * rest == unit
+    if shortest:
+        # I rounded to 16, then 15 digits, kept if it rounds back to x:
+        # if 2*|C*2**t - (I*2**t + R)| < 5**s (odd) for its 17-digit C.
+        # DBL_DIG is 15, so a shorter repr is the 15-digit one.
+        for step in (10, 100):
+            low = scaled - scaled // step * step
+            below = low * unit + rest
+            above = step * unit - below
+            back = 2 * np.minimum(below, above) < five
+            value = np.where(back, scaled - low + step * (below > above), value)
+            tie = np.where(back, below == above, tie)
+        ok &= bits & (2**52 - 1) != 0
+        del low, below, above, back
+    ok &= ~tie
+    # A carry to 10**digits is 10**(digits-1) of the next decade.
+    carried = value == 10**digits
+    e10 = e10 + carried
+    ok &= e10 <= top
+    value = np.where(ok, np.where(carried, 10**(digits - 1), value) * 10**(17 - digits), 0)
+    e10 = np.where(ok, e10, 0)
+    # value * 10**(e10-16) as its integer part and its fraction to as
+    # many places as the block needs, at most 19 (a 20th must be zero).
+    integer, fraction = np.divmod(value, _POW10[np.minimum(16 - e10, 17)].astype(np.int64))
+    places = max(min(digits - 1 - int(e10.min()), 19), 1)
+    shift = places - 16 + e10
+    fraction = fraction.astype(np.uint64) * _POW10[np.maximum(shift, 0)]
+    lower = _POW10[np.maximum(-shift, 0)]
+    shown = fraction // lower
+    ok &= shown * lower == fraction
+    fraction_text, filled = _digit_text(shown, places, False)
+    if shortest:
+        fraction_text[:, 0] = np.maximum(fraction_text[:, 0], ord("0"))
+        filled[0] = True
+    wi, wf = len(str(integer.max())), int(np.flatnonzero(filled).max(initial=-1)) + 1
+    matrix = np.empty((len(x), wi + wf + 2), np.uint8)
+    matrix[:, 0] = np.signbit(x) * ord("-")
+    matrix[:, 1:wi + 1] = _digit_text(integer, wi, True)[0]
+    matrix[:, wi + 1] = ord(".") if shortest else (shown != 0) * ord(".")
+    matrix[:, wi + 2:] = fraction_text[:, :wf]
+    return _fallback(fmt, x, ok, matrix)
 
 
 def gen_gaussians(

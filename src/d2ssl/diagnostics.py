@@ -99,10 +99,10 @@ def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
     truncated = feat.shape[1] != 2
 
     def columns(start, stop):
-        cols = dataset.label_columns(start, stop) + coords[start:stop].T.tolist()
+        cols = dataset.label_columns(start, stop) + list(coords[start:stop].T)
         if coords.shape[1] == 1:
             cols.append(repeat(0.0))
-        cols.append(pred[start:stop].tolist())
+        cols.append(pred[start:stop])
         if truncated:
             cols.append(repeat(1))
         return cols
@@ -115,8 +115,7 @@ def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
 
 def write_histogram_csv(counts: np.ndarray, path) -> None:
     """Write t_histogram counts as CSV, one row per bin."""
-    edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1).tolist()
-    counts = counts.tolist()
+    edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1)
     write_csv_columns(path, ["bin_lower", "bin_upper", "count"], ["%.9g", "%.9g", "%s"],
                       HIST_BINS, lambda start, stop: [edges[start:stop],
                                                       edges[start + 1:stop + 1],
@@ -127,4 +126,4 @@ def write_flatness_csv(records: np.ndarray, path) -> None:
     """Write flatness_audit records as CSV, each value as f"{v:.9g}"."""
     write_csv_columns(path, ["id", "p_hat_n", "p_tilde_n", "loss", "bound", "residual"],
                       ["%.9g"] * records.shape[1], records.shape[0],
-                      lambda start, stop: records[start:stop].T.tolist(), line_end="\n")
+                      lambda start, stop: list(records[start:stop].T), line_end="\n")

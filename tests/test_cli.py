@@ -33,9 +33,9 @@ from d2ssl.cli import (
     strategy_cells,
 )
 from d2ssl.errors import ConfigurationError, D2Error, DimensionError, FrozenUpdateError
-from d2ssl.model import init_params, save_checkpoint
+from d2ssl.model import init_params, load_checkpoint, save_checkpoint
 from d2ssl.numerics import seeded_rng, softmax_pair
-from d2ssl.pseudo import D2Config, init_pseudo_labels, save_snapshot
+from d2ssl.pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from d2ssl.data import OOD_CLASS
 from d2ssl.trainer import METRICS_HEADER, MetricsRecord, SchedulePlan
 
@@ -428,6 +428,40 @@ def test_main_diagnose_checkpoint_trailing_bytes_exit_io(tmp_path, capsys):
         fh.write(b"junk")
     assert main(argv) == EXIT_IO
     assert "4 trailing bytes after the tensor data" in capsys.readouterr().err
+
+
+def nan_feature(tmp_path):
+    path = tmp_path / "dataset.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")  # data line 6, id 4
+    lines[5] = ",".join(fields[:3] + ["nan"] + fields[4:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def inf_weight(tmp_path):
+    params = load_checkpoint(tmp_path / "model.d2ck")
+    params.layers[0].weight[1, 3] = math.inf
+    save_checkpoint(params, tmp_path / "model.d2ck")
+
+
+def minus_inf_logit(tmp_path):
+    store = load_snapshot(tmp_path / "pseudo.d2pl")
+    store.logits[7, 2] = -math.inf
+    save_snapshot(store, tmp_path / "pseudo.d2pl")
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (nan_feature, "dataset CSV line 6: non-finite x0 nan"),
+    (inf_weight, "checkpoint layer 0 weight entry (1, 3): non-finite inf"),
+    (minus_inf_logit, "snapshot sample 7: non-finite logit 2 -inf"),
+])
+def test_main_diagnose_non_finite_input_exits_io(tmp_path, capsys, corrupt, message):
+    """A non-finite input stops diagnose before it writes any table."""
+    argv = diagnose_argv(tmp_path)
+    corrupt(tmp_path)
+    assert main(argv) == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "diag").glob("*.csv"))
 
 
 def test_main_ablation(tmp_path):

@@ -4,6 +4,9 @@ writer of them all, prints the bytes csv.writer prints."""
 
 import csv
 import io
+import math
+import sys
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings
@@ -39,24 +42,58 @@ def read_table(path):
     return header, rows
 
 
-def spy_quoting(monkeypatch):
-    """The list of every text the writer passes to its quoting: the
-    header's names, and each field of a block it prints field by field."""
-    texts, quoted = [], data_mod._quoted
-    monkeypatch.setattr(data_mod, "_quoted", lambda text: texts.append(text) or quoted(text))
-    return texts
+def spy(monkeypatch, name):
+    """The list of the arguments of every call of data_mod.<name>."""
+    calls, real = [], getattr(data_mod, name)
+    monkeypatch.setattr(data_mod, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
-def test_r2d2_tables_are_well_formed_and_take_the_fast_path(tmp_path, monkeypatch):
-    quoted = spy_quoting(monkeypatch)
+# The columns the program prints as text (role names, class labels, stage
+# names), and its one-row tables of Python scalars, printed by %.
+TEXT_COLUMNS = {"role", "class", "stage"}
+SCALAR_TABLES = {"flatness_summary.csv", "t_converged_fraction.csv"}
+
+
+def kernel_prints(fmt, value) -> bool:
+    """Whether the numpy kernels print value under fmt themselves: an
+    integer below 10**16 in size, or a normal float in fixed notation
+    (below 2**51 under %r) that is no power of two under %r, has no
+    fraction of 20 digits and is no exact tie at the printed length."""
+    if isinstance(value, int):
+        return abs(value) < 10**16
+    if not math.isfinite(value) or abs(value) < sys.float_info.min or "e" in fmt % value:
+        return False
+    shortest = fmt != "%.9g"
+    if shortest and (abs(value) >= 2**51 or math.frexp(value)[0] in (0.5, -0.5)
+                     or len(fmt % abs(value)) == 22):  # 0.000ddd..., 17 digits
+        return False
+    exact = abs(Fraction(value))
+    e10 = math.floor(math.log10(abs(value)))
+    for digits in (15, 16, 17) if shortest else (9,):
+        scaled = exact * Fraction(10) ** (digits - 1 - e10)
+        if scaled - math.floor(scaled) == Fraction(1, 2):
+            return False
+    return True
+
+
+def test_r2d2_tables_are_well_formed_and_print_each_text_once(tmp_path, monkeypatch):
+    quoted, fallbacks = spy(monkeypatch, "_quoted"), spy(monkeypatch, "_fallback")
     assert main(tiny_args("r2d2", tmp_path)) == EXIT_OK
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(R2D2_CSVS)
-    headers = []
+    texts = []
     for name in R2D2_CSVS:
         header, rows = read_table(tmp_path / name)
         assert rows, name
-        headers += header
-    assert sorted(quoted) == sorted(headers)  # no block was printed field by field
+        texts += header
+        for key, column in zip(header, zip(*rows)):
+            if key in TEXT_COLUMNS or name in SCALAR_TABLES:
+                texts += sorted(set(column))  # one block per table in the tiny run
+    assert sorted(text for (text,) in quoted) == sorted(texts)
+    assert fallbacks
+    for fmt, values, ok, _ in fallbacks:
+        for value in values[~ok].tolist():
+            assert not kernel_prints(fmt, value), (fmt, value)
 
 
 def test_ablation_overrides_read_back_as_their_text(tmp_path):

@@ -26,6 +26,7 @@ from d2ssl.trainer import (
     cosine_lr,
     head_only_d2,
     open_world_filter,
+    percentiles_50_95,
     run_r2d2,
     run_supervised_baseline,
     sgd_nesterov_step,
@@ -348,6 +349,24 @@ def _per_subset_stage2_metrics(ds, params, store, cfg, active, drift_base):
         "t_abs_p95": float(np.percentile(t, 95)),
         "sum_drift_max": float(drift.max()),
     }
+
+
+def test_percentiles_50_95_equal_np_percentile_bit_for_bit():
+    """On 10,000 arrays of 1 to 5,000 entries: spread values, few repeated
+    ones with both zeros, and arrays holding a NaN or an infinity."""
+    rng = np.random.default_rng(0)
+    few = np.array([0.0, -0.0, 1e-3, 2.5, 7.0, np.inf])
+    with np.errstate(invalid="ignore"):
+        for i in range(10_000):
+            n = int(rng.integers(1, 5001))
+            if i % 3 == 0:
+                values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-12, 3)
+            else:
+                values = rng.choice(few[:5 + i % 3 // 2], n)
+            if i % 7 == 0:
+                values[rng.integers(n)] = np.nan
+            expected = np.percentile(values, [50, 95])
+            assert percentiles_50_95(values.copy()).tobytes() == expected.tobytes(), (i, n)
 
 
 @pytest.mark.parametrize("case", ["closed_world", "open_world", "labeled_matching_only"])
