@@ -31,7 +31,7 @@ def study(args) -> int:
     write_csv_columns(os.path.join(args.out, "open_world.csv"),
                       ["seed", "unfiltered_error", "filtered_error", "pool_ood_fraction",
                        "discard_ood_fraction"], ["%s"] * 5, len(rows),
-                      lambda start, stop: list(zip(*rows[start:stop])))
+                      list(zip(*rows)))
     return 0
 
 

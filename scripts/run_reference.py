@@ -47,7 +47,7 @@ def compare(args, extra: list[str]) -> int:
               f"delta {err_base - err:+.4f}")
     write_csv_columns(os.path.join(args.out, "comparison.csv"),
                       ["seed", "r2d2_error", "baseline_error", "delta"], ["%s"] * 4, len(rows),
-                      lambda start, stop: list(zip(*rows[start:stop])))
+                      list(zip(*rows)))
     wins = sum(r[3] > 0 for r in rows)
     print(f"{wins}/{len(rows)} seeds improved over the baseline")
     return 0

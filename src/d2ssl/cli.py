@@ -341,9 +341,7 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
 
 def _write_table(path, header: list[str], formats: list[str], columns: list) -> None:
     """The small tables of cli: whole columns, LF line ends."""
-    data_mod.write_csv_columns(path, header, formats, len(columns[0]),
-                               lambda start, stop: [c[start:stop] for c in columns],
-                               line_end="\n")
+    data_mod.write_csv_columns(path, header, formats, len(columns[0]), columns, line_end="\n")
 
 
 def train_r2d2(cfg: ExperimentConfig, dataset: data_mod.SplitDataset):

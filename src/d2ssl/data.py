@@ -14,7 +14,7 @@ import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -73,15 +73,15 @@ class SplitDataset:
             self.features.copy(), self.true_classes.copy(), self.roles.copy(), self.n_classes
         )
 
-    def label_columns(self, start: int, stop: int) -> list:
-        """The id, role and class columns of rows start..stop-1 in the
-        CSV layout, each field printed with %s: the ids as an integer
-        array, the role names and the classes as Coded columns; the class
-        of an out-of-distribution row is empty."""
-        classes, class_codes = np.unique(self.true_classes[start:stop], return_inverse=True)
+    def label_columns(self) -> list:
+        """The id, role and class columns in the CSV layout, each field
+        printed with %s: the ids as an integer array, the role names and
+        the classes as Coded columns; the class of an out-of-distribution
+        row is empty."""
+        classes, class_codes = np.unique(self.true_classes, return_inverse=True)
         return [
-            np.arange(start, stop),
-            Coded(list(_ROLE_NAMES.values()), self.roles[start:stop]),
+            np.arange(self.n_samples),
+            Coded(list(_ROLE_NAMES.values()), self.roles),
             Coded(["" if c == OOD_CLASS else c for c in classes.tolist()], class_codes),
         ]
 
@@ -89,16 +89,16 @@ class SplitDataset:
         """Header id,role,class,x0..x{d-1}; one row per sample with
         repr() floats, CRLF line ends."""
         header = ["id", "role", "class"] + [f"x{i}" for i in range(self.dim)]
-        write_csv_columns(
-            path, header, ["%s"] * 3 + ["%r"] * self.dim, self.n_samples,
-            lambda start, stop: self.label_columns(start, stop) + list(self.features[start:stop].T),
-        )
+        write_csv_columns(path, header, ["%s"] * 3 + ["%r"] * self.dim, self.n_samples,
+                          self.label_columns() + list(self.features.T))
 
     @classmethod
     def load_csv(cls, path, n_classes: int) -> "SplitDataset":
         """Read a CSV written by save_csv. A row with the wrong field
         count, an unknown role, or an id, class or feature that does not
-        parse raises FormatError, as do ids other than 0..n-1. Field
+        parse raises FormatError, as do ids other than 0..n-1. Ids and
+        classes are plain ASCII digits, and a feature holds no whitespace,
+        underscore or non-ASCII character, though float() takes them. Field
         counts are checked over the whole file first; then rows are
         parsed BLOCK_ROWS at a time, each block's columns in the order
         id, role, class, x0.., so the fault reported is the first of a
@@ -124,26 +124,44 @@ class SplitDataset:
         roles = np.empty(n, dtype=np.int64)
         for start in range(0, n, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n)
-            fields = ",".join(lines[1 + start:1 + stop]).split(",")
+            text = ",".join(lines[1 + start:1 + stop])
+            fields = text.split(",")
             id_col, role_col, class_col, *feature_cols = (fields[j::width] for j in range(width))
             line = start + 2  # the file line of row start
-            if _parse_column(id_col, int, "id", line) != list(range(start, stop)):
+            if id_col != list(map(str, range(start, stop))) and (
+                    _parse_column(id_col, _parse_count, "id", line) != list(range(start, stop))):
                 raise FormatError("dataset CSV ids not contiguous")
             roles[start:stop] = _parse_column(
                 role_col, _ROLE_CODES.__getitem__, "role", line, few=True)
             classes[start:stop] = _parse_column(class_col, _parse_class, "class", line, few=True)
+            number = _strict_float if _loose(text) else float  # one scan of a clean block
             for j, col in enumerate(feature_cols):
-                features[start:stop, j] = _parse_column(col, float, f"x{j}", line)
+                features[start:stop, j] = _parse_column(col, number, f"x{j}", line)
         return cls(features, classes, roles, n_classes)
 
 
-def _parse_class(text: str) -> int:
-    if text == "":
-        return OOD_CLASS
-    value = int(text)
+def _parse_count(text: str) -> int:
+    """A non-negative int below 2**63 as %s prints it: plain ASCII digits."""
+    value = int(text) if text.isascii() and text.isdigit() else -1
     if not 0 <= value < 2**63:
         raise ValueError(text)
     return value
+
+
+def _parse_class(text: str) -> int:
+    return OOD_CLASS if text == "" else _parse_count(text)
+
+
+def _loose(text: str) -> bool:
+    """Whether text holds what float() takes but save_csv never writes:
+    whitespace, an underscore or a non-ASCII character."""
+    return not text.isascii() or any(c in text for c in " \t\n\v\f\r_")
+
+
+def _strict_float(text: str) -> float:
+    if _loose(text):
+        raise ValueError(text)
+    return float(text)
 
 
 def _parse_column(col: list[str], parse, name: str, first_line: int,
@@ -168,11 +186,11 @@ def _parse_column(col: list[str], parse, name: str, first_line: int,
         raise
 
 
-def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, columns,
+def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, columns: list,
                       line_end: str = "\r\n", header_end: str | None = None) -> None:
-    """Write n_rows rows as a CSV file, BLOCK_ROWS rows at a time:
-    columns(start, stop) gives the columns of rows start..stop-1, and
-    formats holds the %-format of each column's fields. The bytes are
+    """Write n_rows rows as a CSV file, BLOCK_ROWS rows at a time: columns
+    holds n_rows values each (a Coded column n_rows codes), sliced per
+    block, and formats the %-format of each column's fields. The bytes are
     those csv.writer writes for the fields fmt % value prints, with CRLF
     line ends unless line_end says otherwise; header_end ends the header
     line instead when given (metrics.csv has an LF header over CRLF rows).
@@ -186,15 +204,17 @@ def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, 
     with open(path, "wb") as fh:
         fh.write((",".join(map(_quoted, header)) + (header_end or line_end)).encode())
         for start in range(0, n_rows, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, n_rows - start)
-            fh.write(_block(formats, columns(start, start + rows), rows, end))
+            rows = slice(start, min(start + BLOCK_ROWS, n_rows))
+            block = [Coded(c.values, c.codes[rows]) if isinstance(c, Coded) else c[rows]
+                     for c in columns]
+            fh.write(_block(formats, block, rows.stop - start, end))
 
 
 def _block(formats: list[str], columns, rows: int, end: np.ndarray) -> np.ndarray:
     """One block's matrix of fields, separators and line ends, compacted."""
     parts, masks, width, separator = [], [], 0, np.full((1, 1), ord(","), np.uint8)
     for fmt, column in zip(formats, columns):
-        matrix, mask = _field(fmt, column, rows)
+        matrix, mask = _field(fmt, column)
         if mask is not None:
             masks.append((width, mask))
         parts += [matrix, separator]
@@ -210,7 +230,7 @@ def _block(formats: list[str], columns, rows: int, end: np.ndarray) -> np.ndarra
 Coded = namedtuple("Coded", "values codes")  # row i holds values[codes[i]]
 
 
-def _field(fmt: str, column, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _field(fmt: str, column) -> tuple[np.ndarray, np.ndarray | None]:
     """The (rows, width) byte matrix of one column's fields, and the mask
     of its valid bytes, or None when they are its non-NUL bytes."""
     if isinstance(column, np.ndarray):
@@ -223,7 +243,7 @@ def _field(fmt: str, column, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
         texts, codes = [fmt % value for value in column.values], column.codes
     else:
         index = {}
-        codes = [index.setdefault(fmt % value, len(index)) for value in islice(column, rows)]
+        codes = [index.setdefault(fmt % value, len(index)) for value in column]
         texts = list(index)
     table, lengths = _text_matrix(map(_quoted, texts))
     return table[codes], (np.arange(table.shape[1]) < lengths[:, None])[codes]

@@ -8,14 +8,12 @@ the model or the store.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
-from .data import SplitDataset, write_csv_columns
+from .data import Coded, SplitDataset, write_csv_columns
 from .model import ModelParams, forward_features, forward_logits
-from .numerics import entropy, softmax_pair
-from .pseudo import convergence_residual, d2_loss
+from .numerics import entropy
+from .pseudo import residual_terms
 
 
 # The bins of t_histogram.csv, and the |t| below which a sample counts
@@ -34,15 +32,10 @@ def unlabeled_scores(dataset, params, store, cfg):
     if unl.size == 0:
         empty = np.zeros(0)
         return unl, empty, empty, empty, empty
-    p_hat, p_hat_log = softmax_pair(forward_logits(params, dataset.features[unl]))
-    p_tilde_log = store.log_probs(unl)
-    _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
-    t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
-    n = np.argmax(p_hat_log, axis=1)
+    terms = residual_terms(forward_logits(params, dataset.features[unl]), store.logits[unl], cfg)
+    n = np.argmax(terms.p_hat_log, axis=1)
     rows = np.arange(unl.size)
-    p_hat_n = p_hat[rows, n]
-    p_tilde_n = np.exp(p_tilde_log)[rows, n]
-    return unl, p_hat_n, p_tilde_n, total, t
+    return unl, terms.p_hat[rows, n], np.exp(terms.p_tilde_log)[rows, n], terms.loss, terms.t
 
 
 def t_histogram(t: np.ndarray) -> tuple[np.ndarray, float]:
@@ -95,18 +88,14 @@ def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:
     the text is made in row blocks."""
     feat = forward_features(params, dataset.features)
     pred = np.argmax(feat @ params.head_w, axis=1)
-    coords = feat[:, :2]
     truncated = feat.shape[1] != 2
-
-    def columns(start, stop):
-        cols = dataset.label_columns(start, stop) + list(coords[start:stop].T)
-        if coords.shape[1] == 1:
-            cols.append(repeat(0.0))
-        cols.append(pred[start:stop])
-        if truncated:
-            cols.append(repeat(1))
-        return cols
-
+    constant = np.broadcast_to(0, dataset.n_samples)  # the codes of a one-value column
+    columns = dataset.label_columns() + list(feat[:, :2].T)
+    if feat.shape[1] == 1:
+        columns.append(Coded([0.0], constant))
+    columns.append(pred)
+    if truncated:
+        columns.append(Coded([1], constant))
     header = ["id", "role", "class", "f0", "f1", "predicted"] + ["truncated_to_2d"] * truncated
     formats = ["%s"] * 3 + ["%r"] * 2 + ["%s"] * (1 + truncated)
     write_csv_columns(path, header, formats, dataset.n_samples, columns)
@@ -117,13 +106,11 @@ def write_histogram_csv(counts: np.ndarray, path) -> None:
     """Write t_histogram counts as CSV, one row per bin."""
     edges = np.linspace(HIST_LOWER, HIST_UPPER, HIST_BINS + 1)
     write_csv_columns(path, ["bin_lower", "bin_upper", "count"], ["%.9g", "%.9g", "%s"],
-                      HIST_BINS, lambda start, stop: [edges[start:stop],
-                                                      edges[start + 1:stop + 1],
-                                                      counts[start:stop]])
+                      HIST_BINS, [edges[:-1], edges[1:], counts])
 
 
 def write_flatness_csv(records: np.ndarray, path) -> None:
     """Write flatness_audit records as CSV, each value as f"{v:.9g}"."""
     write_csv_columns(path, ["id", "p_hat_n", "p_tilde_n", "loss", "bound", "residual"],
-                      ["%.9g"] * records.shape[1], records.shape[0],
-                      lambda start, stop: list(records[start:stop].T), line_end="\n")
+                      ["%.9g"] * records.shape[1], records.shape[0], list(records.T),
+                      line_end="\n")

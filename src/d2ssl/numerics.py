@@ -87,16 +87,6 @@ def softmax_pair(
     return out
 
 
-def row_sums(z: np.ndarray) -> np.ndarray:
-    """z.sum(axis=-1), bit-equal; below _CLASS_MAJOR_BELOW classes it
-    adds whole class columns of a (classes, rows) copy, as softmax_pair
-    does."""
-    n = z.shape[-1]
-    if z.ndim > 1 and n < _CLASS_MAJOR_BELOW:
-        return z.reshape(-1, n).T.copy().sum(axis=0).reshape(z.shape[:-1])
-    return z.sum(axis=-1)
-
-
 def entropy(p: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
     """-sum p*log(p) along the last axis, with 0*log(0) = 0.
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, FrozenUpdateError
-from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax
+from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax, softmax_pair
 
 
 SNAPSHOT_MAGIC = b"D2PL"
@@ -204,6 +205,28 @@ def convergence_residual(
         np.putmask(best, wins, hat)
         np.putmask(pick, wins, tilde)
     return (a - b) * best - a * pick - loss_total
+
+
+class ResidualTerms(NamedTuple):
+    """The softmax pairs of a batch's predictions and pseudo-labels, its
+    per-row loss and its convergence residual."""
+    p_hat: np.ndarray
+    p_hat_log: np.ndarray
+    p_tilde: np.ndarray
+    p_tilde_log: np.ndarray
+    loss: np.ndarray
+    t: np.ndarray
+
+
+def residual_terms(logits: np.ndarray, pseudo_logits: np.ndarray, cfg: D2Config) -> ResidualTerms:
+    """The one place where (B, N) network logits and pseudo-logits become
+    the residual t: one softmax pair of each, d2_loss, then
+    convergence_residual."""
+    p_hat, p_hat_log = softmax_pair(logits)
+    p_tilde, p_tilde_log = softmax_pair(pseudo_logits)
+    _, _, loss = d2_loss(p_hat_log, p_tilde_log, cfg)
+    t = convergence_residual(p_hat_log, p_tilde_log, loss, cfg)
+    return ResidualTerms(p_hat, p_hat_log, p_tilde, p_tilde_log, loss, t)
 
 
 def _snapshot_record(n_classes: int) -> np.dtype:

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, NumericError
 from .model import (
     ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
 )
-from .numerics import entropy, log_softmax, row_sums, seeded_rng, softmax_pair
+from .numerics import entropy, seeded_rng, softmax_pair
 from .pseudo import (
     D2Config,
     PseudoLabelStore,
@@ -34,7 +34,7 @@ from .pseudo import (
     grad_wrt_network_logits,
     init_pseudo_labels,
     repredict,
-    convergence_residual,
+    residual_terms,
 )
 
 METRICS_HEADER = (
@@ -147,9 +147,7 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
              r.acc_test, r.acc_pseudo, r.mean_h_pseudo, r.mean_h_pred, r.t_abs_p50,
              r.t_abs_p95, r.sum_drift_max) for r in records]
     write_csv_columns(path, METRICS_HEADER.split(","), ["%s", "%d"] + ["%.9g"] * 12, len(rows),
-                      lambda start, stop: [c if i == 0 else np.array(c)
-                                           for i, c in enumerate(zip(*rows[start:stop]))],
-                      header_end="\n")
+                      [np.array(c) for c in zip(*rows)], header_end="\n")
 
 
 def sgd_nesterov_step(state: OptimizerState, lr: float) -> None:
@@ -383,35 +381,13 @@ def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
     pseudo-logits and the network logits of the active unlabeled rows."""
     out = {}
     if pseudo_logits.size:
-        p_hat, p_hat_log = softmax_pair(unl_logits)
-        p_tilde, p_tilde_log = softmax_pair(pseudo_logits)
-        _, _, total = d2_loss(p_hat_log, p_tilde_log, cfg)
-        t = convergence_residual(p_hat_log, p_tilde_log, total, cfg)
-        p50, p95 = percentiles_50_95(np.abs(t))
+        terms = residual_terms(unl_logits, pseudo_logits, cfg)
+        p50, p95 = np.percentile(np.abs(terms.t), [50, 95])
         out["t_abs_p50"], out["t_abs_p95"] = float(p50), float(p95)
-        out["mean_h_pred"] = float(np.mean(entropy(p_hat, log_p=p_hat_log)))
-        out["mean_h_pseudo"] = float(np.mean(entropy(p_tilde)))
-        drift = np.abs(row_sums(pseudo_logits) - drift_base)
+        out["mean_h_pred"] = float(np.mean(entropy(terms.p_hat, log_p=terms.p_hat_log)))
+        out["mean_h_pseudo"] = float(np.mean(entropy(terms.p_tilde)))
+        drift = np.abs(pseudo_logits.sum(axis=1) - drift_base)
         out["sum_drift_max"] = float(drift.max())
-    return out
-
-
-def percentiles_50_95(values: np.ndarray) -> np.ndarray:
-    """np.percentile(values, [50, 95]) of a non-empty 1-D float array,
-    bit for bit: numpy's linear method written out, with one partition
-    of values in place and none of its quantile set-up."""
-    virtual = (values.size - 1) * np.array([0.5, 0.95])
-    top = virtual >= values.size - 1
-    lower = np.where(top, -1.0, np.floor(virtual))
-    gamma = virtual - lower
-    lower, upper = lower.astype(np.intp), np.where(top, -1, lower + 1).astype(np.intp)
-    values.partition(np.unique(np.concatenate(([0, -1], lower, upper))))
-    if np.isnan(values[-1]):
-        return values[[-1, -1]]
-    a, b = values[lower], values[upper]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
     return out
 
 
@@ -463,7 +439,7 @@ def stage2_d2(
             open_world_filter(store, dataset, plan.discard_fraction)
             if plan.open_world else unl
         )
-        drift_base = row_sums(store.logits[active_unl])
+        drift_base = store.logits[active_unl].sum(axis=1)
         rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
         lab_cursor = 0
@@ -601,10 +577,7 @@ def head_only_d2(
             d2_update_pseudo_batch(store, unl, p[n_lab:], cfg, p_tilde[n_lab:])
     out = params.copy()
     out.head_w[...] = head
-    log_p = log_softmax(feats[n_lab:] @ head)
-    p_tilde_log = store.log_probs(unl)
-    _, _, total = d2_loss(log_p, p_tilde_log, cfg)
-    t = convergence_residual(log_p, p_tilde_log, total, cfg)
+    t = residual_terms(feats[n_lab:] @ head, store.logits[unl], cfg).t
     if not np.isfinite(t).all():
         raise NumericError("non-finite head-only residual")
     return out, store, t

@@ -146,8 +146,7 @@ def test_write_csv_columns_quotes_like_csv_writer(tmp_path_factory, data):
     header_end = data.draw(st.sampled_from([None, "\n"]))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     with mock.patch.object(data_mod, "BLOCK_ROWS", 5):  # blocks of either kind in a file
-        write_csv_columns(path, header, ["%s"] * width, len(rows),
-                          lambda start, stop: list(zip(*rows[start:stop])),
+        write_csv_columns(path, header, ["%s"] * width, len(rows), list(zip(*rows)),
                           line_end=line_end, header_end=header_end)
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == [header] + rows

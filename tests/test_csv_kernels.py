@@ -21,8 +21,7 @@ FLOAT_FORMATS = ("%r", "%s", "%.9g")
 def printed_fields(tmp_path, fmt, values) -> list[bytes]:
     """The fields write_csv_columns prints for a one-column table."""
     path = tmp_path / "column.csv"
-    write_csv_columns(path, ["x"], [fmt], values.size,
-                      lambda start, stop: [values[start:stop]], line_end="\n")
+    write_csv_columns(path, ["x"], [fmt], values.size, [values], line_end="\n")
     return path.read_bytes().split(b"\n")[1:-1]
 
 
@@ -124,10 +123,6 @@ def test_mixed_tables_match_the_percent_printer(tmp_path_factory, data):
     header = ["f", "g", "s,", "i", 'q"', "c"]
     formats = ["%r", "%.9g", "%s", "%d", "%s", "%s"]
 
-    def columns(start, stop):
-        return [floats[start:stop], floats[start:stop], floats[start:stop], ints[start:stop],
-                texts[start:stop], Coded(names, codes[start:stop])]
-
     def python_columns(start, stop):
         return [floats[start:stop].tolist(), floats[start:stop].tolist(),
                 floats[start:stop].tolist(), ints[start:stop].tolist(), texts[start:stop],
@@ -135,7 +130,8 @@ def test_mixed_tables_match_the_percent_printer(tmp_path_factory, data):
 
     path = tmp_path_factory.mktemp("m") / "table.csv"
     with mock.patch.object(data_mod, "BLOCK_ROWS", 5):
-        write_csv_columns(path, header, formats, n, columns,
+        write_csv_columns(path, header, formats, n,
+                          [floats, floats, floats, ints, texts, Coded(names, codes)],
                           line_end=line_end, header_end=header_end)
     assert path.read_bytes() == oracle_csv_bytes(header, formats, n, python_columns, 5,
                                                  line_end=line_end, header_end=header_end)

@@ -1,6 +1,7 @@
 """Dataset generator, split, CSV and IDX-format tests."""
 
 import csv
+import re
 import struct
 import tracemalloc
 
@@ -286,6 +287,26 @@ def test_load_csv_row_one_feature_short(tmp_path):
 def test_load_csv_unparsable_field(tmp_path, text, what):
     path = write_csv_with(tmp_path, 3, text)
     with pytest.raises(FormatError, match=rf"line 4: bad {what}"):
+        SplitDataset.load_csv(path, 4)
+
+
+# float() and int() take these texts, but save_csv never writes them.
+@pytest.mark.parametrize("text,what,field", [
+    ("2,test,1,1_0,0.5", "x0", "1_0"),
+    ("2,test,1,0.5, 0.5", "x1", " 0.5"),
+    ("2,test,1,0.5\t,0.5", "x0", "0.5\t"),
+    ("2,test,1,\u0661.5,0.5", "x0", "\u0661.5"),
+    ("2,test,+1,0.5,0.5", "class", "+1"),
+    ("2,test,1 ,0.5,0.5", "class", "1 "),
+    ("2,test,\u0661,0.5,0.5", "class", "\u0661"),
+    ("+2,test,1,0.5,0.5", "id", "+2"),
+    (" 2,test,1,0.5,0.5", "id", " 2"),
+    ("\u0662,test,1,0.5,0.5", "id", "\u0662"),
+])
+def test_load_csv_rejects_loose_numbers(tmp_path, text, what, field):
+    path = write_csv_with(tmp_path, 3, text)
+    message = f"dataset CSV line 4: bad {what} {field!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         SplitDataset.load_csv(path, 4)
 
 

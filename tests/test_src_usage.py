@@ -4,7 +4,9 @@ program (src/, scripts/ or bench/) or exported in d2ssl.__all__. Code
 that only tests reach belongs under tests/. And every exception class
 of errors.py that ends a run is raised by the program, so the exit-code
 table of cli.run_guarded names no error that cannot happen. And
-data.py is the one module that writes CSV: no other imports csv."""
+data.py is the one module that writes CSV: no other imports csv. And
+pseudo.residual_terms is the one place where logits become the
+residual t: no other module reads convergence_residual."""
 
 import ast
 from pathlib import Path
@@ -98,3 +100,11 @@ def test_only_data_imports_csv():
                 if "csv" in names and path.name != "data.py":
                     importers.append(str(path.relative_to(ROOT)))
     assert not importers, "csv imported outside data.py by: " + ", ".join(importers)
+
+
+def test_only_pseudo_reads_convergence_residual():
+    readers = [str(path.relative_to(ROOT))
+               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               if path.name != "pseudo.py"
+               and "convergence_residual" in read_names(ast.parse(path.read_text()))]
+    assert not readers, "convergence_residual read outside pseudo.py by: " + ", ".join(readers)
