@@ -28,10 +28,9 @@ def audit(args) -> int:
     if not 0.0 <= args.lr < np.inf:
         raise ConfigurationError(f"lr must be finite and non-negative, got {args.lr}")
     os.makedirs(args.out, exist_ok=True)
-    ds, params, store, t, d2 = convergence_audit(cfg, args.steps, args.lr, cfg.lam)
-    frac = float(np.mean(np.abs(t) < 1e-3))
+    ds, params, store, _, d2 = convergence_audit(cfg, args.steps, args.lr, cfg.lam)
+    frac = _emit_diagnostics(args.out, ds, params, store, d2)
     print(f"{frac:.1%} of unlabeled samples converged to |t| < 1e-3")
-    _emit_diagnostics(args.out, ds, params, store, d2)
     print(f"diagnostics written to {args.out}")
     return 0
 

@@ -28,7 +28,7 @@ from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, head_only_d2, open_world_filter, run_r2d2,
+    SchedulePlan, Stage2Segment, active_unlabeled, head_only_d2, run_r2d2,
     run_supervised_baseline, write_metrics,
 )
 
@@ -316,7 +316,8 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
     return ds
 
 
-def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
+def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> float:
+    """Write the diagnostic tables; returns t_converged_fraction.csv's value."""
     # The feature export's whole-pool forward is the peak of a process's
     # first diagnose run: it goes before the smaller unlabeled-pool
     # forward leaves freed pages in the heap under it. A later run in the
@@ -337,6 +338,7 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> None:
                  ["%.9g", "%d"], [grid, cdf])
     _write_table(os.path.join(out_dir, "t_converged_fraction.csv"),
                  ["fraction_abs_t_below_1e-3"], ["%.9g"], [[frac]])
+    return frac
 
 
 def _write_table(path, header: list[str], formats: list[str], columns: list) -> None:
@@ -442,7 +444,7 @@ def _open_world_seed(seed: int, configs: dict[bool, ExperimentConfig]):
         _, store, metrics = train_r2d2(cfg, ds)
         err[open_world] = 1 - metrics[-1].acc_test
     unl = ds.unlabeled_indices
-    dropped = np.setdiff1d(unl, open_world_filter(store, ds, cfg.discard_fraction))
+    dropped = np.setdiff1d(unl, active_unlabeled(store, ds, cfg.schedule_plan()))
     pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
                   for ids in (unl, dropped))
     return seed, err[False], err[True], pool, drop

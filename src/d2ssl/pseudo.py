@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, FrozenUpdateError
+from .model import forward_logits
 from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax, softmax_pair
 
 
@@ -75,19 +76,15 @@ class PseudoLabelStore:
 
 def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
     """Labeled rows get frozen K*one_hot; unlabeled rows get the current
-    head logits; test rows get zeros (never used in training)."""
-    from .model import forward_logits  # local import to avoid cycle at module load
-
+    head logits, by the first repredict; test rows get zeros (never used
+    in training)."""
     logits = np.zeros((dataset.n_samples, params.n_classes))
     frozen = np.zeros(dataset.n_samples, dtype=bool)
     lab = dataset.labeled_indices
     if lab.size:
         logits[lab, dataset.labeled_targets] = cfg.init_scale
         frozen[lab] = True
-    unl = dataset.unlabeled_indices
-    if unl.size:
-        logits[unl] = forward_logits(params, dataset.features[unl])
-    return PseudoLabelStore(logits, frozen)
+    return repredict(PseudoLabelStore(logits, frozen), params, dataset)
 
 
 def d2_loss(p_hat_log: np.ndarray, p_tilde_log: np.ndarray, cfg: D2Config):
@@ -175,11 +172,10 @@ def d2_update_pseudo_batch(
 
 
 def repredict(store: PseudoLabelStore, params, dataset) -> PseudoLabelStore:
-    """Overwrite every unfrozen row with the current head logits."""
-    from .model import forward_logits
-
-    unl = np.flatnonzero(~store.frozen)
-    active = np.intersect1d(unl, dataset.unlabeled_indices)
+    """Overwrite every unfrozen unlabeled row with the current head
+    logits: the one place where the network writes pseudo-logits."""
+    unl = dataset.unlabeled_indices
+    active = unl[~store.frozen[unl]]
     if active.size:
         store.logits[active] = forward_logits(params, dataset.features[active])
     return store
@@ -193,17 +189,9 @@ def convergence_residual(
     prediction (ties to the lowest index, a NaN counting as the maximum,
     as np.argmax does)."""
     a, b = cfg.alpha, cfg.beta
-    # A pass per class over the class columns, which are whole rows of
-    # a class-major softmax: no copy back to rows and no fancy gather.
-    hat_cols, tilde_cols = p_hat_log.T, p_tilde_log.T
-    best, pick = hat_cols[0].copy(), tilde_cols[0].copy()
-    wins = np.empty(best.shape, dtype=bool)
-    for hat, tilde in zip(hat_cols[1:], tilde_cols[1:]):
-        np.less_equal(hat, best, out=wins)  # false for a NaN on either side
-        wins |= np.isnan(best)  # a NaN stays the maximum
-        np.logical_not(wins, out=wins)
-        np.putmask(best, wins, hat)
-        np.putmask(pick, wins, tilde)
+    n = np.argmax(p_hat_log, axis=1)[:, None]
+    best = np.take_along_axis(p_hat_log, n, axis=1)[:, 0]
+    pick = np.take_along_axis(p_tilde_log, n, axis=1)[:, 0]
     return (a - b) * best - a * pick - loss_total
 
 

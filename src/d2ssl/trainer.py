@@ -333,28 +333,33 @@ def stage1_supervised(
     return params, records
 
 
-def open_world_filter(
-    store: PseudoLabelStore, dataset: SplitDataset, discard_fraction: float
+def _discard_count(count: int, plan: SchedulePlan) -> int:
+    """How many of count unlabeled rows the open-world filter discards:
+    ceil(discard_fraction x count) in an open world, none in a closed one."""
+    return math.ceil(plan.discard_fraction * count) if plan.open_world else 0
+
+
+def active_unlabeled(
+    store: PseudoLabelStore, dataset: SplitDataset, plan: SchedulePlan
 ) -> np.ndarray:
-    """Active unlabeled indices after discarding the highest-entropy
-    fraction of the pool (ties discarded at the lowest sample id)."""
+    """Every unlabeled row, less the _discard_count highest-entropy ones
+    (ties discarded at the lowest sample id): the rows a stage trains on."""
     unl = dataset.unlabeled_indices
-    if discard_fraction == 0.0 or unl.size == 0:
-        return unl.copy()
+    n_drop = _discard_count(unl.size, plan)
+    if n_drop == 0:
+        return unl
     ent = entropy(store.probs(unl))
-    n_drop = math.ceil(discard_fraction * unl.size)
     # Sort by descending entropy, then ascending id; the first n_drop go.
     order = np.lexsort((unl, -ent))
-    keep = np.sort(unl[order[n_drop:]])
-    return keep
+    return np.sort(unl[order[n_drop:]])
 
 
 def _check_unlabeled_batch(dataset: SplitDataset, plan: SchedulePlan) -> None:
     """Stage 2's unlabeled batch against its active pool: the unlabeled
-    rows, less the ceil(discard_fraction x count) open_world_filter drops
-    in an open world. An empty pool trains no stage-2 batch at all."""
+    rows, less the _discard_count rows active_unlabeled drops. An empty
+    pool trains no stage-2 batch at all."""
     count = dataset.unlabeled_indices.size
-    active = count - math.ceil(plan.discard_fraction * count) if plan.open_world else count
+    active = count - _discard_count(count, plan)
     if plan.batch_unlabeled > active > 0:
         raise ConfigurationError(
             f"unlabeled batch size {plan.batch_unlabeled} exceeds active pool {active}"
@@ -422,7 +427,6 @@ def stage2_d2(
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """The joint segments; run_r2d2 checks the unlabeled batch first."""
     lab = dataset.labeled_indices
-    unl = dataset.unlabeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
@@ -435,10 +439,7 @@ def stage2_d2(
     for segment in plan.stage2_segments:
         if segment.repredict_at_start:
             repredict(store, params, dataset)
-        active_unl = (
-            open_world_filter(store, dataset, plan.discard_fraction)
-            if plan.open_world else unl
-        )
+        active_unl = active_unlabeled(store, dataset, plan)
         drift_base = store.logits[active_unl].sum(axis=1)
         rows = _eval_rows(dataset, active_unl)
         lab_order = rng.permutation(lab) if lab.size else lab
@@ -521,11 +522,11 @@ def stage3_finetune(
     store: PseudoLabelStore,
     plan: SchedulePlan,
     rng: np.random.Generator,
-    unl: np.ndarray,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
-    """Cross entropy on the labeled rows and the unlabeled rows unl, with
-    the arg-max pseudo-labels of unl as their targets."""
+    """Cross entropy on the labeled rows and the active_unlabeled rows,
+    with the arg-max pseudo-labels of the latter as their targets."""
     lab = dataset.labeled_indices
+    unl = active_unlabeled(store, dataset, plan)
     ids = np.concatenate([lab, unl])
     targets = np.empty(ids.size, dtype=np.int64)
     targets[:lab.size] = dataset.true_classes[lab]
@@ -599,11 +600,7 @@ def run_r2d2(
     params, m1 = stage1_supervised(dataset, params, plan, rng)
     store = init_pseudo_labels(dataset, params, cfg)
     params, store, m2 = stage2_d2(dataset, params, store, plan, cfg, rng)
-    active = (
-        open_world_filter(store, dataset, plan.discard_fraction)
-        if plan.open_world else dataset.unlabeled_indices
-    )
-    params, m3 = stage3_finetune(dataset, params, store, plan, rng, active)
+    params, m3 = stage3_finetune(dataset, params, store, plan, rng)
     return params, store, m1 + m2 + m3
 
 

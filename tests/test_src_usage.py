@@ -6,7 +6,9 @@ of errors.py that ends a run is raised by the program, so the exit-code
 table of cli.run_guarded names no error that cannot happen. And
 data.py is the one module that writes CSV: no other imports csv. And
 pseudo.residual_terms is the one place where logits become the
-residual t: no other module reads convergence_residual."""
+residual t: no other module reads convergence_residual. And the
+open-world switch is read only where the config builds the plan and
+where trainer._discard_count sizes the discarded rows."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,28 @@ def test_only_pseudo_reads_convergence_residual():
                if path.name != "pseudo.py"
                and "convergence_residual" in read_names(ast.parse(path.read_text()))]
     assert not readers, "convergence_residual read outside pseudo.py by: " + ", ".join(readers)
+
+
+def scopes_reading(node, attr, scope):
+    """The dotted class and function scope of each read of the attribute
+    attr under node, starting from scope."""
+    if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+        yield scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        yield from scopes_reading(child, attr, scope)
+
+
+def test_open_world_read_only_by_the_plan_and_the_discard_count():
+    allowed = {
+        "cli.ExperimentConfig",  # the key's default, taken from SchedulePlan's
+        "cli.ExperimentConfig.schedule_plan",
+        "trainer._discard_count",
+    }
+    readers = [f"{path.relative_to(ROOT)} in {scope}"
+               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               for scope in scopes_reading(ast.parse(path.read_text()), "open_world", path.stem)
+               if scope not in allowed]
+    assert not readers, "open_world read outside the plan and the discard count: " + ", ".join(
+        readers)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from d2ssl import pseudo, trainer
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError
-from d2ssl.model import Workspace, backward, forward, forward_features, init_params
+from d2ssl.model import (
+    Workspace, backward, forward, forward_features, forward_logits, init_params,
+)
 from d2ssl.numerics import entropy, log_softmax, seeded_rng, softmax, softmax_pair
 from d2ssl.pseudo import (
     D2Config, PseudoLabelStore, convergence_residual, d2_loss, d2_update_pseudo_batch,
@@ -23,9 +25,9 @@ from d2ssl.trainer import (
     OptimizerState,
     SchedulePlan,
     Stage2Segment,
+    active_unlabeled,
     cosine_lr,
     head_only_d2,
-    open_world_filter,
     run_r2d2,
     run_supervised_baseline,
     sgd_nesterov_step,
@@ -137,7 +139,7 @@ def test_open_world_filter_drops_highest_entropy():
     flat = unl[:3]                       # make three rows uniform (max entropy)
     logits[flat] = 0.0
     store = PseudoLabelStore(logits, np.zeros(ds.n_samples, bool))
-    keep = open_world_filter(store, ds, 0.1)
+    keep = active_unlabeled(store, ds, tiny_plan(open_world=True, discard_fraction=0.1))
     dropped = np.setdiff1d(unl, keep)
     assert dropped.size == int(np.ceil(0.1 * unl.size))
     # The uniform rows are the highest-entropy ones; ties go to low ids.
@@ -150,7 +152,18 @@ def test_open_world_filter_zero_fraction():
     ds = tiny_dataset()
     store = PseudoLabelStore(np.zeros((ds.n_samples, 4)), np.zeros(ds.n_samples, bool))
     np.testing.assert_array_equal(
-        open_world_filter(store, ds, 0.0), ds.unlabeled_indices
+        active_unlabeled(store, ds, tiny_plan(open_world=True, discard_fraction=0.0)),
+        ds.unlabeled_indices,
+    )
+
+
+def test_active_unlabeled_closed_world_keeps_every_row():
+    ds = tiny_dataset()
+    logits = seeded_rng(5).standard_normal((ds.n_samples, 4))
+    store = PseudoLabelStore(logits, np.zeros(ds.n_samples, bool))
+    np.testing.assert_array_equal(
+        active_unlabeled(store, ds, tiny_plan(open_world=False, discard_fraction=0.3)),
+        ds.unlabeled_indices,
     )
 
 
@@ -328,6 +341,22 @@ def test_repredict_segment_resets_pseudo_logits():
     assert not np.allclose(store.logits[unl], before[unl])
 
 
+def test_repredict_writes_only_unfrozen_unlabeled_rows():
+    ds = tiny_dataset()
+    params = init_params([2, 8, 3, 4], "tanh", seeded_rng(0))
+    lab, unl = ds.labeled_indices, ds.unlabeled_indices
+    store = PseudoLabelStore(seeded_rng(1).standard_normal((ds.n_samples, 4)),
+                             np.zeros(ds.n_samples, bool))
+    store.frozen[lab] = True
+    store.frozen[unl[3]] = True
+    before = store.logits.copy()
+    assert repredict(store, params, ds) is store
+    kept = np.concatenate([lab, ds.test_indices, unl[3:4]])
+    assert store.logits[kept].tobytes() == before[kept].tobytes()
+    moved = np.delete(unl, 3)
+    assert store.logits[moved].tobytes() == forward_logits(params, ds.features[moved]).tobytes()
+
+
 def _per_subset_stage2_metrics(ds, params, store, cfg, active, drift_base):
     """The stage-2 metric columns as defined: one forward per row subset,
     softmax and log_softmax taken separately, one percentile per call."""
@@ -377,8 +406,7 @@ def test_stage2_metrics_equal_per_subset_formulas(case):
     params, _ = stage1_supervised(ds, init_params([2, 8, 3, 4], "tanh", rng), plan, rng)
     store = init_pseudo_labels(ds, params, cfg)
     drift_base = store.logits.sum(axis=1)
-    active = (open_world_filter(store, ds, plan.discard_fraction)
-              if plan.open_world else ds.unlabeled_indices)
+    active = active_unlabeled(store, ds, plan)
     params, store, records = stage2_d2(ds, params, store, plan, cfg, rng)
     if case == "open_world":
         assert np.any(ds.true_classes[active] == OOD_CLASS)
@@ -523,7 +551,7 @@ def test_stage3_abort_at_the_batch_of_a_nan_feature():
     # position batch + 3 of epoch 0 is in its second batch of three.
     ds.features[ids[seeded_rng(1).permutation(ids.size)[batch + 3]]] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite loss at stage3 epoch 0 batch 1: nan$"):
-        stage3_finetune(ds, params, store, plan, seeded_rng(1), unl)
+        stage3_finetune(ds, params, store, plan, seeded_rng(1))
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 7, 8, 11])
@@ -622,7 +650,7 @@ def _per_batch_stage2(ds, params, store, plan, cfg, rng):
     the epoch: a fresh workspace per batch, and one pseudo-logit
     step per batch on that batch's rows. Returns the per-epoch mean
     losses (total, matching, entropy)."""
-    lab, unl = ds.labeled_indices, ds.unlabeled_indices
+    lab = ds.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     cfg_labeled = _labeled_config(cfg)
     n_lab = plan.batch_labeled if lab.size else 0
@@ -631,7 +659,7 @@ def _per_batch_stage2(ds, params, store, plan, cfg, rng):
     for segment in plan.stage2_segments:
         if segment.repredict_at_start:
             repredict(store, params, ds)
-        active = open_world_filter(store, ds, plan.discard_fraction) if plan.open_world else unl
+        active = active_unlabeled(store, ds, plan)
         lab_order, cursor = (rng.permutation(lab) if lab.size else lab), 0
         for _ in range(segment.epochs):
             unl_order = rng.permutation(active)
@@ -764,7 +792,7 @@ def test_supervised_loss_columns_equal_per_batch_sums(n_classes):
     want_params = params.copy()
     want = _per_batch_supervised(ds.features, want_params, plan, seeded_rng(4), ids, targets,
                                  19, 3, 3, plan.stage3_lr)
-    _, records = stage3_finetune(ds, params, store, plan, seeded_rng(4), unl)
+    _, records = stage3_finetune(ds, params, store, plan, seeded_rng(4))
     assert [(r.loss_total, r.loss_c, r.loss_e, r.mean_h_pred) for r in records] == [
         (ce, ce, h, h) for ce, h in want]
     assert params.flat.tobytes() == want_params.flat.tobytes()
