@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +24,6 @@ ROLE_LABELED = 0
 ROLE_UNLABELED = 1
 ROLE_TEST = 2
 _ROLE_NAMES = {ROLE_LABELED: "labeled", ROLE_UNLABELED: "unlabeled", ROLE_TEST: "test"}
-_ROLE_CODES = {v: k for k, v in _ROLE_NAMES.items()}
 
 OOD_CLASS = -1
 
@@ -88,102 +87,266 @@ class SplitDataset:
     def save_csv(self, path) -> None:
         """Header id,role,class,x0..x{d-1}; one row per sample with
         repr() floats, CRLF line ends."""
-        header = ["id", "role", "class"] + [f"x{i}" for i in range(self.dim)]
-        write_csv_columns(path, header, ["%s"] * 3 + ["%r"] * self.dim, self.n_samples,
-                          self.label_columns() + list(self.features.T))
+        write_csv_columns(path, _dataset_header(self.dim), ["%s"] * 3 + ["%r"] * self.dim,
+                          self.n_samples, self.label_columns() + list(self.features.T))
 
     @classmethod
     def load_csv(cls, path, n_classes: int) -> "SplitDataset":
-        """Read a CSV written by save_csv. A row with the wrong field
-        count, an unknown role, or an id, class or feature that does not
-        parse raises FormatError, as do ids other than 0..n-1. Ids and
-        classes are plain ASCII digits, and a feature holds no whitespace,
-        underscore or non-ASCII character, though float() takes them. Field
-        counts are checked over the whole file first; then rows are
-        parsed BLOCK_ROWS at a time, each block's columns in the order
-        id, role, class, x0.., so the fault reported is the first of a
-        file's first faulty block."""
-        try:
-            with open(path, newline="") as fh:
-                lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"dataset CSV is not text: {exc}") from None
-        if not lines:
+        """Read a CSV written by save_csv, as bytes; lines end in LF or
+        CRLF. A header other than save_csv's, a row with the wrong field
+        count, an unknown role, or an id, class or feature outside its
+        grammar raises FormatError, as do ids other than 0..n-1. Ids and
+        classes are 1 to 19 ASCII digits below 2**63 (the class of an
+        out-of-distribution row is empty); a feature is -?D+.D+, repr's
+        exponent form -?D(.D+)?e[+-]DD[D], nan, inf or -inf. Rows are read
+        BLOCK_ROWS at a time, each block's field counts first, then its
+        columns in the order id, role, class, x0.., so the fault reported
+        is the first of the file's first faulty block."""
+        raw = _read_padded(path)
+        if raw.size == _PAD + 1:
             raise FormatError("empty dataset CSV")
-        width = lines[0].count(",") + 1
+        breaks = np.flatnonzero(raw == ord("\n"))  # raw positions of the LFs
+        if raw[-2] != ord("\n"):
+            breaks = np.append(breaks, raw.size - 1)
+        header = raw[_PAD:_line_ends(raw, breaks[:1])[0]].tobytes()
+        width = header.count(b",") + 1
         if width < 3:
             raise FormatError(f"dataset CSV header has {width} columns, needs at least 3")
-        for i, commas in enumerate(map(str.count, lines, repeat(","))):
-            if commas != width - 1:
-                raise FormatError(
-                    f"dataset CSV line {i + 1} has {commas + 1} fields, header has {width}"
-                )
-        n = len(lines) - 1
+        names = _dataset_header(width - 3)
+        if header != ",".join(names).encode():
+            raise FormatError(f"dataset CSV header is not save_csv's for {width - 3} features")
+        n = len(breaks) - 1
         features = np.empty((n, width - 3))
         classes = np.empty(n, dtype=np.int64)
         roles = np.empty(n, dtype=np.int64)
         for start in range(0, n, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n)
-            text = ",".join(lines[1 + start:1 + stop])
-            fields = text.split(",")
-            id_col, role_col, class_col, *feature_cols = (fields[j::width] for j in range(width))
-            line = start + 2  # the file line of row start
-            if id_col != list(map(str, range(start, stop))) and (
-                    _parse_column(id_col, _parse_count, "id", line) != list(range(start, stop))):
+            block = _Block(raw, breaks[start:stop + 1], width, start + 2, names)
+            ids, ok = _counts(*block.span(0))
+            block.check(~ok, 0)
+            if not np.array_equal(ids, np.arange(start, stop)):
                 raise FormatError("dataset CSV ids not contiguous")
-            roles[start:stop] = _parse_column(
-                role_col, _ROLE_CODES.__getitem__, "role", line, few=True)
-            classes[start:stop] = _parse_column(class_col, _parse_class, "class", line, few=True)
-            number = _strict_float if _loose(text) else float  # one scan of a clean block
-            for j, col in enumerate(feature_cols):
-                features[start:stop, j] = _parse_column(col, number, f"x{j}", line)
+            roles[start:stop] = _role_codes(*block.span(1))
+            block.check(roles[start:stop] < 0, 1)
+            span = block.span(2)
+            values, ok = _counts(*span)
+            empty = span[1] == span[2]
+            block.check(~ok & ~empty, 2)
+            classes[start:stop] = np.where(empty, OOD_CLASS, values)
+            # Features of at most BLOCK_ROWS fields at a time.
+            group = max(1, BLOCK_ROWS // (stop - start))
+            for j in range(3, width, group):
+                values, bad = _floats(*block.span(j, min(j + group, width)))
+                block.check(bad.reshape(stop - start, -1), j)
+                features[start:stop, j - 3:j - 3 + group] = values.reshape(stop - start, -1)
         return cls(features, classes, roles, n_classes)
 
 
-def _parse_count(text: str) -> int:
-    """A non-negative int below 2**63 as %s prints it: plain ASCII digits."""
-    value = int(text) if text.isascii() and text.isdigit() else -1
-    if not 0 <= value < 2**63:
-        raise ValueError(text)
+def _dataset_header(dim: int) -> list[str]:
+    return ["id", "role", "class"] + [f"x{i}" for i in range(dim)]
+
+
+# NUL bytes before a file's bytes: a field's window of up to 24 bytes
+# (three words) never starts before the buffer. repr's longest text,
+# "-1.2345678901234567e-308", has 24 bytes.
+_PAD = 24
+_FEATURE = re.compile(r"-?([0-9]+\.[0-9]+|[0-9](\.[0-9]+)?e[-+][0-9]{2,3}|inf)|nan")
+_FLOAT10 = np.array([float(10**k) for k in range(23)])  # each exact: 5**22 < 2**53
+
+
+def _read_padded(path) -> np.ndarray:
+    """A file's bytes after _PAD NUL bytes and before one, as uint8; a file
+    that is not UTF-8 raises FormatError."""
+    with open(path, "rb") as fh:
+        buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 1)
+        size = fh.readinto(memoryview(buf)[_PAD:-1])
+    if not buf.isascii():
+        try:
+            str(memoryview(buf)[_PAD:_PAD + size], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"dataset CSV is not text: {exc}") from None
+    return np.frombuffer(buf, np.uint8)[:_PAD + size + 1]
+
+
+def _line_ends(raw: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """The ends of the lines that end at breaks (raw positions of their
+    LF, or of the NUL after the file), before the CR of a CRLF."""
+    return breaks - ((raw[breaks - 1] == ord("\r")) & (raw[breaks] == ord("\n")))
+
+
+class _Block:
+    """The rows of a dataset CSV whose lines end at breaks[1:]: their
+    field counts are checked when it is made. bounds holds, per row, the
+    raw position before each field (the line's start - 1, then its
+    commas) and the line's end; its first row is on file line `line`."""
+
+    def __init__(self, raw: np.ndarray, breaks: np.ndarray, width: int, line: int,
+                 names: list[str]):
+        first, last = breaks[:-1] + 1, _line_ends(raw, breaks[1:])
+        commas = np.flatnonzero(raw[first[0]:last[-1]] == ord(","))
+        commas += first[0]
+        count = np.diff(np.searchsorted(commas, last), prepend=0) + 1
+        wrong = np.flatnonzero(count != width)
+        if wrong.size:
+            raise FormatError(f"dataset CSV line {line + wrong[0]} has {count[wrong[0]]} "
+                              f"fields, header has {width}")
+        self.bounds = np.empty((len(last), width + 1), np.int64)
+        self.bounds[:, 0] = first - 1
+        self.bounds[:, 1:-1] = commas.reshape(len(last), width - 1)
+        self.bounds[:, -1] = last
+        self.raw, self.line, self.names = raw, line, names
+
+    def span(self, first: int, stop: int | None = None):
+        """raw, and the positions of the first and past-the-last bytes of
+        the fields of columns first..stop-1, row by row."""
+        stop = first + 1 if stop is None else stop
+        return (self.raw, (self.bounds[:, first:stop] + 1).ravel(),
+                self.bounds[:, first + 1:stop + 1].ravel())
+
+    def check(self, bad: np.ndarray, first: int) -> None:
+        """FormatError for the first field, column by column, where bad
+        holds: (rows,) or (rows, columns) from column first on."""
+        if bad.any():
+            col, row = np.nonzero(bad.reshape(len(bad), -1).T)
+            i, j = row[0], first + col[0]
+            text = self.raw[self.bounds[i, j] + 1:self.bounds[i, j + 1]].tobytes().decode()
+            raise FormatError(f"dataset CSV line {self.line + i}: bad {self.names[j]} {text!r}")
+
+
+def _field_words(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, n: int) -> np.ndarray:
+    """The last 8*n bytes of raw before each stop as n little-endian uint64
+    words, one row each, with NUL before the start."""
+    words = np.lib.stride_tricks.sliding_window_view(raw, 8 * n)[stops - 8 * n].view("<u8")
+    words &= _KEEP[np.clip((stops - starts)[:, None] - 8 * np.arange(n - 1, -1, -1), 0, 8)]
+    return words
+
+
+# _KEEP[m] keeps the last m bytes of a word; _ONES holds 1 in each byte.
+_KEEP = np.array([0] + [2**64 - 2**(64 - 8 * m) for m in range(1, 9)], np.uint64)
+_ONES = 0x0101010101010101
+_AFTER = np.array([sum((i + 8 * (2 - j)) << 8 * i for i in range(8)) for j in range(3)], np.uint64)
+
+
+def _bytes_below(words: np.ndarray, limit: int) -> np.ndarray:
+    """1 in each byte of words below limit (at most 0x80), 0 in the others."""
+    flags = words & 0x7F * _ONES
+    flags += (0x80 - limit) * _ONES
+    flags |= words
+    flags >>= 7
+    flags &= _ONES
+    flags ^= _ONES
+    return flags
+
+
+def _count_bytes(flags: np.ndarray) -> np.ndarray:
+    """The number of 1 bytes in each row of (rows, words) 0/1 bytes."""
+    total = flags[:, 0].copy()
+    for j in range(1, flags.shape[1]):
+        total += flags[:, j]
+    return (total * _ONES) >> 56
+
+
+def _digit_words(digits: np.ndarray) -> np.ndarray:
+    """The decimal value of each row of words of digit bytes 0..9 (first
+    digit in the low byte), up to 2**64; digits is overwritten."""
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        high = digits >> shift
+        digits *= 10**(shift // 8)
+        digits += high
+        digits &= mask
+    value = digits[:, 0].copy()
+    for j in range(1, digits.shape[1]):
+        value *= 10**8
+        value += digits[:, j]
     return value
 
 
-def _parse_class(text: str) -> int:
-    return OOD_CLASS if text == "" else _parse_count(text)
+def _counts(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Ids or classes: the value of each field and where it is 1 to 19
+    ASCII digits below 2**63."""
+    lengths = stops - starts
+    n = int(np.clip(-(-lengths.max(initial=1) // 8), 1, 3))
+    digits = _field_words(raw, starts, stops, n)
+    digits ^= 0x30 * _ONES
+    is_digit = _bytes_below(digits, 10)
+    ok = (lengths > 0) & (lengths <= 19) & (_count_bytes(is_digit) == lengths)
+    is_digit *= 0xFF
+    digits &= is_digit
+    value = _digit_words(digits)
+    ok &= value < 2**63
+    return value.astype(np.int64), ok
 
 
-def _loose(text: str) -> bool:
-    """Whether text holds what float() takes but save_csv never writes:
-    whitespace, an underscore or a non-ASCII character."""
-    return not text.isascii() or any(c in text for c in " \t\n\v\f\r_")
+def _role_codes(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The code of each role field, -1 for an unknown name."""
+    words = _field_words(raw, starts, stops, 2)
+    codes = np.full(len(stops), -1)
+    for code, name in _ROLE_NAMES.items():
+        want = np.frombuffer(name.encode().rjust(16, b"\0"), "<u8")
+        codes[(words[:, 0] == want[0]) & (words[:, 1] == want[1])
+              & (stops - starts == len(name))] = code
+    return codes
 
 
-def _strict_float(text: str) -> float:
-    if _loose(text):
-        raise ValueError(text)
-    return float(text)
-
-
-def _parse_column(col: list[str], parse, name: str, first_line: int,
-                  few: bool = False) -> list:
-    """parse() of every entry of a data column whose first entry is on
-    file line first_line, or of each distinct entry once when the column
-    has few; the first entry it rejects raises FormatError naming its
-    line and column."""
-    try:
-        if few:
-            table = {text: parse(text) for text in set(col)}
-            return list(map(table.__getitem__, col))
-        return list(map(parse, col))
-    except (ValueError, KeyError, OverflowError):
-        for line, text in enumerate(col, start=first_line):
-            try:
-                parse(text)
-            except (ValueError, KeyError, OverflowError):
-                raise FormatError(
-                    f"dataset CSV line {line}: bad {name} {text!r}"
-                ) from None
-        raise
+def _floats(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Features: the float64 of each field and where it is outside the
+    grammar. A kernel reads -?D+.D+ of at most 24 bytes (three words) whose
+    digits, the dot read as 0, are below 10**18. With D the digits without
+    the dot and f those after it, the candidate c = D/10**f is exact when
+    D <= 2**53 (D and 10**f exact, one rounding). Otherwise, with
+    |c|*10**f = I + R/2**t from _decimal_scale, c is the nearest double iff
+    2*|D*2**t - (I*2**t + R)| < 5**f (odd, so there are no ties); if not,
+    c is stepped one ulp towards D/10**f and checked again. A power of two
+    (the gap below is half the gap above), a value the scaling cannot
+    bring into range and every other text go through float() when they
+    match the grammar."""
+    lengths = stops - starts
+    digits = _field_words(raw, starts, stops, 3)
+    digits ^= 0x30 * _ONES
+    is_digit = _bytes_below(digits, 10)
+    dots = _bytes_below(digits ^ (0x30 ^ ord(".")) * _ONES, 1)
+    minus = raw[starts] == ord("-")
+    first, last = raw[starts + minus] - ord("0"), raw[stops - 1] - ord("0")
+    fixed = ((_count_bytes(dots) == 1) & (_count_bytes(is_digit) + minus + 1 == lengths)
+             & (first < 10) & (last < 10) & (lengths <= 24))
+    # The dot's flag 1 << 8b in word j, times _AFTER[j], has f = 23 - 8j - b
+    # in its top byte.
+    dots *= _AFTER
+    places = np.minimum((dots[:, 0] >> 56) + (dots[:, 1] >> 56) + (dots[:, 2] >> 56), 22)
+    places = places.astype(np.int64)
+    is_digit *= 0xFF
+    digits &= is_digit
+    del dots, is_digit
+    dotted = _digit_words(digits)
+    del digits
+    fixed &= dotted < 10**18
+    # D is dotted less 9 * 10**f times the digits before the dot; with 18
+    # places or more there are none.
+    p = np.minimum(places, 17)
+    significand = (dotted - dotted // _POW10[p + 1] * 9 * _POW10[p]).astype(np.int64)
+    value = significand / _FLOAT10[places]
+    exact = fixed & (significand <= 2**53)
+    check = np.flatnonzero(fixed & ~exact)
+    for _ in range(2):
+        c = value[check]
+        scaled, rest, unit, five, ok = _decimal_scale(c, places[check])
+        gap = significand[check] - scaled
+        ok &= (c.view("<u8") & (2**52 - 1) != 0) & (np.abs(gap) < 2**62 // unit)
+        off = gap * unit - rest  # (D - c*10**f) * 2**t
+        near = ok & (2 * np.abs(off) < five)
+        exact[check[near]] = True
+        step = ok & ~near
+        check = check[step]
+        value[check] = np.nextafter(c[step], np.where(off[step] > 0, np.inf, 0.0))
+    value[minus] *= -1
+    bad = np.zeros(len(stops), bool)
+    for i in np.flatnonzero(~exact).tolist():
+        text = raw[starts[i]:stops[i]].tobytes().decode()
+        if _FEATURE.fullmatch(text):
+            value[i] = float(text)
+        else:
+            bad[i] = True
+    return value, bad
 
 
 def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, columns: list,
@@ -319,6 +482,30 @@ def _int_field(fmt: str, column: np.ndarray) -> np.ndarray:
     return _fallback(fmt, column, ok, matrix)
 
 
+def _decimal_scale(x: np.ndarray, s: np.ndarray):
+    """|x|*10**s = I + R/2**t exactly, for x = M*2**E (M with its hidden
+    bit) and 0 <= s <= 27: P = M*5**s is a 128-bit product of 32-bit
+    limbs, t = -(E+s), I = P >> t and R = P mod 2**t. Returns I, R, 2**t
+    and 5**s as int64, and where they hold: x is normal, 1 <= t <= 55 and
+    I < 2**63."""
+    bits = x.view("<u8")
+    biased = (bits >> 52).astype(np.int64) & 0x7FF
+    t = 1075 - biased - s
+    ok = (biased > 0) & (biased < 0x7FF) & (t >= 1) & (t <= 55)
+    shift = np.minimum(np.maximum(t, 1), 55).astype(np.uint64)
+    mantissa, five = bits & (2**52 - 1) | 2**52, _POW5[s]
+    m0, m1, f0, f1 = mantissa & (2**32 - 1), mantissa >> 32, five & (2**32 - 1), five >> 32
+    low, mid = m0 * f0, m0 * f1 + m1 * f0
+    carry = (low >> 32) + (mid & (2**32 - 1))
+    lo = low & (2**32 - 1) | carry << 32
+    hi = m1 * f1 + (mid >> 32) + (carry >> 32)
+    del biased, t, mantissa, m0, m1, f0, f1, low, mid, carry  # block memory
+    scaled = hi << (64 - shift) | lo >> shift
+    ok &= (hi >> shift == 0) & (scaled < 2**63)
+    rest, unit = lo & ((1 << shift) - 1), 1 << shift
+    return *(v.astype(np.int64) for v in (scaled, rest, unit, five)), ok
+
+
 def _float_field(fmt: str, x: np.ndarray) -> np.ndarray:
     """Float64 values as fmt % value prints them: %r (or %s) the shortest
     round-trip digits, %.9g nine significant digits, both in fixed
@@ -327,30 +514,12 @@ def _float_field(fmt: str, x: np.ndarray) -> np.ndarray:
     scaling cannot bring into range and 20-digit fractions go through %."""
     shortest = fmt != "%.9g"
     digits, top = (17, 15) if shortest else (9, 8)
-    # With x = M*2**E (M with its hidden bit), e10 = floor(log10|x|)
-    # estimated and s = digits-1-e10, |x|*10**s = I + R/2**t exactly for
-    # P = M*5**s, a 128-bit product of 32-bit limbs, t = -(E+s),
-    # I = P >> t and R = P mod 2**t. A row is kept when x is normal, e10
-    # lies in -4..top, 1 <= t <= 55 and 10**(digits-1) <= I < 10**digits.
-    bits = x.view("<u8")
-    biased = (bits >> 52).astype(np.int64) & 0x7FF
-    normal = (biased > 0) & (biased < 0x7FF)
-    e10 = np.floor(np.log10(np.abs(np.where(normal, x, 1.0)))).astype(np.int64)
+    # With e10 = floor(log10|x|) estimated and s = digits-1-e10, a row is
+    # kept when e10 lies in -4..top and 10**(digits-1) <= I < 10**digits.
+    e10 = np.floor(np.log10(np.abs(np.where(np.isfinite(x) & (x != 0), x, 1.0)))).astype(np.int64)
     s = digits - 1 - np.minimum(np.maximum(e10, -4), top)
-    t = 1075 - biased - s
-    ok = normal & (e10 >= -4) & (e10 <= top) & (t >= 1) & (t <= 55)
-    shift = np.minimum(np.maximum(t, 1), 55).astype(np.uint64)
-    mantissa, five = bits & (2**52 - 1) | 2**52, _POW5[s]
-    m0, m1, f0, f1 = mantissa & (2**32 - 1), mantissa >> 32, five & (2**32 - 1), five >> 32
-    low, mid = m0 * f0, m0 * f1 + m1 * f0
-    carry = (low >> 32) + (mid & (2**32 - 1))
-    lo = low & (2**32 - 1) | carry << 32
-    hi = m1 * f1 + (mid >> 32) + (carry >> 32)
-    scaled = hi << (64 - shift) | lo >> shift
-    ok &= (hi >> shift == 0) & (scaled >= _POW10[digits - 1]) & (scaled < _POW10[digits])
-    scaled, rest, unit, five = (v.astype(np.int64) for v in
-                                (scaled, lo & ((1 << shift) - 1), 1 << shift, five))
-    del biased, s, t, shift, mantissa, m0, m1, f0, f1, low, mid, carry, lo, hi  # block memory
+    scaled, rest, unit, five, ok = _decimal_scale(x, s)
+    ok &= (e10 >= -4) & (e10 <= top) & (scaled >= 10**(digits - 1)) & (scaled < 10**digits)
     value, tie = scaled + (2 * rest > unit), 2 * rest == unit
     if shortest:
         # I rounded to 16, then 15 digits, kept if it rounds back to x:
@@ -363,7 +532,7 @@ def _float_field(fmt: str, x: np.ndarray) -> np.ndarray:
             back = 2 * np.minimum(below, above) < five
             value = np.where(back, scaled - low + step * (below > above), value)
             tie = np.where(back, below == above, tie)
-        ok &= bits & (2**52 - 1) != 0
+        ok &= x.view("<u8") & (2**52 - 1) != 0
         del low, below, above, back
     ok &= ~tie
     # A carry to 10**digits is 10**(digits-1) of the next decade.

@@ -1,7 +1,9 @@
 """data.write_csv_columns prints float64 arrays under %r, %s and %.9g
 and integer arrays under %d and %s with numpy kernels; every field must
 be what Python's % prints, and every table the bytes of the %-based
-printer of csv_oracle.py."""
+printer of csv_oracle.py. SplitDataset.load_csv reads the repr() of a
+float64 with a numpy kernel too; every feature it reads must be what
+float() makes of the same text, bit for bit."""
 
 import math
 from unittest import mock
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from csv_oracle import oracle_csv_bytes
 from d2ssl import data as data_mod
-from d2ssl.data import Coded, write_csv_columns
+from d2ssl.data import BLOCK_ROWS, ROLE_TEST, Coded, SplitDataset, write_csv_columns
 
 FLOAT_FORMATS = ("%r", "%s", "%.9g")
 
@@ -135,3 +137,53 @@ def test_mixed_tables_match_the_percent_printer(tmp_path_factory, data):
                           line_end=line_end, header_end=header_end)
     assert path.read_bytes() == oracle_csv_bytes(header, formats, n, python_columns, 5,
                                                  line_end=line_end, header_end=header_end)
+
+
+def check_read_back(tmp_path, values, block_rows=7):
+    """load_csv reads each value of a dataset CSV as float() reads its
+    repr(): values in x0 and reversed in x1, blocks of block_rows rows."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    ds = SplitDataset(np.column_stack([values, values[::-1]]), np.zeros(n, np.int64),
+                      np.full(n, ROLE_TEST), 4)
+    path = tmp_path / "ds.csv"
+    with mock.patch.object(data_mod, "BLOCK_ROWS", block_rows):
+        ds.save_csv(path)
+        got = SplitDataset.load_csv(path, 4).features
+    want = np.array([float(repr(v)) for v in values.tolist()])
+    assert got[:, 0].tobytes() == want.tobytes()
+    assert got[:, 1].tobytes() == want[::-1].tobytes()
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_load_csv_reads_floats_as_float_over_the_full_range(tmp_path_factory, values):
+    check_read_back(tmp_path_factory.mktemp("r"), values)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_load_csv_reads_floats_as_float_on_random_bit_patterns(tmp_path_factory, bits):
+    check_read_back(tmp_path_factory.mktemp("r"),
+                    np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("values", [
+    decades_and_neighbours(),
+    np.ldexp(1.0, np.arange(-40, 70)),
+    -np.ldexp(1.0, np.arange(-40, 70)),
+    np.nextafter(np.ldexp(1.0, np.arange(-40, 70)).repeat(2), [0.0, math.inf] * 110),
+    np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+              0.1, 0.3, 1e-4, 9.9999999995, 0.99999999996, 999999999.5, 1e15, 9.999999999999999e15,
+              4503599627370497.5, 123456789.0, 2.0**-10, 1.7976931348623157e308]),
+], ids=["decades", "powers_of_two", "negative_powers_of_two", "beside_powers_of_two", "edges"])
+def test_load_csv_reads_floats_as_float_on_edge_values(tmp_path, values):
+    check_read_back(tmp_path, values)
+
+
+def test_load_csv_reads_decimals_as_float_across_block_edges(tmp_path):
+    """Three blocks of 17-digit values from 1e-5 to 1e17, where the
+    candidate D/10**f is decided by the 128-bit check or stepped an ulp."""
+    rng = np.random.default_rng(7)
+    values = rng.uniform(1, 10, 3 * BLOCK_ROWS) * 10.0 ** rng.integers(-5, 17, 3 * BLOCK_ROWS)
+    check_read_back(tmp_path, values * rng.choice([-1.0, 1.0], values.size), BLOCK_ROWS)

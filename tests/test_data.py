@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_oracle import oracle_load_csv
 from d2ssl.cli import build_dataset, parse_config
 from d2ssl.data import (
     BLOCK_ROWS,
@@ -283,6 +284,8 @@ def test_load_csv_row_one_feature_short(tmp_path):
     ("2,test,one,0.5,0.5", "class"),
     ("2,test,-3,0.5,0.5", "class"),
     ("2,test,1,0.5,half", "x1"),
+    ("2,test,9223372036854775808,0.5,0.5", "class"),
+    ("00000000000000000002,test,1,0.5,0.5", "id"),
 ])
 def test_load_csv_unparsable_field(tmp_path, text, what):
     path = write_csv_with(tmp_path, 3, text)
@@ -302,6 +305,13 @@ def test_load_csv_unparsable_field(tmp_path, text, what):
     ("+2,test,1,0.5,0.5", "id", "+2"),
     (" 2,test,1,0.5,0.5", "id", " 2"),
     ("\u0662,test,1,0.5,0.5", "id", "\u0662"),
+    ("2,test,1,+1.5,0.5", "x0", "+1.5"),
+    ("2,test,1,0.5,Infinity", "x1", "Infinity"),
+    ("2,test,1,1.,0.5", "x0", "1."),
+    ("2,test,1,0.5,.5", "x1", ".5"),
+    ("2,test,1,1E5,0.5", "x0", "1E5"),
+    ("2,test,1,0.5,1e5", "x1", "1e5"),
+    ("2,test,1,NaN,0.5", "x0", "NaN"),
 ])
 def test_load_csv_rejects_loose_numbers(tmp_path, text, what, field):
     path = write_csv_with(tmp_path, 3, text)
@@ -310,31 +320,134 @@ def test_load_csv_rejects_loose_numbers(tmp_path, text, what, field):
         SplitDataset.load_csv(path, 4)
 
 
+def test_load_csv_reads_zero_padded_ids(tmp_path):
+    path = write_csv_with(tmp_path, 3, "0000000000000000002,test,1,0.5,0.5")
+    loaded = SplitDataset.load_csv(path, 4)
+    assert loaded.features[2].tolist() == [0.5, 0.5] and loaded.true_classes[2] == 1
+
+
 def test_load_csv_ids_not_contiguous(tmp_path):
     path = write_csv_with(tmp_path, 3, "7,test,1,0.5,0.5")
     with pytest.raises(FormatError, match="not contiguous"):
         SplitDataset.load_csv(path, 4)
 
 
+# What str.splitlines breaks a line at besides LF and CRLF.
+OTHER_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_LINE_ENDS)
+def test_load_csv_other_line_ends_are_field_text(tmp_path, sep):
+    path = write_csv_with(tmp_path, 3, f"2,test,1,0.5,{sep}0.5")
+    message = f"dataset CSV line 4: bad x1 {sep + '0.5'!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        SplitDataset.load_csv(path, 4)
+
+
+def test_load_csv_vertical_tab_names_its_line_and_field(tmp_path):
+    path = write_csv_with(tmp_path, 2, "1,test,1,0.25,\x0b0.5")
+    with pytest.raises(FormatError, match=r"^dataset CSV line 3: bad x1 '\\x0b0.5'$"):
+        SplitDataset.load_csv(path, 4)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: blob.replace(b"\r\n", b"\r"),  # CR-only line ends
+    lambda blob: blob.replace(b"\r\n", b"\n\r"),  # LF CR
+    lambda blob: blob[:-2] + b"\x1c",  # a file separator for the last CRLF
+    lambda blob: blob.replace(b"\r\n", "\u2028".encode(), 1),  # after the header
+], ids=["cr_only", "lf_cr", "x1c_last_line_end", "u2028_header_end"])
+def test_load_csv_line_ends_are_lf_or_crlf(tmp_path, edit):
+    path = tmp_path / "ds.csv"
+    ood_dataset().save_csv(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError):
+        SplitDataset.load_csv(path, 4)
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """The file is read once as bytes and parsed a block at a time, so
+    four blocks peak near the file, the bytes and the arrays returned.
+    The str reader of csv_oracle peaks at 5.5 times this file."""
+    path = tmp_path / "ds.csv"
+    block_pool(4 * BLOCK_ROWS).save_csv(path)
+    tracemalloc.start()
+    SplitDataset.load_csv(path, 4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+# save_csv's grammar, restated: the texts outside it that the str reader
+# of csv_oracle takes are the only files it loads and load_csv does not.
+COUNT = re.compile(r"[0-9]{1,19}")
+FEATURE = re.compile(r"-?([0-9]+\.[0-9]+|[0-9](\.[0-9]+)?e[-+][0-9]{2,3}|inf)|nan")
+
+
+def outside_grammar(blob: bytes) -> bool:
+    """Whether a dataset CSV that the str reader takes holds a line end
+    other than LF or CRLF, a header other than save_csv's, or an id,
+    role, class or feature text outside save_csv's grammar."""
+    lines = re.split("\r?\n", blob.decode())
+    if lines[-1] == "":
+        lines.pop()
+    if any(sep in line for line in lines for sep in OTHER_LINE_ENDS):
+        return True
+    width = lines[0].count(",") + 1
+    if lines[0] != ",".join(["id", "role", "class"] + [f"x{j}" for j in range(width - 3)]):
+        return True
+    for line in lines[1:]:
+        fields = line.split(",")
+        if not (COUNT.fullmatch(fields[0]) and fields[1] in ("labeled", "unlabeled", "test")
+                and (fields[2] == "" or COUNT.fullmatch(fields[2]))
+                and all(FEATURE.fullmatch(f) for f in fields[3:])):
+            return True
+    return False
+
+
+# Field texts a mutation may put in place of another.
+FIELD_TEXTS = ["+1.5", "Infinity", "1.", ".5", "1E5", "1e5", "NaN", "-nan", "1_0", " 1.5",
+               "007", "00000000000000000000001", "9223372036854775808", "", "-0.0", "1e-05",
+               "inf", "-inf", "nan", "1.5e+16", "5e-324", "0.1\x1c", "\u2028", "1.5\r"]
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_load_csv_mutated_file_loads_or_raises_format_error(tmp_path_factory, data):
+    """Every mutated file loads or raises FormatError. Where both readers
+    load it the arrays are bit-equal, and where only the str reader of
+    csv_oracle loads it the file holds a text outside save_csv's grammar."""
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
     ood_dataset().save_csv(path)
     blob = bytearray(path.read_bytes())
-    kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "field"]))
     if kind == "truncate":
         blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
     elif kind == "extend":
         blob += data.draw(st.binary(min_size=1, max_size=20))
-    else:
+    elif kind == "flip":
         for _ in range(data.draw(st.integers(1, 4))):
             blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    else:
+        lines = blob.decode().split("\r\n")
+        row = data.draw(st.integers(1, len(lines) - 2))
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+            st.sampled_from(FIELD_TEXTS) | st.text(max_size=4))
+        lines[row] = ",".join(fields)
+        blob = bytearray("\r\n".join(lines).encode())
     path.write_bytes(bytes(blob))
     try:
-        SplitDataset.load_csv(path, 4)
+        want = oracle_load_csv(path)
     except FormatError:
-        pass
+        want = None
+    try:
+        got = SplitDataset.load_csv(path, 4)
+    except FormatError:
+        assert want is None or outside_grammar(bytes(blob))
+    else:
+        assert want is not None
+        for g, w in zip([got.features, got.true_classes, got.roles], want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_load_csv_empty_file(tmp_path):
