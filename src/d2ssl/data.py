@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, read_checked
 
 ROLE_LABELED = 0
 ROLE_UNLABELED = 1
@@ -598,38 +598,21 @@ def gen_two_moons(
     return SplitDataset(feats, classes, roles, 2)
 
 
-def _read_idx_header(fh, expected_magic: int, path) -> list[int]:
-    raw = fh.read(4)
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated IDX header")
-    magic = struct.unpack(">I", raw)[0]
-    if magic != expected_magic:
-        raise FormatError(
-            f"{path}: bad IDX magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
-    n_dims = magic & 0xFF
-    dims = []
-    for _ in range(n_dims):
-        raw = fh.read(4)
-        if len(raw) < 4:
-            raise FormatError(f"{path}: truncated IDX dimension list")
-        dims.append(struct.unpack(">I", raw)[0])
-    return dims
-
-
 def _read_idx(path, expected_magic: int) -> tuple[list[int], bytes]:
     """The dimensions and the data of one IDX file. The data must be
     exactly the bytes the dimensions imply, checked against the file
     size before any of it is read."""
     with open(path, "rb") as fh:
-        dims = _read_idx_header(fh, expected_magic, path)
-        need = math.prod(dims)
-        have = os.fstat(fh.fileno()).st_size - fh.tell()
-        if have < need:
-            raise FormatError(f"{path}: truncated IDX data: {have} of {need} bytes")
-        if have > need:
-            raise FormatError(f"{path}: {have - need} trailing bytes after the IDX data")
-        return dims, fh.read(need)
+        try:
+            (magic,) = struct.unpack(">I", read_checked(fh, 4, "IDX header"))
+            if magic != expected_magic:
+                raise FormatError(f"bad IDX magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+            n_dims = magic & 0xFF
+            raw = read_checked(fh, 4 * n_dims, "IDX dimension list")
+            dims = list(struct.unpack(f">{n_dims}I", raw))
+            return dims, read_checked(fh, math.prod(dims), "IDX data", last=True)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def load_idx(images_path, labels_path) -> SplitDataset:

@@ -13,14 +13,13 @@ updates parameters with one expression per step over the flat buffers.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, read_checked
 from .numerics import softmax_buffers, softmax_pair
 
 CHECKPOINT_MAGIC = b"D2CK"
@@ -256,30 +255,20 @@ def load_checkpoint(path) -> ModelParams:
     exactly what follows the activation tag. Every length is checked
     against the file size before it is read."""
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise FormatError("truncated checkpoint header")
-        version, n_sizes = struct.unpack("<II", header)
+        version, n_sizes = struct.unpack("<II", read_checked(fh, 8, "checkpoint header"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        if file_size - fh.tell() < 4 * n_sizes + 8:
-            raise FormatError("truncated layer-size list or activation tag")
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+        raw = read_checked(fh, 4 * n_sizes, "layer-size list")
+        sizes = list(struct.unpack(f"<{n_sizes}I", raw))
         if n_sizes < 2 or 0 in sizes:
             raise FormatError(f"bad layer sizes {sizes[:8]}")
-        tag = fh.read(8).rstrip(b"\x00")
+        tag = read_checked(fh, 8, "activation tag").rstrip(b"\x00")
         act = tag.decode("ascii", errors="replace")
         if act not in ACTIVATIONS:
             raise FormatError(f"unknown activation tag {tag!r}")
         count = sum(math.prod(s) for s in tensor_shapes(sizes))
-        have = file_size - fh.tell()
-        if have < 8 * count:
-            raise FormatError(f"truncated tensor data: {have} of {8 * count} bytes")
-        if have > 8 * count:
-            raise FormatError(f"{have - 8 * count} trailing bytes after the tensor data")
-        flat = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-    return ModelParams(sizes, act, flat)
+        flat = np.frombuffer(read_checked(fh, 8 * count, "tensor data", last=True), dtype="<f8")
+    return ModelParams(sizes, act, flat.astype(np.float64))

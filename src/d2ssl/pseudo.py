@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, FrozenUpdateError
+from .errors import ConfigurationError, FormatError, FrozenUpdateError, read_checked
 from .model import forward_logits
 from .numerics import TINY, entropy, kl_divergence, log_softmax, softmax, softmax_pair
 
@@ -81,9 +81,8 @@ def init_pseudo_labels(dataset, params, cfg: D2Config) -> PseudoLabelStore:
     logits = np.zeros((dataset.n_samples, params.n_classes))
     frozen = np.zeros(dataset.n_samples, dtype=bool)
     lab = dataset.labeled_indices
-    if lab.size:
-        logits[lab, dataset.labeled_targets] = cfg.init_scale
-        frozen[lab] = True
+    logits[lab, dataset.labeled_targets] = cfg.init_scale
+    frozen[lab] = True
     return repredict(PseudoLabelStore(logits, frozen), params, dataset)
 
 
@@ -243,22 +242,14 @@ def load_snapshot(path) -> PseudoLabelStore:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise FormatError(f"bad snapshot magic {magic!r}")
-        header = fh.read(12)
-        if len(header) < 12:
-            raise FormatError("truncated snapshot header")
-        version, n_classes, count = struct.unpack("<III", header)
+        version, n_classes, count = struct.unpack("<III", read_checked(fh, 12, "snapshot header"))
         if version != SNAPSHOT_VERSION:
             raise FormatError(f"unsupported snapshot version {version}")
-        body = fh.read()
-    try:
-        record = _snapshot_record(n_classes)
-    except ValueError:  # a record must fit in 2 GiB
-        raise FormatError(f"snapshot class count {n_classes} too large") from None
-    size = count * record.itemsize
-    if len(body) < size:
-        raise FormatError(f"truncated snapshot records: {len(body)} of {size} bytes")
-    if len(body) > size:
-        raise FormatError(f"{len(body) - size} trailing bytes after the snapshot records")
+        try:
+            record = _snapshot_record(n_classes)
+        except ValueError:  # a record must fit in 2 GiB
+            raise FormatError(f"snapshot class count {n_classes} too large") from None
+        body = read_checked(fh, count * record.itemsize, "snapshot records", last=True)
     records = np.frombuffer(body, dtype=record, count=count)
     ids = records["id"]
     bad = (ids < 0) | (ids >= count)

@@ -225,7 +225,7 @@ def _accuracy(params: ModelParams, rows: _EvalRows) -> tuple[float, float, np.nd
     n_scored = rows.truth.size
     hit = np.argmax(logits[:n_scored], axis=1) == rows.truth
     n_lab = rows.n_labeled
-    acc_labeled = float(np.mean(hit[:n_lab])) if n_lab else float("nan")
+    acc_labeled = float(np.mean(hit[:n_lab]))
     acc_test = float(np.mean(hit[n_lab:])) if n_scored > n_lab else float("nan")
     return acc_labeled, acc_test, logits[n_scored:]
 
@@ -407,10 +407,9 @@ def _network_logit_grad(p, log_p, p_tilde_log, n_lab, cfg, cfg_labeled, out) -> 
     n_lab rows are labeled, written into out."""
     if cfg_labeled is cfg:
         return grad_wrt_network_logits(p, log_p, p_tilde_log, cfg, out=out)
-    if n_lab:
-        grad_wrt_network_logits(
-            p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled, out=out[:n_lab],
-        )
+    grad_wrt_network_logits(
+        p[:n_lab], log_p[:n_lab], p_tilde_log[:n_lab], cfg_labeled, out=out[:n_lab],
+    )
     grad_wrt_network_logits(
         p[n_lab:], log_p[n_lab:], p_tilde_log[n_lab:], cfg, out=out[n_lab:],
     )
@@ -425,14 +424,15 @@ def stage2_d2(
     cfg: D2Config,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
-    """The joint segments; run_r2d2 checks the unlabeled batch first."""
+    """The joint segments; run_r2d2 checks first that the unlabeled batch
+    fits and, by stage1_supervised, that there are labeled rows."""
     lab = dataset.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
     known_unl = _known_unlabeled(dataset)
-    n_lab = plan.batch_labeled if lab.size else 0
+    n_lab = plan.batch_labeled
     n_unl = plan.batch_unlabeled
     ws = Workspace(params, n_lab + n_unl)
     dl = ws.dl
@@ -442,7 +442,7 @@ def stage2_d2(
         active_unl = active_unlabeled(store, dataset, plan)
         drift_base = store.logits[active_unl].sum(axis=1)
         rows = _eval_rows(dataset, active_unl)
-        lab_order = rng.permutation(lab) if lab.size else lab
+        lab_order = rng.permutation(lab)
         lab_cursor = 0
         n_batches = active_unl.size // n_unl
         # Each batch's unlabeled predictions, for the epoch's one

@@ -286,6 +286,19 @@ def test_main_bad_dataset_exits_config_before_training(tmp_path, capsys, extra, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["r2d2", "supervised_baseline", "ablation"])
+def test_main_without_labeled_rows_exits_config_before_training(tmp_path, capsys, mode):
+    # stage1_supervised's check is the one labeled-row check of every
+    # training mode: the stages after it trust that labeled rows exist.
+    extra = {"labeled_per_class": "0", "stage1_epochs": "0",
+             "stage2_epochs": "1", "stage2_lrs": "0.01", "stage2_repredict": "0",
+             "stage3_epochs": "1", "stage3_horizon": "1"}
+    assert main(tiny_args(mode, tmp_path, extra)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: stage 1 requires at least one labeled sample\n")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 ODD_VALUES = st.one_of(
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1", "-0.5", "0", "1", "-0",

@@ -491,17 +491,26 @@ def test_idx_bad_magic(tmp_path):
     # Labels file carrying the image magic must be rejected.
     blob = lbl.read_bytes()
     lbl.write_bytes(struct.pack(">I", 0x00000803) + blob[4:])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         load_idx(img, lbl)
+    assert str(info.value) == f"{lbl}: bad IDX magic 0x00000803, expected 0x00000801"
 
 
-def test_idx_truncated(tmp_path):
+# The image file: magic 4 bytes, dimension list 12, pixels 12, 28 in all.
+@pytest.mark.parametrize("cut,message", [
+    (3, "truncated IDX header: 3 of 4 bytes"),
+    (10, "truncated IDX dimension list: 6 of 12 bytes"),
+    (-3, "truncated IDX data: 9 of 12 bytes"),
+], ids=["header", "dimension-list", "data"])
+def test_idx_truncated(tmp_path, cut, message):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2])
     blob = img.read_bytes()
-    img.write_bytes(blob[:-3])
-    with pytest.raises(FormatError):
+    assert len(blob) == 28
+    img.write_bytes(blob[:cut])
+    with pytest.raises(FormatError) as info:
         load_idx(img, lbl)
+    assert str(info.value) == f"{img}: {message}"
 
 
 def test_idx_empty_file(tmp_path):

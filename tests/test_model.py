@@ -142,13 +142,23 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_truncated(tmp_path):
+# small_params' checkpoint: magic 4 bytes, header 8, layer-size list 16,
+# activation tag 8, tensor data 360 (45 float64), 396 in all.
+@pytest.mark.parametrize("cut,message", [
+    (7, "truncated checkpoint header: 3 of 8 bytes"),
+    (20, "truncated layer-size list: 8 of 16 bytes"),
+    (31, "truncated activation tag: 3 of 8 bytes"),
+    (396 // 2, "truncated tensor data: 162 of 360 bytes"),
+], ids=["header", "size-list", "tag", "data"])
+def test_checkpoint_truncated(tmp_path, cut, message):
     path = tmp_path / "model.d2ck"
     save_checkpoint(small_params(), path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(FormatError):
+    assert len(blob) == 396
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError) as info:
         load_checkpoint(path)
+    assert str(info.value) == message
 
 
 def test_head_has_no_bias():

@@ -1,6 +1,7 @@
 """Joint-loss, gradient, update, and snapshot-format tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,14 +236,22 @@ def test_snapshot_bad_magic(tmp_path):
         load_snapshot(path)
 
 
-def test_snapshot_truncated(tmp_path):
+# make_store's snapshot: magic 4 bytes, header 12, then 4 records of 33
+# bytes (id 8, frozen 1, 3 logits 24), 148 in all.
+@pytest.mark.parametrize("cut,message", [
+    (9, "truncated snapshot header: 5 of 12 bytes"),
+    (-5, "truncated snapshot records: 127 of 132 bytes"),
+], ids=["header", "records"])
+def test_snapshot_truncated(tmp_path, cut, message):
     store = make_store()
     path = tmp_path / "pseudo.d2pl"
     save_snapshot(store, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(FormatError):
+    assert len(blob) == 148
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError) as info:
         load_snapshot(path)
+    assert str(info.value) == message
 
 
 def snapshot_by_records(store, order=None) -> bytes:
@@ -284,6 +293,26 @@ def test_snapshot_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         load_snapshot(path)
+
+
+def test_snapshot_tail_is_sized_not_read(tmp_path):
+    # One record, then 8 MB more: the records' size is checked against the
+    # file before anything is read, so the tail is never loaded.
+    store = make_store(n=1, classes=3)
+    path = tmp_path / "pseudo.d2pl"
+    tail = 8 * 2**20
+    with open(path, "wb") as fh:
+        fh.write(snapshot_by_records(store))
+        fh.truncate(fh.tell() + tail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{tail} trailing bytes after the snapshot records"
+    assert peak < 2**20
 
 
 def test_snapshot_duplicate_id(tmp_path):

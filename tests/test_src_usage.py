@@ -8,7 +8,8 @@ data.py is the one module that writes CSV: no other imports csv. And
 pseudo.residual_terms is the one place where logits become the
 residual t: no other module reads convergence_residual. And the
 open-world switch is read only where the config builds the plan and
-where trainer._discard_count sizes the discarded rows."""
+where trainer._discard_count sizes the discarded rows. And the binary
+readers check lengths against the file size only in errors.read_checked."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,17 @@ def test_open_world_read_only_by_the_plan_and_the_discard_count():
                if scope not in allowed]
     assert not readers, "open_world read outside the plan and the discard count: " + ", ".join(
         readers)
+
+
+def test_only_read_checked_and_the_csv_buffer_read_the_file_size():
+    # The size rule of the binary readers has one home: no reader
+    # compares a length read from a file with the file size itself.
+    allowed = {
+        "errors.read_checked",
+        "data._read_padded",  # sizes the buffer dataset.csv is read into
+    }
+    readers = [f"{path.relative_to(ROOT)} in {scope}"
+               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               for scope in scopes_reading(ast.parse(path.read_text()), "fstat", path.stem)
+               if scope not in allowed]
+    assert not readers, "fstat read outside read_checked and _read_padded: " + ", ".join(readers)
