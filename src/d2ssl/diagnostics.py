@@ -74,9 +74,11 @@ def flatness_audit(scores, beta: float):
 
 
 def entropy_cdf(probs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """For each threshold, the count of rows with entropy below it."""
-    ent = entropy(probs)
-    return np.array([int(np.sum(ent < e)) for e in grid])
+    """For each threshold of the non-NaN grid, the count of rows with
+    entropy below it: the insertion point of the threshold before its
+    equals in the sorted entropies, where NaN entropies sort last and so
+    count below no threshold."""
+    return np.searchsorted(np.sort(entropy(probs)), grid, side="left")
 
 
 def export_features(dataset: SplitDataset, params: ModelParams, path) -> int:

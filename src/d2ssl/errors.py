@@ -39,3 +39,7 @@ class FrozenUpdateError(D2Error):
 
 class NumericError(D2Error):
     """Non-finite value where a finite one is required."""
+
+
+class WorkerError(D2Error):
+    """The evaluation worker of a run exited before it replied."""

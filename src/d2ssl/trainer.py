@@ -16,12 +16,14 @@ the Nesterov step updates their flat buffer in place.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import OOD_CLASS, SplitDataset, write_csv_columns
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, WorkerError
 from .model import (
     ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
 )
@@ -237,12 +239,12 @@ def _known_unlabeled(dataset: SplitDataset) -> tuple[np.ndarray, np.ndarray]:
     return valid, dataset.true_classes[valid]
 
 
-def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarray) -> float:
-    """Arg-max pseudo-label accuracy over _known_unlabeled's rows."""
-    if valid.size == 0:
+def _pseudo_accuracy(logits: np.ndarray, truth: np.ndarray) -> float:
+    """Arg-max pseudo-label accuracy, from the pseudo-logits of
+    _known_unlabeled's rows and their true classes."""
+    if truth.size == 0:
         return float("nan")
-    pred = np.argmax(np.take(store.logits, valid, axis=0), axis=1)
-    return float(np.mean(pred == truth))
+    return float(np.mean(np.argmax(logits, axis=1) == truth))
 
 
 def _check_params(params: ModelParams, stage: str) -> None:
@@ -264,18 +266,19 @@ def _supervised_stage(
     epochs: int,
     horizon: int,
     lr0: float,
+    scorer: _EpochScorer,
     **constant: float,
 ) -> list[MetricsRecord]:
     """The epochs of a cross-entropy stage: SGD over the full batches of
     batch rows of ids, with the given targets, in a fresh random order
     each epoch, at the cosine learning rate of horizon and lr0. Each
-    epoch's record has its mean CE and mean prediction entropy; constant
-    holds the columns the stage keeps fixed. A numeric abort names the
-    stage, epoch and batch."""
+    epoch's record has its mean CE and mean prediction entropy, and
+    scorer's accuracies; constant holds the columns the stage keeps
+    fixed. A numeric abort names the stage, epoch and batch."""
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     ws = Workspace(params, batch)
     feats = dataset.features[ids]
-    rows = _eval_rows(dataset)
+    scorer.rows()
     batch_rows = np.arange(batch)
     dl = ws.dl
     n_batches = ids.size // batch
@@ -305,13 +308,11 @@ def _supervised_stage(
             entropy(preds, log_p=log_preds),
         )
         ce, h_pred = loss_sum / count, ent_sum / count
-        acc_labeled, acc_test, _ = _accuracy(params, rows)
         records.append(MetricsRecord(
             stage, epoch, lr,
-            loss_total=ce, loss_c=ce, loss_e=h_pred,
-            acc_labeled=acc_labeled, acc_test=acc_test,
-            mean_h_pred=h_pred, **constant,
+            loss_total=ce, loss_c=ce, loss_e=h_pred, mean_h_pred=h_pred, **constant,
         ))
+        scorer.score(records[-1], params)
     _check_params(params, stage)
     return records
 
@@ -321,6 +322,7 @@ def stage1_supervised(
     params: ModelParams,
     plan: SchedulePlan,
     rng: np.random.Generator,
+    scorer: _EpochScorer | None = None,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     lab = dataset.labeled_indices
     if lab.size == 0:
@@ -329,6 +331,7 @@ def stage1_supervised(
         "stage1", dataset, params, plan, rng, lab, dataset.true_classes[lab],
         min(plan.batch_labeled, lab.size),
         plan.stage1_epochs, plan.stage1_horizon, plan.stage1_lr,
+        scorer or _EpochScorer(dataset),
     )
     return params, records
 
@@ -396,6 +399,144 @@ def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
     return out
 
 
+class _EpochScorer:
+    """Fills in the evaluation columns of each epoch's record: labeled
+    and test accuracy and, in stage 2, acc_pseudo and the full-pool
+    metrics, which no training step reads. Inline, score fills a record
+    at once. After start, a forked worker scores each epoch while the
+    next one trains: score sends it the epoch's params (and stage 2's
+    pseudo-logits) and polls for replies, which fill the records in
+    epoch order. A context manager: on exit it waits for every reply,
+    so a failure the worker found in an earlier epoch replaces the
+    exception that ends the block, as inline scoring would have raised
+    it first; then it stops the worker, on every exit path."""
+
+    def __init__(self, dataset: SplitDataset, cfg: D2Config | None = None):
+        self.dataset, self.cfg = dataset, cfg
+        self.known_rows, self.known_truth = _known_unlabeled(dataset)
+        self.pending: deque[MetricsRecord] = deque()
+        self.worker = None
+
+    def _set_rows(self, active_unl, drift_base) -> None:
+        self.eval_rows, self.drift_base = _eval_rows(self.dataset, active_unl), drift_base
+
+    def _columns(self, params: ModelParams, epoch, pseudo) -> dict:
+        """The scoring of one epoch, inline or in the worker."""
+        acc_labeled, acc_test, unl_logits = _accuracy(params, self.eval_rows)
+        columns = {"acc_labeled": acc_labeled, "acc_test": acc_test}
+        if pseudo is None:
+            return columns
+        pseudo_logits, known_logits = pseudo
+        extra = _stage2_epoch_metrics(pseudo_logits, self.cfg, unl_logits, self.drift_base)
+        for column, value in extra.items():
+            if not math.isfinite(value):
+                # Name the params when a step left them non-finite.
+                _check_params(params, f"stage2 epoch {epoch}")
+                raise NumericError(f"non-finite {column} at stage2 epoch {epoch}: {value}")
+        return {**columns, **extra, "acc_pseudo": _pseudo_accuracy(known_logits, self.known_truth)}
+
+    def rows(self, active_unl: np.ndarray | None = None, drift_base=None) -> None:
+        """Score the next epochs on the labeled and test rows, and in
+        stage 2 on active_unl with the pseudo-logit sums drift_base."""
+        if self.worker is None:
+            self._set_rows(active_unl, drift_base)
+        else:
+            self._send(("rows", active_unl, drift_base))
+
+    def score(self, record: MetricsRecord, params: ModelParams, epoch=None, pseudo=None) -> None:
+        """Fill record's columns from params after its epoch; in stage 2,
+        pseudo is (active pseudo-logits, _known_unlabeled's pseudo-logits)."""
+        if self.worker is None:
+            vars(record).update(self._columns(params, epoch, pseudo))
+            return
+        self._send(("score", params.flat, epoch, pseudo))  # pickled, so copied now
+        self.pending.append(record)
+        self._collect(0)
+
+    def start(self, params: ModelParams) -> _EpochScorer:
+        """Fork the worker, unless fork is unavailable or this process
+        may run on one CPU only."""
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        if not hasattr(os, "fork") or len(cpus) < 2:
+            return self
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        ctx = multiprocessing.get_context("fork")
+        self.layout, self._wait = (params.layer_sizes, params.activation), wait
+        self.conn, child = ctx.Pipe()
+        self.worker = ctx.Process(target=self._serve, args=(child,), daemon=True)
+        self.worker.start()
+        child.close()
+        return self
+
+    def _serve(self, conn) -> None:
+        """The worker's loop: each job in turn; the reply to an epoch is
+        its columns or the exception its scoring raised."""
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops it
+        try:
+            while True:
+                kind, *job = conn.recv()
+                if kind == "rows":
+                    self._set_rows(*job)
+                    continue
+                flat, epoch, pseudo = job
+                try:
+                    reply = self._columns(ModelParams(*self.layout, flat), epoch, pseudo)
+                except Exception as exc:
+                    reply = exc
+                conn.send(reply)
+        except (EOFError, OSError):  # the main process is gone
+            pass
+
+    def _send(self, job) -> None:
+        try:
+            self.conn.send(job)
+        except OSError:
+            self._lost()
+
+    def _collect(self, timeout: float | None) -> None:
+        """Fill the pending records from the worker's replies, in epoch
+        order: the replies that come within timeout, or with None all of
+        them. Raises the first reply that is an exception, and
+        WorkerError if the worker exits first."""
+        while self.pending:
+            ready = self._wait([self.conn, self.worker.sentinel], timeout)
+            if not ready:
+                return
+            if self.conn not in ready:
+                self._lost()
+            try:
+                reply = self.conn.recv()
+            except (EOFError, OSError):
+                self._lost()
+            record = self.pending.popleft()
+            if isinstance(reply, Exception):
+                self.pending.clear()
+                raise reply
+            vars(record).update(reply)
+
+    def _lost(self):
+        self.pending.clear()
+        self.worker.join(1.0)
+        raise WorkerError(f"the evaluation worker exited with code {self.worker.exitcode}")
+
+    def __enter__(self) -> _EpochScorer:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None or issubclass(kind, Exception):
+                self._collect(None)
+        finally:
+            if self.worker is not None:
+                self.worker.kill()
+                self.worker.join()
+                self.conn.close()
+
+
 def _labeled_config(cfg: D2Config) -> D2Config:
     """The loss of labeled rows in joint training: the full loss, or
     only the matching term when cfg.labeled_full_loss is false."""
@@ -423,15 +564,16 @@ def stage2_d2(
     plan: SchedulePlan,
     cfg: D2Config,
     rng: np.random.Generator,
+    scorer: _EpochScorer | None = None,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """The joint segments; run_r2d2 checks first that the unlabeled batch
     fits and, by stage1_supervised, that there are labeled rows."""
+    scorer = scorer or _EpochScorer(dataset, cfg)
     lab = dataset.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
-    known_unl = _known_unlabeled(dataset)
     n_lab = plan.batch_labeled
     n_unl = plan.batch_unlabeled
     ws = Workspace(params, n_lab + n_unl)
@@ -440,8 +582,7 @@ def stage2_d2(
         if segment.repredict_at_start:
             repredict(store, params, dataset)
         active_unl = active_unlabeled(store, dataset, plan)
-        drift_base = store.logits[active_unl].sum(axis=1)
-        rows = _eval_rows(dataset, active_unl)
+        scorer.rows(active_unl, store.logits[active_unl].sum(axis=1))
         lab_order = rng.permutation(lab)
         lab_cursor = 0
         n_batches = active_unl.size // n_unl
@@ -495,21 +636,12 @@ def stage2_d2(
             pseudo_logits = np.take(store.logits, active_unl, axis=0)
             if not np.isfinite(pseudo_logits).all():
                 raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch_global}")
-            acc_labeled, acc_test, unl_logits = _accuracy(params, rows)
-            extra = _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base)
-            for column, value in extra.items():
-                if not math.isfinite(value):
-                    # Name the params when a step left them non-finite.
-                    _check_params(params, f"stage2 epoch {epoch_global}")
-                    raise NumericError(
-                        f"non-finite {column} at stage2 epoch {epoch_global}: {value}"
-                    )
             records.append(MetricsRecord(
                 "stage2", epoch_global, segment.lr,
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
-                acc_labeled=acc_labeled, acc_test=acc_test,
-                acc_pseudo=_pseudo_accuracy(store, *known_unl),
-                **extra,
+            ))
+            scorer.score(records[-1], params, epoch_global, (
+                pseudo_logits, np.take(store.logits, scorer.known_rows, axis=0),
             ))
             epoch_global += 1
     _check_params(params, "stage2")
@@ -522,9 +654,11 @@ def stage3_finetune(
     store: PseudoLabelStore,
     plan: SchedulePlan,
     rng: np.random.Generator,
+    scorer: _EpochScorer | None = None,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Cross entropy on the labeled rows and the active_unlabeled rows,
     with the arg-max pseudo-labels of the latter as their targets."""
+    scorer = scorer or _EpochScorer(dataset)
     lab = dataset.labeled_indices
     unl = active_unlabeled(store, dataset, plan)
     ids = np.concatenate([lab, unl])
@@ -535,8 +669,10 @@ def stage3_finetune(
     records = _supervised_stage(
         "stage3", dataset, params, plan, rng, ids, targets,
         min(plan.batch_labeled + plan.batch_unlabeled, ids.size),
-        plan.stage3_epochs, plan.stage3_horizon, plan.stage3_lr,
-        acc_pseudo=_pseudo_accuracy(store, *_known_unlabeled(dataset)),
+        plan.stage3_epochs, plan.stage3_horizon, plan.stage3_lr, scorer,
+        acc_pseudo=_pseudo_accuracy(
+            np.take(store.logits, scorer.known_rows, axis=0), scorer.known_truth,
+        ),
         mean_h_pseudo=float(np.mean(entropy(store.probs(unl)))) if unl.size else math.nan,
     )
     return params, records
@@ -593,14 +729,17 @@ def run_r2d2(
     seed: int,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """Full pipeline: supervised warm-up, pseudo-label initialization,
-    joint segments, hard-label finetune. Deterministic given the seed."""
+    joint segments, hard-label finetune. Deterministic given the seed;
+    each epoch is scored in a forked worker where _EpochScorer.start
+    can fork one, with the same records as inline scoring."""
     _check_unlabeled_batch(dataset, plan)
     rng = seeded_rng(seed)
     params = init_params(layer_sizes, activation, rng)
-    params, m1 = stage1_supervised(dataset, params, plan, rng)
-    store = init_pseudo_labels(dataset, params, cfg)
-    params, store, m2 = stage2_d2(dataset, params, store, plan, cfg, rng)
-    params, m3 = stage3_finetune(dataset, params, store, plan, rng)
+    with _EpochScorer(dataset, cfg).start(params) as scorer:
+        params, m1 = stage1_supervised(dataset, params, plan, rng, scorer)
+        store = init_pseudo_labels(dataset, params, cfg)
+        params, store, m2 = stage2_d2(dataset, params, store, plan, cfg, rng, scorer)
+        params, m3 = stage3_finetune(dataset, params, store, plan, rng, scorer)
     return params, store, m1 + m2 + m3
 
 

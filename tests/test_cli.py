@@ -3,9 +3,12 @@
 import csv
 import logging
 import math
+import multiprocessing
 import os
 import re
+import signal
 import struct
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d2ssl import cli, numerics
+from d2ssl import cli, numerics, trainer
 
 from d2ssl.cli import (
     ABLATION_AXES,
@@ -531,6 +534,25 @@ def test_main_non_finite_stage2_metric_exits_numeric(tmp_path, capsys):
     assert main(tiny_args("r2d2", tmp_path, extra)) == EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric abort: non-finite t_abs_p50 at stage2 epoch 1: nan\n")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_main_killed_evaluation_worker_exits_internal(tmp_path, monkeypatch, capsys,
+                                                     forked_scoring):
+    # The worker is killed from outside between stages 1 and 2; the
+    # next send or reply finds it gone.
+    def kill_worker(*args):
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        return init_pseudo_labels(*args)
+
+    monkeypatch.setattr(trainer, "init_pseudo_labels", kill_worker)
+    start = time.monotonic()
+    assert main(tiny_args("r2d2", tmp_path)) == EXIT_INTERNAL
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == (
+        f"internal error: the evaluation worker exited with code {-signal.SIGKILL}\n")
+    assert multiprocessing.active_children() == []
     assert not (tmp_path / "metrics.csv").exists()
 
 

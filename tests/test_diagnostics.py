@@ -21,7 +21,7 @@ from d2ssl.diagnostics import (
 )
 from d2ssl.errors import NumericError
 from d2ssl.model import forward, init_params
-from d2ssl.numerics import seeded_rng
+from d2ssl.numerics import entropy, seeded_rng, softmax
 from d2ssl.pseudo import (
     D2Config, convergence_residual, d2_loss, init_pseudo_labels,
 )
@@ -86,6 +86,23 @@ def test_entropy_cdf_monotone():
     grid = np.array([0.01, 0.4, 0.8])
     cdf = entropy_cdf(probs, grid)
     np.testing.assert_array_equal(cdf, [1, 2, 3])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entropy_cdf_equals_one_comparison_per_threshold(seed):
+    # Thresholds that equal some entropies, rows whose entropy is NaN,
+    # and one-hot rows of entropy 0 against the grid of cli's table.
+    rng = seeded_rng(seed)
+    probs = softmax(rng.standard_normal((2000, 4)) * 3.0)
+    probs[rng.choice(2000, 40, replace=False)] = np.nan
+    probs[:30] = np.eye(4)[rng.integers(0, 4, 30)]
+    ent = entropy(probs)
+    grid = np.sort(np.concatenate([
+        np.linspace(0.0, np.log(4) + 1e-9, 51)[1:],
+        rng.choice(ent[np.isfinite(ent)], 10), [0.0]]))
+    want = np.array([int(np.sum(ent < e)) for e in grid])
+    got = entropy_cdf(probs, grid)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_export_features_2d(tmp_path):

@@ -9,9 +9,14 @@ pseudo.residual_terms is the one place where logits become the
 residual t: no other module reads convergence_residual. And the
 open-world switch is read only where the config builds the plan and
 where trainer._discard_count sizes the discarded rows. And the binary
-readers check lengths against the file size only in errors.read_checked."""
+readers check lengths against the file size only in errors.read_checked.
+And importing the CLI does not import multiprocessing, which only a
+run's evaluation worker needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import d2ssl
@@ -150,3 +155,13 @@ def test_only_read_checked_and_the_csv_buffer_read_the_file_size():
                for scope in scopes_reading(ast.parse(path.read_text()), "fstat", path.stem)
                if scope not in allowed]
     assert not readers, "fstat read outside read_checked and _read_padded: " + ", ".join(readers)
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # trainer imports it only where a run forks its evaluation worker,
+    # so every interpreter that only parses a config skips its cost.
+    code = ("import sys; from d2ssl import cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout == "[]\n"

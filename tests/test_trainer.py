@@ -1,5 +1,7 @@
 """Scheduler, optimizer, filtering, and pipeline behavior tests."""
 
+import math
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -720,10 +722,11 @@ def test_epoch_pseudo_step_equals_per_batch_steps(loss, n_classes, open_world, l
     assert [(r.loss_total, r.loss_c, r.loss_e) for r in records] == want
 
 
-def test_stage2_takes_the_loss_once_per_epoch(monkeypatch):
+def test_stage2_takes_the_loss_once_per_epoch(monkeypatch, inline_scoring):
     # One d2_loss over the epoch's batches for the loss columns, and one
     # over the active pool for the metric columns, in each of the six
-    # stage-2 epochs.
+    # stage-2 epochs. Inline, since a spy cannot count the calls of a
+    # forked evaluation worker.
     shapes = []
 
     def counting_loss(p_hat_log, p_tilde_log, cfg):
@@ -735,6 +738,67 @@ def test_stage2_takes_the_loss_once_per_epoch(monkeypatch):
     ds = tiny_dataset()
     run_r2d2(ds, [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
     assert sorted(shapes) == [(3, 26, 4)] * 6 + [(72, 4)] * 6
+
+
+@pytest.mark.parametrize("open_world", [False, True])
+def test_forked_scoring_equals_inline_scoring(monkeypatch, tmp_path, open_world):
+    """The worker fills the very records inline scoring fills, and
+    training reads none of them: params, store and metrics.csv are
+    bit-equal."""
+    ds = tiny_dataset()
+    if open_world:
+        ood = gen_gaussians(1, 2, 30, np.zeros((1, 2)), 1.0, seeded_rng(9))
+        ds = inject_ood(ds, ood, 20, seeded_rng(9))
+        assert np.any(ds.true_classes[ds.unlabeled_indices] == OOD_CLASS)
+    plan = tiny_plan(open_world=open_world, discard_fraction=0.2)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
+    accuracy, calls = trainer._accuracy, []  # the scoring calls made in this process
+    monkeypatch.setattr(trainer, "_accuracy", lambda *args: calls.append(args) or accuracy(*args))
+    runs = []
+    for cpus in ({0, 1}, {0}):  # a forked worker, then inline
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls.clear()
+        runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3) + (len(calls),))
+    forked, inline = runs
+    # Every epoch is scored, in the worker or here.
+    assert forked[3] == 0 and inline[3] == len(inline[2]) == 20 + 6 + 5
+    assert [repr(astuple(r)) for r in forked[2]] == [repr(astuple(r)) for r in inline[2]]
+    assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+    assert forked[1].logits.tobytes() == inline[1].logits.tobytes()
+    write_metrics(forked[2], tmp_path / "forked.csv")
+    write_metrics(inline[2], tmp_path / "inline.csv")
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+def test_earliest_failure_wins_over_a_later_main_side_failure(monkeypatch, request, scoring):
+    """A metric column the scoring finds non-finite at stage-2 epoch 2
+    stops the run with that epoch's message, even when the slow worker
+    replies only after the main process failed at epoch 3."""
+    request.getfixturevalue(scoring)
+    metrics, update = trainer._stage2_epoch_metrics, trainer.d2_update_pseudo_batch
+    scored, stepped = [], []
+
+    def nan_at_epoch_2(*args):
+        scored.append(None)  # in the worker, its own copy of the list
+        out = metrics(*args)
+        if len(scored) == 3:
+            time.sleep(0.5)
+            out["t_abs_p95"] = math.nan
+        return out
+
+    def nan_step_at_epoch_3(store, ids, *args):
+        stepped.append(None)
+        update(store, ids, *args)
+        if len(stepped) == 4:
+            store.logits[ids[0, 0]] = np.nan
+
+    monkeypatch.setattr(trainer, "_stage2_epoch_metrics", nan_at_epoch_2)
+    monkeypatch.setattr(trainer, "d2_update_pseudo_batch", nan_step_at_epoch_3)
+    with pytest.raises(NumericError, match=r"^non-finite t_abs_p95 at stage2 epoch 2: nan$"):
+        run_r2d2(tiny_dataset(), [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
+    # Inline the run stops at epoch 2; the worker's run failed at epoch 3 first.
+    assert len(stepped) == (4 if scoring == "forked_scoring" else 3)
 
 
 def _per_batch_supervised(features, params, plan, rng, ids, targets, batch, epochs, horizon,
