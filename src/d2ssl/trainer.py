@@ -239,12 +239,12 @@ def _known_unlabeled(dataset: SplitDataset) -> tuple[np.ndarray, np.ndarray]:
     return valid, dataset.true_classes[valid]
 
 
-def _pseudo_accuracy(logits: np.ndarray, truth: np.ndarray) -> float:
-    """Arg-max pseudo-label accuracy, from the pseudo-logits of
-    _known_unlabeled's rows and their true classes."""
-    if truth.size == 0:
+def _pseudo_accuracy(store: PseudoLabelStore, valid: np.ndarray, truth: np.ndarray) -> float:
+    """Arg-max pseudo-label accuracy over _known_unlabeled's rows."""
+    if valid.size == 0:
         return float("nan")
-    return float(np.mean(np.argmax(logits, axis=1) == truth))
+    pred = np.argmax(np.take(store.logits, valid, axis=0), axis=1)
+    return float(np.mean(pred == truth))
 
 
 def _check_params(params: ModelParams, stage: str) -> None:
@@ -401,61 +401,63 @@ def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
 
 class _EpochScorer:
     """Fills in the evaluation columns of each epoch's record: labeled
-    and test accuracy and, in stage 2, acc_pseudo and the full-pool
-    metrics, which no training step reads. Inline, score fills a record
-    at once. After start, a forked worker scores each epoch while the
-    next one trains: score sends it the epoch's params (and stage 2's
-    pseudo-logits) and polls for replies, which fill the records in
-    epoch order. A context manager: on exit it waits for every reply,
-    so a failure the worker found in an earlier epoch replaces the
-    exception that ends the block, as inline scoring would have raised
-    it first; then it stops the worker, on every exit path."""
+    and test accuracy and, in stage 2, the full-pool metrics, which no
+    training step reads. Inline, score fills a record at once. After
+    start, a forked worker scores each epoch while the next one trains:
+    score sends it the epoch's params (and stage 2's pseudo-logits) and
+    polls for replies, which fill the records in epoch order. A context
+    manager: on exit it waits for every reply, so a failure the worker
+    found in an earlier epoch replaces the exception that ends the
+    block, as inline scoring would have raised it first; then it stops
+    the worker, on every exit path."""
 
-    def __init__(self, dataset: SplitDataset, cfg: D2Config | None = None):
-        self.dataset, self.cfg = dataset, cfg
-        self.known_rows, self.known_truth = _known_unlabeled(dataset)
+    def __init__(self, dataset: SplitDataset):
+        self.dataset = dataset
         self.pending: deque[MetricsRecord] = deque()
         self.worker = None
 
-    def _set_rows(self, active_unl, drift_base) -> None:
-        self.eval_rows, self.drift_base = _eval_rows(self.dataset, active_unl), drift_base
+    def _set_rows(self, active_unl, drift_base, cfg) -> None:
+        self.eval_rows = _eval_rows(self.dataset, active_unl)
+        self.drift_base, self.cfg = drift_base, cfg
 
-    def _columns(self, params: ModelParams, epoch, pseudo) -> dict:
+    def _columns(self, params: ModelParams, epoch, pseudo_logits) -> dict:
         """The scoring of one epoch, inline or in the worker."""
         acc_labeled, acc_test, unl_logits = _accuracy(params, self.eval_rows)
         columns = {"acc_labeled": acc_labeled, "acc_test": acc_test}
-        if pseudo is None:
+        if pseudo_logits is None:
             return columns
-        pseudo_logits, known_logits = pseudo
         extra = _stage2_epoch_metrics(pseudo_logits, self.cfg, unl_logits, self.drift_base)
         for column, value in extra.items():
             if not math.isfinite(value):
                 # Name the params when a step left them non-finite.
                 _check_params(params, f"stage2 epoch {epoch}")
                 raise NumericError(f"non-finite {column} at stage2 epoch {epoch}: {value}")
-        return {**columns, **extra, "acc_pseudo": _pseudo_accuracy(known_logits, self.known_truth)}
+        return {**columns, **extra}
 
-    def rows(self, active_unl: np.ndarray | None = None, drift_base=None) -> None:
+    def rows(self, active_unl: np.ndarray | None = None, drift_base=None, cfg=None) -> None:
         """Score the next epochs on the labeled and test rows, and in
-        stage 2 on active_unl with the pseudo-logit sums drift_base."""
+        stage 2 on active_unl with the pseudo-logit sums drift_base and
+        the loss config cfg."""
         if self.worker is None:
-            self._set_rows(active_unl, drift_base)
+            self._set_rows(active_unl, drift_base, cfg)
         else:
-            self._send(("rows", active_unl, drift_base))
+            self._send(("rows", active_unl, drift_base, cfg))
 
-    def score(self, record: MetricsRecord, params: ModelParams, epoch=None, pseudo=None) -> None:
+    def score(self, record: MetricsRecord, params: ModelParams, epoch=None,
+              pseudo_logits=None) -> None:
         """Fill record's columns from params after its epoch; in stage 2,
-        pseudo is (active pseudo-logits, _known_unlabeled's pseudo-logits)."""
+        from the active rows' pseudo-logits too."""
         if self.worker is None:
-            vars(record).update(self._columns(params, epoch, pseudo))
+            vars(record).update(self._columns(params, epoch, pseudo_logits))
             return
-        self._send(("score", params.flat, epoch, pseudo))  # pickled, so copied now
+        self._send(("score", params.flat, epoch, pseudo_logits))  # pickled, so copied now
         self.pending.append(record)
         self._collect(0)
 
     def start(self, params: ModelParams) -> _EpochScorer:
         """Fork the worker, unless fork is unavailable or this process
-        may run on one CPU only."""
+        may run on one CPU only, where the worker would add its messages
+        to the same work and make the run slower."""
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
         if not hasattr(os, "fork") or len(cpus) < 2:
             return self
@@ -482,9 +484,9 @@ class _EpochScorer:
                 if kind == "rows":
                     self._set_rows(*job)
                     continue
-                flat, epoch, pseudo = job
+                flat, epoch, pseudo_logits = job
                 try:
-                    reply = self._columns(ModelParams(*self.layout, flat), epoch, pseudo)
+                    reply = self._columns(ModelParams(*self.layout, flat), epoch, pseudo_logits)
                 except Exception as exc:
                     reply = exc
                 conn.send(reply)
@@ -568,12 +570,13 @@ def stage2_d2(
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """The joint segments; run_r2d2 checks first that the unlabeled batch
     fits and, by stage1_supervised, that there are labeled rows."""
-    scorer = scorer or _EpochScorer(dataset, cfg)
+    scorer = scorer or _EpochScorer(dataset)
     lab = dataset.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
     epoch_global = 0
     cfg_labeled = _labeled_config(cfg)
+    known_unl = _known_unlabeled(dataset)
     n_lab = plan.batch_labeled
     n_unl = plan.batch_unlabeled
     ws = Workspace(params, n_lab + n_unl)
@@ -582,7 +585,7 @@ def stage2_d2(
         if segment.repredict_at_start:
             repredict(store, params, dataset)
         active_unl = active_unlabeled(store, dataset, plan)
-        scorer.rows(active_unl, store.logits[active_unl].sum(axis=1))
+        scorer.rows(active_unl, store.logits[active_unl].sum(axis=1), cfg)
         lab_order = rng.permutation(lab)
         lab_cursor = 0
         n_batches = active_unl.size // n_unl
@@ -639,10 +642,9 @@ def stage2_d2(
             records.append(MetricsRecord(
                 "stage2", epoch_global, segment.lr,
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
+                acc_pseudo=_pseudo_accuracy(store, *known_unl),
             ))
-            scorer.score(records[-1], params, epoch_global, (
-                pseudo_logits, np.take(store.logits, scorer.known_rows, axis=0),
-            ))
+            scorer.score(records[-1], params, epoch_global, pseudo_logits)
             epoch_global += 1
     _check_params(params, "stage2")
     return params, store, records
@@ -670,9 +672,7 @@ def stage3_finetune(
         "stage3", dataset, params, plan, rng, ids, targets,
         min(plan.batch_labeled + plan.batch_unlabeled, ids.size),
         plan.stage3_epochs, plan.stage3_horizon, plan.stage3_lr, scorer,
-        acc_pseudo=_pseudo_accuracy(
-            np.take(store.logits, scorer.known_rows, axis=0), scorer.known_truth,
-        ),
+        acc_pseudo=_pseudo_accuracy(store, *_known_unlabeled(dataset)),
         mean_h_pseudo=float(np.mean(entropy(store.probs(unl)))) if unl.size else math.nan,
     )
     return params, records
@@ -735,7 +735,7 @@ def run_r2d2(
     _check_unlabeled_batch(dataset, plan)
     rng = seeded_rng(seed)
     params = init_params(layer_sizes, activation, rng)
-    with _EpochScorer(dataset, cfg).start(params) as scorer:
+    with _EpochScorer(dataset).start(params) as scorer:
         params, m1 = stage1_supervised(dataset, params, plan, rng, scorer)
         store = init_pseudo_labels(dataset, params, cfg)
         params, store, m2 = stage2_d2(dataset, params, store, plan, cfg, rng, scorer)
