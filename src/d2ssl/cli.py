@@ -617,6 +617,9 @@ def _run(argv: list[str]) -> int:
     ):
         overrides["out"] = env_root
     cfg = parse_config(text, overrides)
+    if mode != "diagnose" and cfg.labeled_per_class < 1:  # diagnose splits no data
+        raise ConfigurationError(
+            f"labeled_per_class must be >= 1 to train, got {cfg.labeled_per_class}")
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     dump_config(cfg, os.path.join(out_dir, RESOLVED_NAME))

@@ -399,21 +399,49 @@ def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
     return out
 
 
+# Each of the scorer's two shared rings holds as many slots as fit
+# _RING_BYTES, at least 2 and at most _RING_SLOTS. The cap bounds the
+# jobs in flight, so their replies fit a socket buffer of Linux's
+# default size (278 replies), and a rows message that waits for the
+# worker to read cannot wait on a worker that waits for its replies to
+# be read.
+_RING_BYTES = 1 << 20
+_RING_SLOTS = 256
+
+
+class _Ring:
+    """Slots of size float64 values in an anonymous shared mapping, made
+    before the fork, so the worker reads what the main process writes
+    with no copy. free is a stack: the most recently freed slot is taken
+    first, so a worker that keeps up reuses the same few pages."""
+
+    def __init__(self, size: int):
+        import mmap
+
+        n = min(_RING_SLOTS, max(2, _RING_BYTES // max(8 * size, 1)))
+        mapping = mmap.mmap(-1, max(8 * size * n, 1))  # a mapping may not be empty
+        self.slots = np.frombuffer(mapping, np.float64, size * n).reshape(n, size)
+        self.free = list(range(n))[::-1]
+
+
 class _EpochScorer:
     """Fills in the evaluation columns of each epoch's record: labeled
     and test accuracy and, in stage 2, the full-pool metrics, which no
     training step reads. Inline, score fills a record at once. After
     start, a forked worker scores each epoch while the next one trains:
-    score sends it the epoch's params (and stage 2's pseudo-logits) and
-    polls for replies, which fill the records in epoch order. A context
-    manager: on exit it waits for every reply, so a failure the worker
-    found in an earlier epoch replaces the exception that ends the
-    block, as inline scoring would have raised it first; then it stops
-    the worker, on every exit path."""
+    score copies the epoch's params, and gathers stage 2's active
+    pseudo-logits, into free slots of two shared rings, sends the worker
+    the slot numbers and polls for replies, which fill the records in
+    epoch order and free their slots. With no free slot, score waits for
+    the oldest reply. A context manager: on exit it waits for every
+    reply, so a failure the worker found in an earlier epoch replaces
+    the exception that ends the block, as inline scoring would have
+    raised it first; then it stops the worker and drops the rings, on
+    every exit path."""
 
     def __init__(self, dataset: SplitDataset):
         self.dataset = dataset
-        self.pending: deque[MetricsRecord] = deque()
+        self.pending: deque[tuple[MetricsRecord, int, int | None]] = deque()
         self.worker = None
 
     def _set_rows(self, active_unl, drift_base, cfg) -> None:
@@ -443,21 +471,49 @@ class _EpochScorer:
         else:
             self._send(("rows", active_unl, drift_base, cfg))
 
-    def score(self, record: MetricsRecord, params: ModelParams, epoch=None,
-              pseudo_logits=None) -> None:
+    def score(self, record: MetricsRecord, params: ModelParams, epoch=None, logits=None,
+              active_unl=None) -> None:
         """Fill record's columns from params after its epoch; in stage 2,
-        from the active rows' pseudo-logits too."""
+        from the pseudo-logits logits of the rows active_unl too, which
+        are checked here, before any metric column reads them."""
+        pseudo_slot = pseudo_logits = None
+        n_rows = 0 if active_unl is None else active_unl.size
+        if active_unl is not None:
+            out = None
+            if self.worker is not None:
+                pseudo_slot = self._slot(1)
+                out = self._pseudo_view(pseudo_slot, n_rows)
+            pseudo_logits = np.take(logits, active_unl, axis=0, out=out)
+            if not np.isfinite(pseudo_logits).all():
+                raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch}")
         if self.worker is None:
             vars(record).update(self._columns(params, epoch, pseudo_logits))
             return
-        self._send(("score", params.flat, epoch, pseudo_logits))  # pickled, so copied now
-        self.pending.append(record)
+        params_slot = self._slot(0)
+        self.rings[0].slots[params_slot] = params.flat
+        self._send(("score", params_slot, epoch, pseudo_slot, n_rows))
+        self.pending.append((record, params_slot, pseudo_slot))
         self._collect(0)
+
+    def _slot(self, ring: int) -> int:
+        """The most recently freed slot of rings[ring]; with none free,
+        it waits for the oldest replies until one frees a slot there."""
+        free = self.rings[ring].free
+        while not free:
+            self._collect(None, len(self.pending) - 1)
+        return free.pop()
+
+    def _pseudo_view(self, slot: int, n_rows: int) -> np.ndarray:
+        """The (n_rows, classes) pseudo-logits in slot of the second ring."""
+        n_classes = self.layout[0][-1]
+        return self.rings[1].slots[slot, :n_rows * n_classes].reshape(n_rows, n_classes)
 
     def start(self, params: ModelParams) -> _EpochScorer:
         """Fork the worker, unless fork is unavailable or this process
         may run on one CPU only, where the worker would add its messages
-        to the same work and make the run slower."""
+        to the same work and make the run slower. The rings are mapped
+        first: one of params slots, one of slots that hold every
+        unlabeled row's pseudo-logits."""
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
         if not hasattr(os, "fork") or len(cpus) < 2:
             return self
@@ -466,6 +522,8 @@ class _EpochScorer:
 
         ctx = multiprocessing.get_context("fork")
         self.layout, self._wait = (params.layer_sizes, params.activation), wait
+        pool = self.dataset.unlabeled_indices.size * params.n_classes
+        self.rings = (_Ring(params.flat.size), _Ring(pool))
         self.conn, child = ctx.Pipe()
         self.worker = ctx.Process(target=self._serve, args=(child,), daemon=True)
         self.worker.start()
@@ -474,7 +532,7 @@ class _EpochScorer:
 
     def _serve(self, conn) -> None:
         """The worker's loop: each job in turn; the reply to an epoch is
-        its columns or the exception its scoring raised."""
+        its columns or the exception its decoding or scoring raised."""
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops it
@@ -484,9 +542,12 @@ class _EpochScorer:
                 if kind == "rows":
                     self._set_rows(*job)
                     continue
-                flat, epoch, pseudo_logits = job
                 try:
-                    reply = self._columns(ModelParams(*self.layout, flat), epoch, pseudo_logits)
+                    params_slot, epoch, pseudo_slot, n_rows = job
+                    params = ModelParams(*self.layout, self.rings[0].slots[params_slot])
+                    pseudo_logits = (None if pseudo_slot is None
+                                     else self._pseudo_view(pseudo_slot, n_rows))
+                    reply = self._columns(params, epoch, pseudo_logits)
                 except Exception as exc:
                     reply = exc
                 conn.send(reply)
@@ -499,12 +560,13 @@ class _EpochScorer:
         except OSError:
             self._lost()
 
-    def _collect(self, timeout: float | None) -> None:
+    def _collect(self, timeout: float | None, keep: int = 0) -> None:
         """Fill the pending records from the worker's replies, in epoch
-        order: the replies that come within timeout, or with None all of
-        them. Raises the first reply that is an exception, and
-        WorkerError if the worker exits first."""
-        while self.pending:
+        order, until keep are left: the replies that come within timeout,
+        or with None all of them. Each reply frees its job's slots.
+        Raises the first reply that is an exception, and WorkerError if
+        the worker exits first."""
+        while len(self.pending) > keep:
             ready = self._wait([self.conn, self.worker.sentinel], timeout)
             if not ready:
                 return
@@ -514,7 +576,10 @@ class _EpochScorer:
                 reply = self.conn.recv()
             except (EOFError, OSError):
                 self._lost()
-            record = self.pending.popleft()
+            record, *slots = self.pending.popleft()
+            for ring, slot in zip(self.rings, slots):
+                if slot is not None:
+                    ring.free.append(slot)
             if isinstance(reply, Exception):
                 self.pending.clear()
                 raise reply
@@ -537,6 +602,8 @@ class _EpochScorer:
                 self.worker.kill()
                 self.worker.join()
                 self.conn.close()
+                # Unmapped once no view is left, such as one a traceback holds.
+                self.rings = ()
 
 
 def _labeled_config(cfg: D2Config) -> D2Config:
@@ -635,16 +702,12 @@ def stage2_d2(
                     d2_update_pseudo_batch(
                         store, ids[:, n_lab:], predictions, cfg, p_tildes[:, n_lab:],
                     )
-            # Checked after the loss and before any metric column reads them.
-            pseudo_logits = np.take(store.logits, active_unl, axis=0)
-            if not np.isfinite(pseudo_logits).all():
-                raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch_global}")
             records.append(MetricsRecord(
                 "stage2", epoch_global, segment.lr,
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
                 acc_pseudo=_pseudo_accuracy(store, *known_unl),
             ))
-            scorer.score(records[-1], params, epoch_global, pseudo_logits)
+            scorer.score(records[-1], params, epoch_global, store.logits, active_unl)
             epoch_global += 1
     _check_params(params, "stage2")
     return params, store, records

@@ -291,15 +291,20 @@ def test_main_bad_dataset_exits_config_before_training(tmp_path, capsys, extra, 
 
 @pytest.mark.parametrize("mode", ["r2d2", "supervised_baseline", "ablation"])
 def test_main_without_labeled_rows_exits_config_before_training(tmp_path, capsys, mode):
-    # stage1_supervised's check is the one labeled-row check of every
-    # training mode: the stages after it trust that labeled rows exist.
+    # Every training mode refuses the setting before it makes --out; the
+    # stages trust that labeled rows exist.
     extra = {"labeled_per_class": "0", "stage1_epochs": "0",
              "stage2_epochs": "1", "stage2_lrs": "0.01", "stage2_repredict": "0",
              "stage3_epochs": "1", "stage3_horizon": "1"}
-    assert main(tiny_args(mode, tmp_path, extra)) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main(tiny_args(mode, out, extra)) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "configuration error: stage 1 requires at least one labeled sample\n")
-    assert not (tmp_path / "metrics.csv").exists()
+        "configuration error: labeled_per_class must be >= 1 to train, got 0\n")
+    assert not out.exists()
+
+
+def test_main_diagnose_ignores_labeled_per_class(tmp_path):
+    assert main(diagnose_argv(tmp_path) + ["--labeled_per_class", "0"]) == EXIT_OK
 
 
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]

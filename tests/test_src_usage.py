@@ -10,8 +10,8 @@ residual t: no other module reads convergence_residual. And the
 open-world switch is read only where the config builds the plan and
 where trainer._discard_count sizes the discarded rows. And the binary
 readers check lengths against the file size only in errors.read_checked.
-And importing the CLI does not import multiprocessing, which only a
-run's evaluation worker needs."""
+And importing the CLI imports neither multiprocessing nor mmap, which
+only a run's evaluation worker needs."""
 
 import ast
 import os
@@ -158,10 +158,12 @@ def test_only_read_checked_and_the_csv_buffer_read_the_file_size():
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # trainer imports it only where a run forks its evaluation worker,
-    # so every interpreter that only parses a config skips its cost.
+    # trainer imports them only where a run forks its evaluation worker
+    # and maps its rings, so every interpreter that only parses a config
+    # skips their cost.
     code = ("import sys; from d2ssl import cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'mmap')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout == "[]\n"

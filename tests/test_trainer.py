@@ -1,7 +1,11 @@
 """Scheduler, optimizer, filtering, and pipeline behavior tests."""
 
+import contextlib
 import math
+import mmap
+import os
 import time
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2ssl import pseudo, trainer
+from d2ssl.cli import build_dataset, parse_config
 from d2ssl.data import OOD_CLASS, gen_gaussians, inject_ood, split
 from d2ssl.errors import ConfigurationError, DimensionError, NumericError
 from d2ssl.model import (
@@ -799,6 +804,150 @@ def test_earliest_failure_wins_over_a_later_main_side_failure(monkeypatch, reque
         run_r2d2(tiny_dataset(), [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
     # Inline the run stops at epoch 2; the worker's run failed at epoch 3 first.
     assert len(stepped) == (4 if scoring == "forked_scoring" else 3)
+
+
+def _no_unlabeled_dataset():
+    raw = gen_gaussians(4, 2, 5, CENTERS, 1.0, seeded_rng(0))
+    ds = split(raw, 5, 0.0, seeded_rng(0))
+    assert ds.unlabeled_indices.size == 0
+    return ds
+
+
+def _with_ood(ds):
+    ood = gen_gaussians(1, 2, 30, np.zeros((1, 2)), 1.0, seeded_rng(9))
+    return inject_ood(ds, ood, 20, seeded_rng(9))
+
+
+SLOW_WORKER_RUNS = {
+    "closed_world": (tiny_dataset, {}),
+    "open_world": (lambda: _with_ood(tiny_dataset()), dict(open_world=True, discard_fraction=0.2)),
+    "empty_active_pool": (tiny_dataset, dict(open_world=True, discard_fraction=0.99)),
+    "no_unlabeled_rows": (_no_unlabeled_dataset, {}),
+}
+
+
+@pytest.mark.parametrize("make_dataset,plan_kw", SLOW_WORKER_RUNS.values(),
+                         ids=SLOW_WORKER_RUNS.keys())
+def test_two_slot_rings_under_a_slow_worker_equal_inline_scoring(
+    monkeypatch, tmp_path, make_dataset, plan_kw
+):
+    """With two slots in each ring and a slow stage-2 scoring in the
+    worker, score waits on the oldest reply for a free slot of either
+    ring and reuses the slots, and records, params, store and
+    metrics.csv still equal inline scoring's."""
+    monkeypatch.setattr(trainer, "_RING_BYTES", 1)  # each ring holds its least, 2 slots
+    metrics, slot = trainer._stage2_epoch_metrics, trainer._EpochScorer._slot
+    exhausted, sizes, main = [], set(), os.getpid()
+
+    def slow_metrics(*args):
+        if os.getpid() != main:
+            time.sleep(0.05)
+        return metrics(*args)
+
+    def watched_slot(self, ring):
+        sizes.add(len(self.rings[ring].slots))
+        if not self.rings[ring].free:
+            exhausted.append(ring)
+        return slot(self, ring)
+
+    monkeypatch.setattr(trainer, "_stage2_epoch_metrics", slow_metrics)
+    monkeypatch.setattr(trainer._EpochScorer, "_slot", watched_slot)
+    ds = make_dataset()
+    plan = tiny_plan(**plan_kw)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
+    runs = []
+    for cpus in ({0, 1}, {0}):  # a forked worker, then inline
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3))
+    forked, inline = runs
+    assert sizes == {2} and set(exhausted) == {0, 1}
+    assert [repr(astuple(r)) for r in forked[2]] == [repr(astuple(r)) for r in inline[2]]
+    assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+    assert forked[1].logits.tobytes() == inline[1].logits.tobytes()
+    write_metrics(forked[2], tmp_path / "forked.csv")
+    write_metrics(inline[2], tmp_path / "inline.csv")
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_each_epoch_is_one_score_message_of_ints(monkeypatch, forked_scoring):
+    """The params and the pseudo-logits go through the shared rings: each
+    epoch's score message holds slot numbers, the epoch and a row count,
+    and no array."""
+    start, sent = trainer._EpochScorer.start, []
+
+    def spying_start(self, params):
+        start(self, params)
+        send = self.conn.send
+        self.conn.send = lambda job: sent.append(job) or send(job)
+        return self
+
+    monkeypatch.setattr(trainer._EpochScorer, "start", spying_start)
+    segments = [Stage2Segment(3, 0.01, False)] + [
+        Stage2Segment(3, lr, True) for lr in (0.008, 0.006, 0.004)]
+    plan = tiny_plan(stage2_segments=segments)
+    records = run_r2d2(tiny_dataset(), [2, 64, 2, 4], "tanh", D2Config(lam=100.0), plan, seed=0)[2]
+    scores = [job for job in sent if job[0] == "score"]
+    assert len(scores) == len(records) == 20 + 12 + 5
+    assert len(sent) - len(scores) == 1 + len(segments) + 1  # the rows of each stage and segment
+    assert all(value is None or type(value) in (str, int) for job in scores for value in job)
+    assert [job[2] for job in scores] == [None] * 20 + list(range(12)) + [None] * 5
+
+
+def test_a_worker_that_keeps_up_reuses_the_same_slots(forked_scoring):
+    """The most recently freed slot is taken first: when every reply is
+    in before the next epoch, each epoch reuses slot 0 of each ring."""
+    ds, cfg = tiny_dataset(), D2Config(lam=100.0)
+    params = init_params([2, 8, 3, 4], "tanh", seeded_rng(0))
+    store = init_pseudo_labels(ds, params, cfg)
+    unl = ds.unlabeled_indices
+    with trainer._EpochScorer(ds).start(params) as scorer:
+        scorer.rows(unl, store.logits[unl].sum(axis=1), cfg)
+        send, sent = scorer.conn.send, []
+        scorer.conn.send = lambda job: sent.append(job) or send(job)
+        for epoch in range(4):
+            scorer.score(trainer.MetricsRecord("stage2", epoch, 0.01), params, epoch,
+                         store.logits, unl)
+            scorer._collect(None)
+    assert [(job[1], job[3]) for job in sent] == [(0, 0)] * 4
+
+
+def test_rings_hold_two_slots_or_more_within_their_byte_budget(forked_scoring):
+    """The reference run's rings and an idx-sized run's (784 inputs,
+    60,000 x 10 pseudo-logits) hold at least 2 slots, and more only
+    within _RING_BYTES."""
+    cfg = parse_config("")
+    ds = build_dataset(cfg)
+    params = init_params(cfg.model_sizes(), cfg.activation, seeded_rng(0))
+    with trainer._EpochScorer(ds).start(params) as scorer:
+        reference = [ring.slots.shape for ring in scorer.rings]
+    assert reference == [(256, 330), (16, 1980 * 4)]
+    idx_params = init_params([784, 64, 2, 10], "tanh", seeded_rng(0)).flat.size
+    idx = [trainer._Ring(size).slots.shape for size in (idx_params, 60_000 * 10)]
+    assert idx[1][0] == 2
+    for slots, size in reference + idx:
+        assert slots >= 2 and (slots == 2 or slots * size * 8 <= trainer._RING_BYTES)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_exit_unmaps_both_rings(monkeypatch, forked_scoring, fails):
+    """Both mappings are gone once the scorer exits, after its block
+    ended normally or by an exception."""
+    maps, real = [], mmap.mmap
+
+    def recording_mmap(*args):
+        mapping = real(*args)
+        maps.append(weakref.ref(mapping))
+        return mapping
+
+    monkeypatch.setattr(mmap, "mmap", recording_mmap)
+    with pytest.raises(KeyError) if fails else contextlib.nullcontext():
+        with trainer._EpochScorer(tiny_dataset()).start(
+            init_params([2, 8, 3, 4], "tanh", seeded_rng(0))
+        ) as scorer:
+            if fails:
+                raise KeyError("body")
+    assert scorer.rings == () and not scorer.worker.is_alive()
+    assert len(maps) == 2 and [ref() for ref in maps] == [None, None]
 
 
 def _per_batch_supervised(features, params, plan, rng, ids, targets, batch, epochs, horizon,
