@@ -19,6 +19,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 import numpy as np
 
@@ -204,20 +205,25 @@ def _epoch_loss_sums(
 class _EvalRows:
     """The rows scored after every epoch, gathered once per stage or
     segment: the labeled and the test rows of a known class, then the
-    active unlabeled rows."""
+    active unlabeled rows; in stage 2 also the segment's pseudo-logit
+    sums at its start and its loss config."""
     features: np.ndarray
     truth: np.ndarray  # true classes of the labeled and test rows
     n_labeled: int
+    drift_base: np.ndarray | None = None
+    cfg: D2Config | None = None
 
 
-def _eval_rows(dataset: SplitDataset, active_unl: np.ndarray | None = None) -> _EvalRows:
+def _eval_rows(dataset: SplitDataset, active_unl: np.ndarray | None = None, drift_base=None,
+               cfg=None) -> _EvalRows:
     lab, test = (
         ids[dataset.true_classes[ids] != OOD_CLASS]
         for ids in (dataset.labeled_indices, dataset.test_indices)
     )
     scored = np.concatenate([lab, test])
     ids = scored if active_unl is None else np.concatenate([scored, active_unl])
-    return _EvalRows(dataset.features[ids], dataset.true_classes[scored], lab.size)
+    return _EvalRows(dataset.features[ids], dataset.true_classes[scored], lab.size,
+                     drift_base, cfg)
 
 
 def _accuracy(params: ModelParams, rows: _EvalRows) -> tuple[float, float, np.ndarray]:
@@ -399,6 +405,22 @@ def _stage2_epoch_metrics(pseudo_logits, cfg, unl_logits, drift_base) -> dict:
     return out
 
 
+def _epoch_columns(rows: _EvalRows, params: ModelParams, epoch, pseudo_logits) -> dict:
+    """The evaluation columns of one epoch, scored on rows inline or in
+    the worker."""
+    acc_labeled, acc_test, unl_logits = _accuracy(params, rows)
+    columns = {"acc_labeled": acc_labeled, "acc_test": acc_test}
+    if pseudo_logits is None:
+        return columns
+    extra = _stage2_epoch_metrics(pseudo_logits, rows.cfg, unl_logits, rows.drift_base)
+    for column, value in extra.items():
+        if not math.isfinite(value):
+            # Name the params when a step left them non-finite.
+            _check_params(params, f"stage2 epoch {epoch}")
+            raise NumericError(f"non-finite {column} at stage2 epoch {epoch}: {value}")
+    return {**columns, **extra}
+
+
 # Each of the scorer's two shared rings holds as many slots as fit
 # _RING_BYTES, at least 2 and at most _RING_SLOTS. The cap bounds the
 # jobs in flight, so their replies fit a socket buffer of Linux's
@@ -431,43 +453,31 @@ class _EpochScorer:
     start, a forked worker scores each epoch while the next one trains:
     score copies the epoch's params, and gathers stage 2's active
     pseudo-logits, into free slots of two shared rings, sends the worker
-    the slot numbers and polls for replies, which fill the records in
-    epoch order and free their slots. With no free slot, score waits for
-    the oldest reply. A context manager: on exit it waits for every
-    reply, so a failure the worker found in an earlier epoch replaces
-    the exception that ends the block, as inline scoring would have
-    raised it first; then it stops the worker and drops the rings, on
-    every exit path."""
+    the slot numbers and polls for replies. The worker serves the jobs
+    that hold a pseudo-logit slot before the others, so stage 2 need not
+    wait for stage 1's backlog. Each reply names its job's params slot,
+    fills that job's record and frees its slots. With no free slot,
+    score waits for replies until one frees a slot of that ring. A
+    failure is raised once every older job has replied, so the earliest
+    failure wins, as inline. A context manager: on exit it waits for
+    every reply, so a failure the worker found in an earlier epoch
+    replaces the exception that ends the block, as inline scoring would
+    have raised it first; then it stops the worker and drops the rings,
+    on every exit path."""
 
     def __init__(self, dataset: SplitDataset):
         self.dataset = dataset
-        self.pending: deque[tuple[MetricsRecord, int, int | None]] = deque()
+        # The jobs in flight, oldest first, by params slot: each one's
+        # record and pseudo-logit slot.
+        self.pending: dict[int, tuple[MetricsRecord, int | None]] = {}
         self.worker = None
-
-    def _set_rows(self, active_unl, drift_base, cfg) -> None:
-        self.eval_rows = _eval_rows(self.dataset, active_unl)
-        self.drift_base, self.cfg = drift_base, cfg
-
-    def _columns(self, params: ModelParams, epoch, pseudo_logits) -> dict:
-        """The scoring of one epoch, inline or in the worker."""
-        acc_labeled, acc_test, unl_logits = _accuracy(params, self.eval_rows)
-        columns = {"acc_labeled": acc_labeled, "acc_test": acc_test}
-        if pseudo_logits is None:
-            return columns
-        extra = _stage2_epoch_metrics(pseudo_logits, self.cfg, unl_logits, self.drift_base)
-        for column, value in extra.items():
-            if not math.isfinite(value):
-                # Name the params when a step left them non-finite.
-                _check_params(params, f"stage2 epoch {epoch}")
-                raise NumericError(f"non-finite {column} at stage2 epoch {epoch}: {value}")
-        return {**columns, **extra}
 
     def rows(self, active_unl: np.ndarray | None = None, drift_base=None, cfg=None) -> None:
         """Score the next epochs on the labeled and test rows, and in
         stage 2 on active_unl with the pseudo-logit sums drift_base and
         the loss config cfg."""
         if self.worker is None:
-            self._set_rows(active_unl, drift_base, cfg)
+            self.eval_rows = _eval_rows(self.dataset, active_unl, drift_base, cfg)
         else:
             self._send(("rows", active_unl, drift_base, cfg))
 
@@ -487,20 +497,22 @@ class _EpochScorer:
             if not np.isfinite(pseudo_logits).all():
                 raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch}")
         if self.worker is None:
-            vars(record).update(self._columns(params, epoch, pseudo_logits))
+            vars(record).update(_epoch_columns(self.eval_rows, params, epoch, pseudo_logits))
             return
         params_slot = self._slot(0)
         self.rings[0].slots[params_slot] = params.flat
         self._send(("score", params_slot, epoch, pseudo_slot, n_rows))
-        self.pending.append((record, params_slot, pseudo_slot))
+        self.pending[params_slot] = (record, pseudo_slot)
         self._collect(0)
 
     def _slot(self, ring: int) -> int:
         """The most recently freed slot of rings[ring]; with none free,
-        it waits for the oldest replies until one frees a slot there."""
+        it waits for replies until one frees a slot there. The worker
+        serves stage 2's jobs first, so a wait for a pseudo-logit slot
+        ends with the next stage-2 reply, not after stage 1's backlog."""
         free = self.rings[ring].free
         while not free:
-            self._collect(None, len(self.pending) - 1)
+            self._reply(None)
         return free.pop()
 
     def _pseudo_view(self, slot: int, n_rows: int) -> np.ndarray:
@@ -531,26 +543,34 @@ class _EpochScorer:
         return self
 
     def _serve(self, conn) -> None:
-        """The worker's loop: each job in turn; the reply to an epoch is
-        its columns or the exception its decoding or scoring raised."""
+        """The worker's loop. After each job it reads every message that
+        is ready and tags each score job with the rows of the rows
+        message before it, so a segment's rows are dropped once its last
+        job is served. It serves the oldest job that holds a pseudo-logit
+        slot, else the oldest job. The reply to a job is its params slot
+        and its columns, or the exception its decoding or scoring raised."""
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops it
+        queued = (deque(), deque())  # the jobs without, and with, a pseudo-logit slot
         try:
             while True:
-                kind, *job = conn.recv()
-                if kind == "rows":
-                    self._set_rows(*job)
-                    continue
+                while not (queued[0] or queued[1]) or conn.poll():
+                    kind, *job = conn.recv()
+                    if kind == "rows":
+                        rows = _eval_rows(self.dataset, *job)
+                    else:
+                        queued[job[2] is not None].append((rows, *job))
+                job_rows, params_slot, epoch, pseudo_slot, n_rows = (
+                    queued[1] or queued[0]).popleft()
                 try:
-                    params_slot, epoch, pseudo_slot, n_rows = job
                     params = ModelParams(*self.layout, self.rings[0].slots[params_slot])
                     pseudo_logits = (None if pseudo_slot is None
                                      else self._pseudo_view(pseudo_slot, n_rows))
-                    reply = self._columns(params, epoch, pseudo_logits)
+                    reply = _epoch_columns(job_rows, params, epoch, pseudo_logits)
                 except Exception as exc:
                     reply = exc
-                conn.send(reply)
+                conn.send((params_slot, reply))
         except (EOFError, OSError):  # the main process is gone
             pass
 
@@ -560,30 +580,58 @@ class _EpochScorer:
         except OSError:
             self._lost()
 
-    def _collect(self, timeout: float | None, keep: int = 0) -> None:
-        """Fill the pending records from the worker's replies, in epoch
-        order, until keep are left: the replies that come within timeout,
-        or with None all of them. Each reply frees its job's slots.
-        Raises the first reply that is an exception, and WorkerError if
-        the worker exits first."""
-        while len(self.pending) > keep:
-            ready = self._wait([self.conn, self.worker.sentinel], timeout)
-            if not ready:
-                return
-            if self.conn not in ready:
-                self._lost()
-            try:
-                reply = self.conn.recv()
-            except (EOFError, OSError):
-                self._lost()
-            record, *slots = self.pending.popleft()
-            for ring, slot in zip(self.rings, slots):
-                if slot is not None:
-                    ring.free.append(slot)
-            if isinstance(reply, Exception):
-                self.pending.clear()
-                raise reply
-            vars(record).update(reply)
+    def _collect(self, timeout: float | None) -> None:
+        """Fill the pending records from the replies that come within
+        timeout, or with None from all of them."""
+        while self.pending and self._reply(timeout):
+            pass
+
+    def _reply(self, timeout: float | None) -> bool:
+        """Take the next reply that comes within timeout, or with None
+        the next one, and say whether one came. A reply fills its job's
+        record and frees its slots; a failure goes to _fail."""
+        got = self._receive(timeout)
+        if got is None:
+            return False
+        params_slot, reply = got
+        if isinstance(reply, Exception):
+            self._fail(params_slot, reply)
+        record, pseudo_slot = self.pending.pop(params_slot)
+        self.rings[0].free.append(params_slot)
+        if pseudo_slot is not None:
+            self.rings[1].free.append(pseudo_slot)
+        vars(record).update(reply)
+        return True
+
+    def _receive(self, timeout: float | None):
+        """The next reply that comes within timeout, or with None the
+        next one: its job's params slot and its columns or failure. None
+        if none came; WorkerError if the worker exits first."""
+        ready = self._wait([self.conn, self.worker.sentinel], timeout)
+        if not ready:
+            return None
+        if self.conn not in ready:
+            self._lost()
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self._lost()
+
+    def _fail(self, params_slot: int, failure: Exception):
+        """Raise the earliest failure, as inline scoring does: wait for
+        the replies to the jobs older than the failed one, and let the
+        failure of an older job take its place."""
+        try:
+            while next(iter(self.pending)) != params_slot:  # an older job is pending
+                slot, reply = self._receive(None)
+                if (isinstance(reply, Exception)
+                        and slot in takewhile(params_slot.__ne__, self.pending)):
+                    params_slot, failure = slot, reply
+                else:
+                    del self.pending[slot]
+        finally:
+            self.pending.clear()
+        raise failure
 
     def _lost(self):
         self.pending.clear()

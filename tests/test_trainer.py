@@ -832,12 +832,13 @@ def test_two_slot_rings_under_a_slow_worker_equal_inline_scoring(
     monkeypatch, tmp_path, make_dataset, plan_kw
 ):
     """With two slots in each ring and a slow stage-2 scoring in the
-    worker, score waits on the oldest reply for a free slot of either
-    ring and reuses the slots, and records, params, store and
+    worker, score waits for replies until one frees a slot of the ring
+    it needs, for either ring, so the other job is still in flight when
+    the wait ends; it reuses the slots, and records, params, store and
     metrics.csv still equal inline scoring's."""
     monkeypatch.setattr(trainer, "_RING_BYTES", 1)  # each ring holds its least, 2 slots
     metrics, slot = trainer._stage2_epoch_metrics, trainer._EpochScorer._slot
-    exhausted, sizes, main = [], set(), os.getpid()
+    exhausted, in_flight, sizes, main = [], set(), set(), os.getpid()
 
     def slow_metrics(*args):
         if os.getpid() != main:
@@ -846,9 +847,12 @@ def test_two_slot_rings_under_a_slow_worker_equal_inline_scoring(
 
     def watched_slot(self, ring):
         sizes.add(len(self.rings[ring].slots))
-        if not self.rings[ring].free:
-            exhausted.append(ring)
-        return slot(self, ring)
+        if self.rings[ring].free:
+            return slot(self, ring)
+        exhausted.append(ring)
+        taken = slot(self, ring)
+        in_flight.add(len(self.pending))
+        return taken
 
     monkeypatch.setattr(trainer, "_stage2_epoch_metrics", slow_metrics)
     monkeypatch.setattr(trainer._EpochScorer, "_slot", watched_slot)
@@ -861,12 +865,110 @@ def test_two_slot_rings_under_a_slow_worker_equal_inline_scoring(
         runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3))
     forked, inline = runs
     assert sizes == {2} and set(exhausted) == {0, 1}
+    assert in_flight == {1}
     assert [repr(astuple(r)) for r in forked[2]] == [repr(astuple(r)) for r in inline[2]]
     assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
     assert forked[1].logits.tobytes() == inline[1].logits.tobytes()
     write_metrics(forked[2], tmp_path / "forked.csv")
     write_metrics(inline[2], tmp_path / "inline.csv")
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def _spy_on_replies(monkeypatch):
+    """The (stage, epoch) of each reply, in the order the main process
+    takes them from the worker."""
+    start, order = trainer._EpochScorer.start, []
+
+    def spying_start(self, params):
+        start(self, params)
+        if self.worker is None:  # inline: no replies
+            return self
+        recv = self.conn.recv
+
+        def spy():
+            reply = recv()
+            record = self.pending[reply[0]][0]
+            order.append((record.stage, record.epoch))
+            return reply
+
+        self.conn.recv = spy
+        return self
+
+    monkeypatch.setattr(trainer._EpochScorer, "start", spying_start)
+    return order
+
+
+def _slow_first_worker_scoring(monkeypatch, fail_at=None):
+    """The worker's first scoring without pseudo-logits, stage-1 epoch 0,
+    sleeps 0.5 s, so every later job queues up behind it. With fail_at,
+    the scoring of stage-1 epoch fail_at raises, in the worker or inline."""
+    accuracy, main, plain = trainer._accuracy, os.getpid(), []
+
+    def slow_accuracy(params, rows):
+        if rows.drift_base is None:  # stage 1 or 3; in the worker, its own copy of plain
+            plain.append(None)
+            if len(plain) == 1 and os.getpid() != main:
+                time.sleep(0.5)
+            if fail_at is not None and len(plain) == fail_at + 1:
+                raise NumericError(f"non-finite acc_test at stage1 epoch {fail_at}: nan")
+        return accuracy(params, rows)
+
+    monkeypatch.setattr(trainer, "_accuracy", slow_accuracy)
+
+
+@pytest.mark.parametrize("open_world", [False, True], ids=["closed_world", "open_world"])
+def test_stage2_jobs_are_served_before_stage1_backlog(monkeypatch, tmp_path, open_world):
+    """Once the worker's slow first job is done, stage 2's jobs, which
+    hold pseudo-logit slots, are served before stage 1's backlog, and
+    each kind oldest first. Each job is scored on the rows of its own
+    segment: records, params, store and metrics.csv equal inline
+    scoring's."""
+    order = _spy_on_replies(monkeypatch)
+    _slow_first_worker_scoring(monkeypatch)
+    ds = _with_ood(tiny_dataset()) if open_world else tiny_dataset()
+    plan = tiny_plan(open_world=open_world, discard_fraction=0.2)
+    cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
+    runs = []
+    for cpus in ({0, 1}, {0}):  # a forked worker, then inline
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3))
+    forked, inline = runs
+    assert order == ([("stage1", 0)] + [("stage2", epoch) for epoch in range(6)]
+                     + [("stage1", epoch) for epoch in range(1, 20)]
+                     + [("stage3", epoch) for epoch in range(5)])
+    assert [repr(astuple(r)) for r in forked[2]] == [repr(astuple(r)) for r in inline[2]]
+    assert forked[0].flat.tobytes() == inline[0].flat.tobytes()
+    assert forked[1].logits.tobytes() == inline[1].logits.tobytes()
+    write_metrics(forked[2], tmp_path / "forked.csv")
+    write_metrics(inline[2], tmp_path / "inline.csv")
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+def test_earliest_failure_wins_over_a_later_failure_that_replies_first(
+    monkeypatch, request, scoring
+):
+    """The scoring fails at every stage-2 epoch and at stage-1 epoch 5.
+    The worker serves stage 2 before stage 1's backlog, so epoch 0's
+    failure replies first, and the later ones while the main process
+    waits for stage 1's replies; the run still stops with the failure of
+    stage-1 epoch 5, as it does inline, where stage 2 never starts."""
+    request.getfixturevalue(scoring)
+    order = _spy_on_replies(monkeypatch)
+    _slow_first_worker_scoring(monkeypatch, fail_at=5)
+    metrics, stage2 = trainer._stage2_epoch_metrics, []
+
+    def nan_metrics(*args):
+        stage2.append(None)
+        return {**metrics(*args), "t_abs_p95": math.nan}
+
+    monkeypatch.setattr(trainer, "_stage2_epoch_metrics", nan_metrics)
+    with pytest.raises(NumericError, match=r"^non-finite acc_test at stage1 epoch 5: nan$"):
+        run_r2d2(tiny_dataset(), [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
+    if scoring == "forked_scoring":
+        assert order.index(("stage2", 0)) < order.index(("stage2", 1)) < order.index(("stage1", 5))
+    else:
+        assert order == [] and stage2 == []
 
 
 def test_each_epoch_is_one_score_message_of_ints(monkeypatch, forked_scoring):
