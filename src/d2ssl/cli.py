@@ -1,11 +1,37 @@
 """Command-line entry point.
 
-Usage: d2ssl <mode> --config PATH [--key value ...] [--out DIR]
+Usage: d2ssl <mode> [--config PATH] [--key value ...]
+       d2ssl -h | --help
 
-Modes: r2d2, supervised_baseline, ablation, diagnose. The config file is
-a flat ``key = value`` document with ``#`` comments; any config key can
-be overridden with a ``--key value`` flag. Every run writes the fully
-resolved config next to its outputs so it can be replayed exactly.
+The config file is a flat ``key = value`` document with ``#`` comments;
+a ``--key value`` flag sets any config key over it. Every mode writes
+the resolved config to OUT/config_resolved.cfg (OUT is the ``out`` key,
+else $D2SSL_OUT, else the working directory); --config replays it, with
+a study's --seeds, --steps and --lr given again.
+
+Modes:
+  r2d2                 the three stages: metrics.csv, model.d2ck,
+                       pseudo.d2pl, dataset.csv and the diagnostic tables
+  supervised_baseline  stage 1 alone: metrics.csv and model.d2ck
+  ablation             the alpha, beta, lam, loss and strategy cells:
+                       ablation_summary.csv
+  diagnose             the diagnostic tables of the files named by the
+                       checkpoint, snapshot and dataset_csv keys
+  compare              r2d2 against its own stage 1 on seeds 0 to N-1:
+                       comparison.csv, seed<k>/{r2d2,baseline}_metrics.csv.
+                       --seeds N (default 5); dataset gaussians or
+                       two_moons, the latter with layer_sizes 2,64,2,2 and
+                       stage2_epochs 100,100,100,100
+  open_world           each of seeds 0 to N-1 without and with the entropy
+                       filter: open_world.csv. --seeds N (default 5);
+                       gauss_spread 2.0, ood_count 660, discard_fraction 0.25
+  audit                the head-only stationarity audit: the diagnostic
+                       tables. --steps N (default 5000), --lr X (default
+                       8.0); lam 64000
+
+A study mode's key values above sit under the config file and the flags.
+compare and open_world set each run's seed (and open_world its
+open_world key) themselves, so they refuse those keys.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric
 abort, 5 internal error.
@@ -42,10 +68,10 @@ EXIT_INTERNAL = 5
 
 RESOLVED_NAME = "config_resolved.cfg"
 
-# The convergence audit's head-only joint steps (acceptance criteria 3-5).
+# The convergence audit's head-only joint steps (acceptance criteria
+# 3-5); its pseudo step is the audit preset's lam.
 AUDIT_STEPS = 5000
 AUDIT_LR = 8.0
-AUDIT_LAM = 64000.0
 
 _D2 = D2Config()
 _PLAN = SchedulePlan()
@@ -223,9 +249,13 @@ def _entries(text: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse a flat key=value document, then apply flag overrides."""
+def parse_config(text: str, overrides: dict[str, str] | None = None,
+                 preset: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse a flat key=value document over a preset's values, then apply
+    flag overrides."""
     cfg = ExperimentConfig()
+    for key, raw in (preset or {}).items():
+        setattr(cfg, key, _convert(key, raw, None))
     for line_no, key, raw in _entries(text):
         setattr(cfg, key, _convert(key, raw, line_no))
     for key, raw in (overrides or {}).items():
@@ -277,9 +307,10 @@ def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
     return out
 
 
-def dump_config(cfg: ExperimentConfig, path) -> None:
+def dump_config(cfg: ExperimentConfig, path, skip=()) -> None:
     with open(path, "w") as fh:
-        fh.writelines(f"{key} = {value}\n" for key, value in _cfg_as_overrides(cfg).items())
+        fh.writelines(f"{key} = {value}\n" for key, value in _cfg_as_overrides(cfg).items()
+                      if key not in skip)
 
 
 def _gauss_centers(n_classes: int, dim: int, scale: float) -> np.ndarray:
@@ -373,15 +404,12 @@ def run_mode_baseline(cfg: ExperimentConfig, out_dir: str) -> None:
     save_checkpoint(params, os.path.join(out_dir, "model.d2ck"))
 
 
-def convergence_audit(
-    cfg: ExperimentConfig, steps: int = AUDIT_STEPS, lr: float = AUDIT_LR,
-    lam: float = AUDIT_LAM,
-):
+def convergence_audit(cfg: ExperimentConfig, steps: int = AUDIT_STEPS, lr: float = AUDIT_LR):
     """The audit of the paper's stationarity claims (acceptance criteria
     3-5): the supervised warm-up, pseudo-labels from its head, then
-    head_only_d2 with the backbone frozen, under cfg's loss with pseudo
-    step lam. Returns (dataset, params, store, residual, loss config)."""
-    d2cfg = replace(cfg.d2_config(), lam=lam)  # checked before the warm-up trains
+    head_only_d2 with the backbone frozen, under cfg's loss. Returns
+    (dataset, params, store, residual, loss config)."""
+    d2cfg = cfg.d2_config()
     dataset = build_dataset(cfg)
     params, _ = run_supervised_baseline(
         dataset, cfg.model_sizes(), cfg.activation, cfg.schedule_plan(), cfg.seed,
@@ -391,63 +419,80 @@ def convergence_audit(
     return dataset, params, store, t, d2cfg
 
 
-# compare_baseline's settings per dataset: two moons has two classes and
-# longer joint segments.
-COMPARISON_PRESETS = {
-    "gaussians": {},
-    "two_moons": {"layer_sizes": "2,64,2,2", "stage2_epochs": "100,100,100,100"},
-}
+def run_mode_audit(cfg: ExperimentConfig, out_dir: str, steps: int, lr: float) -> None:
+    ds, params, store, _, d2 = convergence_audit(cfg, steps, lr)
+    frac = _emit_diagnostics(out_dir, ds, params, store, d2)
+    print(f"{frac:.1%} of unlabeled samples converged to |t| < 1e-3")
+    print(f"diagnostics written to {out_dir}")
 
 
-def compare_baseline(dataset: str, seeds: int, overrides: dict[str, str]):
-    """R2-D2 against the supervised baseline on seeds 0 to seeds-1, each
-    config the dataset's preset, then overrides, parsed and validated
-    like the command line's. Yields (seed, r2d2 error, baseline error,
-    r2d2 records, baseline records) as each seed finishes. The baseline
-    is the run's own stage 1: run_r2d2 starts with exactly
-    run_supervised_baseline's steps."""
+def compare_baseline(cfg: ExperimentConfig, seeds: int):
+    """R2-D2 against the supervised baseline on seeds 0 to seeds-1 of
+    cfg. Yields (seed, r2d2 error, baseline error, r2d2 records,
+    baseline records) as each seed finishes. The baseline is the run's
+    own stage 1: run_r2d2 starts with exactly run_supervised_baseline's
+    steps, so cfg needs stage1_epochs >= 1."""
     for seed in range(seeds):
-        cfg = parse_config("", {"dataset": dataset, **COMPARISON_PRESETS[dataset],
-                                **overrides, "seed": str(seed)})
-        if cfg.stage1_epochs < 1:
-            raise ConfigurationError("the baseline comparison needs stage1_epochs >= 1")
-        _, _, metrics = train_r2d2(cfg, build_dataset(cfg))
+        run = replace(cfg, seed=seed)
+        _, _, metrics = train_r2d2(run, build_dataset(run))
         baseline = [m for m in metrics if m.stage == "stage1"]
         yield seed, 1 - metrics[-1].acc_test, 1 - baseline[-1].acc_test, metrics, baseline
 
 
-# The open-world study's class spread, OOD row count and discard fraction.
-OPEN_WORLD_SPREAD, OPEN_WORLD_OOD, OPEN_WORLD_DISCARD = 2.0, 660, 0.25
+def run_mode_compare(cfg: ExperimentConfig, out_dir: str, seeds: int) -> None:
+    rows = []
+    for seed, err, err_base, m, mb in compare_baseline(cfg, seeds):
+        seed_dir = os.path.join(out_dir, f"seed{seed}")
+        os.makedirs(seed_dir, exist_ok=True)
+        write_metrics(m, os.path.join(seed_dir, "r2d2_metrics.csv"))
+        write_metrics(mb, os.path.join(seed_dir, "baseline_metrics.csv"))
+        rows.append((seed, err, err_base, err_base - err))
+        print(f"seed {seed}: r2d2 {err:.4f}  baseline {err_base:.4f}  "
+              f"delta {err_base - err:+.4f}")
+    _write_rows(os.path.join(out_dir, "comparison.csv"),
+                ["seed", "r2d2_error", "baseline_error", "delta"], rows)
+    print(f"{sum(row[3] > 0 for row in rows)}/{len(rows)} seeds improved over the baseline")
 
 
-def open_world_study(seeds: int, ood_count: int = OPEN_WORLD_OOD,
-                     discard: float = OPEN_WORLD_DISCARD, spread: float = OPEN_WORLD_SPREAD):
-    """Runs without and with the entropy filter on seeds 0 to seeds-1.
-    Every seed's configs are parsed before this returns; the iterator it
-    returns yields (seed, unfiltered error, filtered error, OOD share of
-    the pool, OOD share of what the filter discards at the end of the
+def open_world_study(cfg: ExperimentConfig, seeds: int):
+    """cfg's runs without and with the entropy filter on seeds 0 to
+    seeds-1. Yields (seed, unfiltered error, filtered error, OOD share
+    of the pool, OOD share of what the filter discards at the end of the
     filtered run) as each seed finishes."""
-    configs = [{open_world: parse_config("", {
-        "seed": str(seed), "gauss_spread": str(spread), "ood_count": str(ood_count),
-        "open_world": str(open_world), "discard_fraction": str(discard),
-    }) for open_world in (False, True)} for seed in range(seeds)]
-    return (_open_world_seed(seed, pair) for seed, pair in enumerate(configs))
+    return (_open_world_seed(replace(cfg, seed=seed)) for seed in range(seeds))
 
 
-def _open_world_seed(seed: int, configs: dict[bool, ExperimentConfig]):
-    """open_world_study's row of one seed, from its unfiltered and
-    filtered configs. Neither open_world nor discard_fraction enters
-    build_dataset, so both runs share one dataset."""
-    ds = build_dataset(configs[False])
+def _open_world_seed(cfg: ExperimentConfig):
+    """open_world_study's row of cfg's seed. Neither open_world nor
+    discard_fraction enters build_dataset, so both runs share one
+    dataset."""
+    ds = build_dataset(cfg)
     err = {}
-    for open_world, cfg in configs.items():
-        _, store, metrics = train_r2d2(cfg, ds)
+    for open_world in (False, True):
+        run = replace(cfg, open_world=open_world)
+        _, store, metrics = train_r2d2(run, ds)
         err[open_world] = 1 - metrics[-1].acc_test
     unl = ds.unlabeled_indices
-    dropped = np.setdiff1d(unl, active_unlabeled(store, ds, cfg.schedule_plan()))
+    dropped = np.setdiff1d(unl, active_unlabeled(store, ds, run.schedule_plan()))
     pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
                   for ids in (unl, dropped))
-    return seed, err[False], err[True], pool, drop
+    return cfg.seed, err[False], err[True], pool, drop
+
+
+def run_mode_open_world(cfg: ExperimentConfig, out_dir: str, seeds: int) -> None:
+    rows = []
+    for row in open_world_study(cfg, seeds):
+        rows.append(row)
+        print("seed {}: unfiltered {:.4f}  filtered {:.4f}  pool OOD {:.3f}  "
+              "discarded OOD {:.3f}".format(*row))
+    _write_rows(os.path.join(out_dir, "open_world.csv"),
+                ["seed", "unfiltered_error", "filtered_error", "pool_ood_fraction",
+                 "discard_ood_fraction"], rows)
+
+
+def _write_rows(path, header: list[str], rows: list[tuple]) -> None:
+    """A study's table: each field in str(), CRLF line ends."""
+    data_mod.write_csv_columns(path, header, ["%s"] * len(header), len(rows), list(zip(*rows)))
 
 
 ABLATION_AXES = {
@@ -551,18 +596,58 @@ MODES = {
     "supervised_baseline": run_mode_baseline,
     "ablation": run_mode_ablation,
     "diagnose": run_mode_diagnose,
+    "compare": run_mode_compare,
+    "open_world": run_mode_open_world,
+    "audit": run_mode_audit,
 }
 
+# The study modes' key values, under the config file and the flags.
+# compare's depend on the dataset: two moons has two classes and longer
+# joint segments.
+PRESETS = {
+    "compare": {"gaussians": {},
+                "two_moons": {"layer_sizes": "2,64,2,2", "stage2_epochs": "100,100,100,100"}},
+    "open_world": {"gauss_spread": "2.0", "ood_count": "660", "discard_fraction": "0.25"},
+    "audit": {"lam": "64000.0"},
+}
+# The study modes' settings that are not config keys: (default, least value).
+STUDY_SETTINGS = {
+    "compare": {"seeds": (5, 1)},
+    "open_world": {"seeds": (5, 1)},
+    "audit": {"steps": (AUDIT_STEPS, 0), "lr": (AUDIT_LR, 0.0)},
+}
+# The keys a study sets on each of its runs, and so refuses: why.
+_SEEDS = "the runs take seeds 0 to N-1 of --seeds N"
+RUN_KEYS = {"compare": {"seed": _SEEDS},
+            "open_world": {"seed": _SEEDS,
+                           "open_world": "each seed runs without and with the filter"}}
 
-def _parse_argv(argv: list[str]):
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
-        raise SystemExit(EXIT_OK if argv else EXIT_CONFIG)
-    mode = argv[0]
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
-    overrides = parse_flags(argv[1:])
-    return mode, overrides.pop("config", None), overrides
+
+def _preset(mode: str, dataset: str) -> dict[str, str]:
+    if mode != "compare":
+        return PRESETS.get(mode, {})
+    if dataset not in PRESETS[mode]:
+        raise ConfigurationError(f"compare runs on dataset {' or '.join(PRESETS[mode])}, "
+                                 f"not {dataset!r}")
+    return PRESETS[mode][dataset]
+
+
+def _study_settings(mode: str, flags: dict[str, str]) -> dict:
+    """Take mode's study settings out of flags, each parsed like its
+    default and checked against its least value."""
+    settings = {}
+    for key, (default, low) in STUDY_SETTINGS.get(mode, {}).items():
+        raw = flags.pop(key, None)
+        try:
+            value = default if raw is None else type(default)(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"setting {key!r}: cannot parse {raw!r} as {type(default).__name__}") from None
+        if not low <= value < math.inf:
+            rule = f"at least {low}" if isinstance(low, int) else "finite and non-negative"
+            raise ConfigurationError(f"{key} must be {rule}, got {value}")
+        settings[key] = value
+    return settings
 
 
 def parse_flags(args: list[str]) -> dict[str, str]:
@@ -603,7 +688,14 @@ def run_guarded(body, *args) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    mode, config_path, overrides = _parse_argv(argv)
+    if not argv or "-h" in argv or "--help" in argv:
+        print(__doc__, file=sys.stdout if argv else sys.stderr)
+        return EXIT_OK if argv else EXIT_CONFIG
+    mode = argv[0]
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
+    overrides = parse_flags(argv[1:])
+    config_path = overrides.pop("config", None)
     text = ""
     if config_path is not None:
         try:
@@ -611,19 +703,25 @@ def _run(argv: list[str]) -> int:
                 text = fh.read()
         except OSError as exc:
             raise OSError(f"cannot read config: {exc}") from None
+    given = {key: raw.strip() for _, key, raw in _entries(text)} | overrides
     env_root = os.environ.get("D2SSL_OUT")
-    if env_root and "out" not in overrides and all(
-        key != "out" for _, key, _ in _entries(text)
-    ):
+    if env_root and "out" not in given:
         overrides["out"] = env_root
-    cfg = parse_config(text, overrides)
+    settings = _study_settings(mode, overrides)
+    for key, why in RUN_KEYS.get(mode, {}).items():
+        if key in given:
+            raise ConfigurationError(f"{key} is not a setting of {mode}: {why}")
+    dataset = given.get("dataset", ExperimentConfig.dataset).strip()
+    cfg = parse_config(text, overrides, _preset(mode, dataset))
     if mode != "diagnose" and cfg.labeled_per_class < 1:  # diagnose splits no data
         raise ConfigurationError(
             f"labeled_per_class must be >= 1 to train, got {cfg.labeled_per_class}")
+    if mode == "compare" and cfg.stage1_epochs < 1:
+        raise ConfigurationError("the baseline comparison needs stage1_epochs >= 1")
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
-    dump_config(cfg, os.path.join(out_dir, RESOLVED_NAME))
-    MODES[mode](cfg, out_dir)
+    dump_config(cfg, os.path.join(out_dir, RESOLVED_NAME), RUN_KEYS.get(mode, {}))
+    MODES[mode](cfg, out_dir, **settings)
     return EXIT_OK
 
 

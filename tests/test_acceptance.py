@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from d2ssl.cli import (
+    PRESETS,
     ExperimentConfig,
     ablation_errors,
     build_dataset,
@@ -154,7 +155,7 @@ def converged_population():
     """Head-only joint optimization on the reference config: backbone
     frozen after the warm-up, 5000 full-batch steps on the head weights
     and pseudo-logits."""
-    ds, params, store, t, d2 = convergence_audit(parse_config("", {"seed": "0"}))
+    ds, params, store, t, d2 = convergence_audit(parse_config("", {"seed": "0"}, PRESETS["audit"]))
     _, p_hat_n, p_tilde_n, loss, _ = unlabeled_scores(ds, params, store, d2)
     return {"cfg": d2, "t": t, "p_hat_n": p_hat_n, "p_tilde_n": p_tilde_n, "loss": loss}
 
@@ -226,7 +227,8 @@ def test_criterion_07_ssl_gain():
     """Full pipeline beats the supervised baseline on >= 4/5 seeds on
     the reference Gaussian config and on two-moons."""
     results = {
-        name: sum(err < err_base for _, err, err_base, *_ in compare_baseline(name, 5, {}))
+        name: sum(err < err_base for _, err, err_base, *_ in compare_baseline(
+            parse_config("", {"dataset": name}, PRESETS["compare"][name]), 5))
         for name in ("gaussians", "two_moons")
     }
     ok = all(w >= 4 for w in results.values())
@@ -273,7 +275,7 @@ def test_criterion_10_open_world_filter():
     """25% injected OOD unlabeled samples: the discarded set is
     OOD-enriched on 5/5 seeds, and filtered error <= unfiltered error
     on >= 3/5 seeds."""
-    rows = list(open_world_study(5))
+    rows = list(open_world_study(parse_config("", {}, PRESETS["open_world"]), 5))
     enrich = sum(drop_frac > pool_frac for *_, pool_frac, drop_frac in rows)
     not_worse = sum(filtered <= unfiltered for _, unfiltered, filtered, *_ in rows)
     report(

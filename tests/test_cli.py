@@ -738,24 +738,45 @@ def test_out_in_config_file_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "envout").exists()
 
 
-def test_reference_script_parses_flags_like_the_cli(monkeypatch):
-    # scripts/run_reference.py hands its --key value flags to compare_baseline.
+def test_reference_script_parses_flags_like_the_cli(monkeypatch, tmp_path, capsys):
+    # compare gives every --key value flag, parsed like any mode's, to
+    # each of its runs.
     runs = []
 
     def run_r2d2(dataset, sizes, activation, d2cfg, plan, seed):
-        runs.append((dataset.n_samples, sizes, d2cfg, plan, seed))
+        runs.append((dataset.n_samples, sizes, d2cfg.alpha, plan.open_world, seed))
         return None, None, [MetricsRecord("stage1", 0, 0.0, acc_test=1.0)]
 
     monkeypatch.setattr(cli, "run_r2d2", run_r2d2)
-    flags = {"open_world": "false", "alpha": "0.2", "gauss_per_class": "30"}
-    assert [row[:3] for row in cli.compare_baseline("gaussians", 2, flags)] == [
-        (0, 0.0, 0.0), (1, 0.0, 0.0)]
-    (n, sizes, d2cfg, plan, seed), _ = runs
-    assert (n, sizes, d2cfg.alpha, plan.open_world, seed) == (120, [2, 64, 2, 4], 0.2, False, 0)
+    argv = ["compare", "--out", str(tmp_path), "--seeds", "2"]
+    assert main(argv + ["--open_world", "false", "--alpha", "0.2",
+                        "--gauss_per_class", "30"]) == EXIT_OK
+    assert runs == [(120, [2, 64, 2, 4], 0.2, False, seed) for seed in (0, 1)]
     runs.clear()
-    assert len(list(cli.compare_baseline("two_moons", 1, {"moons_per_class": "30"}))) == 1
-    (n, sizes, _, plan, _), = runs
-    assert (n, sizes) == (60, [2, 64, 2, 2])
-    assert [s.epochs for s in plan.stage2_segments] == [100, 100, 100, 100]
-    with pytest.raises(ConfigurationError):
-        next(cli.compare_baseline("gaussians", 1, {"open_world": "maybe"}))
+    assert main(argv + ["--dataset", "two_moons", "--moons_per_class", "30"]) == EXIT_OK
+    assert [run[:2] for run in runs] == [(60, [2, 64, 2, 2])] * 2
+    cfg = parse_config((tmp_path / RESOLVED_NAME).read_text())
+    assert [s.epochs for s in cfg.schedule_plan().stage2_segments] == [100, 100, 100, 100]
+    assert main(argv + ["--open_world", "maybe"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "configuration error: config key 'open_world': cannot parse 'maybe' as bool\n")
+
+
+def test_usage_names_every_mode(capsys):
+    assert main(["-h"]) == EXIT_OK
+    usage = capsys.readouterr().out
+    assert usage == cli.__doc__ + "\n"
+    assert all(re.search(rf"^  {mode} ", usage, re.M) for mode in MODES)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["r2d2", "--help"], ["r2d2", "--beta", "-h"],
+                                  ["compare", "--seeds", "0", "-h"], ["no_such_mode", "-h"]])
+def test_help_anywhere_prints_usage_and_exits_ok(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out == cli.__doc__ + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_arguments_prints_usage_and_exits_config(capsys):
+    assert main([]) == EXIT_CONFIG
+    assert capsys.readouterr().err == cli.__doc__ + "\n"

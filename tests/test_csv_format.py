@@ -16,7 +16,6 @@ from d2ssl import data as data_mod
 from d2ssl.cli import ABLATION_AXES, EXIT_OK, main
 from d2ssl.data import write_csv_columns
 from test_cli import TINY, tiny_args
-from test_scripts import load
 
 R2D2_CSVS = ("metrics.csv", "dataset.csv", "t_histogram.csv", "flatness_audit.csv",
              "flatness_summary.csv", "entropy_cdf.csv", "features.csv",
@@ -110,13 +109,13 @@ def test_ablation_overrides_read_back_as_their_text(tmp_path):
 def test_script_tables_are_well_formed(tmp_path):
     flags = [arg for key, value in TINY.items() for arg in (f"--{key}", value)]
     out = tmp_path / "reference"
-    assert load("run_reference").main(["--out", str(out), "--seeds", "2"] + flags) == 0
+    assert main(["compare", "--out", str(out), "--seeds", "2"] + flags) == EXIT_OK
     assert [row[0] for row in read_table(out / "comparison.csv")[1]] == ["0", "1"]
     for seed in (0, 1):
         for name in ("r2d2_metrics.csv", "baseline_metrics.csv"):
             assert read_table(out / f"seed{seed}" / name)[1]
     out = tmp_path / "open_world"
-    assert load("run_open_world").main(["--out", str(out), "--seeds", "1"]) == 0
+    assert main(["open_world", "--out", str(out), "--seeds", "1"]) == EXIT_OK
     ((seed, *fractions),) = read_table(out / "open_world.csv")[1]
     assert seed == "0" and all(0.0 <= float(v) <= 1.0 for v in fractions)
 

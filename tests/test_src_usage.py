@@ -1,6 +1,6 @@
 """No test-only code in src/: every name a module of d2ssl defines, at
 its top level or in one of its classes, is read somewhere in the
-program (src/, scripts/ or bench/) or exported in d2ssl.__all__. Code
+program (src/ or bench/) or exported in d2ssl.__all__. Code
 that only tests reach belongs under tests/. And every exception class
 of errors.py that ends a run is raised by the program, so the exit-code
 table of cli.run_guarded names no error that cannot happen. And
@@ -22,7 +22,7 @@ from pathlib import Path
 import d2ssl
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAM = ("src", "scripts", "bench")
+PROGRAM = ("src", "bench")
 
 
 def _targets(node):
@@ -90,29 +90,27 @@ def test_every_error_class_is_raised_by_the_program():
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
     bases = {base.id for node in classes for base in node.bases}
     raised = set()
-    for top in ("src", "scripts"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            raised |= raised_names(ast.parse(path.read_text()))
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        raised |= raised_names(ast.parse(path.read_text()))
     # A base class is raised through its subclasses.
     never = [node.name for node in classes if node.name not in bases | raised]
-    assert not never, "error classes that nothing in src/ or scripts/ raises: " + ", ".join(never)
+    assert not never, "error classes that nothing in src/ raises: " + ", ".join(never)
 
 
 def test_only_data_imports_csv():
     importers = []
-    for top in ("src", "scripts"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
-                if "csv" in names and path.name != "data.py":
-                    importers.append(str(path.relative_to(ROOT)))
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names and path.name != "data.py":
+                importers.append(str(path.relative_to(ROOT)))
     assert not importers, "csv imported outside data.py by: " + ", ".join(importers)
 
 
 def test_only_pseudo_reads_convergence_residual():
     readers = [str(path.relative_to(ROOT))
-               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               for path in sorted((ROOT / "src").rglob("*.py"))
                if path.name != "pseudo.py"
                and "convergence_residual" in read_names(ast.parse(path.read_text()))]
     assert not readers, "convergence_residual read outside pseudo.py by: " + ", ".join(readers)
@@ -136,7 +134,7 @@ def test_open_world_read_only_by_the_plan_and_the_discard_count():
         "trainer._discard_count",
     }
     readers = [f"{path.relative_to(ROOT)} in {scope}"
-               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               for path in sorted((ROOT / "src").rglob("*.py"))
                for scope in scopes_reading(ast.parse(path.read_text()), "open_world", path.stem)
                if scope not in allowed]
     assert not readers, "open_world read outside the plan and the discard count: " + ", ".join(
@@ -151,7 +149,7 @@ def test_only_read_checked_and_the_csv_buffer_read_the_file_size():
         "data._read_padded",  # sizes the buffer dataset.csv is read into
     }
     readers = [f"{path.relative_to(ROOT)} in {scope}"
-               for top in ("src", "scripts") for path in sorted((ROOT / top).rglob("*.py"))
+               for path in sorted((ROOT / "src").rglob("*.py"))
                for scope in scopes_reading(ast.parse(path.read_text()), "fstat", path.stem)
                if scope not in allowed]
     assert not readers, "fstat read outside read_checked and _read_padded: " + ", ".join(readers)
