@@ -246,7 +246,8 @@ def test_open_world_gives_every_key_to_both_runs_of_each_seed(monkeypatch, tmp_p
 
 def test_study_resolved_config_replays(tmp_path):
     # A study's config_resolved.cfg leaves out the keys it sets on each
-    # run, so the study takes it back with --config.
+    # run, so the study takes it back with --config. --seeds is not a
+    # config key and not in the file, so the replay gives it again.
     first, second = tmp_path / "a", tmp_path / "b"
     argv = ["compare", "--seeds", "2", "--dataset", "two_moons", "--moons_per_class", "30"]
     argv += [arg for key, value in TINY.items() for arg in (f"--{key}", value)]
