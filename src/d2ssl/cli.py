@@ -49,12 +49,12 @@ import numpy as np
 
 from . import data as data_mod
 from . import diagnostics as diag
-from .errors import ConfigurationError, D2Error, FormatError, NumericError
+from .errors import ConfigurationError, D2Error, FormatError, NumericError, WorkerError
 from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, active_unlabeled, head_only_d2, run_r2d2,
+    SchedulePlan, Stage2Segment, active_unlabeled, fork_context, head_only_d2, run_r2d2,
     run_supervised_baseline, write_metrics,
 )
 
@@ -347,13 +347,72 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
     return ds
 
 
+def _side_by_side(name: str, jobs: list) -> list:
+    """The results of the calls jobs, in input order: the first runs in
+    this process and each other one in a child forked from
+    fork_context, or, where it gives none, each runs here in turn. A
+    result should be small, as it is pickled back. The first failure in
+    input order is raised, and a child that exits before it replies
+    raises WorkerError, as "the {name} worker". Every child is killed
+    and joined on every exit path."""
+    ctx = fork_context()
+    if ctx is None:
+        return [job() for job in jobs]
+    children = []
+    try:
+        for job in jobs[1:]:
+            conn, end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_reply, args=(job, end), daemon=True)
+            child.start()
+            end.close()
+            children.append((child, conn))
+        results = [jobs[0]()]
+        for child, conn in children:
+            try:
+                reply = conn.recv()
+            except EOFError:
+                child.join(1.0)
+                raise WorkerError(f"the {name} worker exited with code {child.exitcode}")
+            if isinstance(reply, Exception):
+                raise reply
+            results.append(reply)
+        return results
+    finally:
+        for child, conn in children:
+            child.kill()
+            child.join()
+            conn.close()
+
+
+def _reply(job, conn) -> None:
+    """A child of _side_by_side: send job's result, or its failure."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+    try:
+        reply = job()
+    except Exception as exc:
+        reply = exc
+    conn.send(reply)
+
+
 def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> float:
-    """Write the diagnostic tables; returns t_converged_fraction.csv's value."""
-    # The feature export's whole-pool forward is the peak of a process's
-    # first diagnose run: it goes before the smaller unlabeled-pool
-    # forward leaves freed pages in the heap under it. A later run in the
-    # same process starts over heap that glibc kept from the last one.
-    diag.export_features(dataset, params, os.path.join(out_dir, "features.csv"))
+    """Write the diagnostic tables; returns t_converged_fraction.csv's
+    value. The feature export and the residual tables read nothing of
+    each other, so they run side by side: the export, whose whole-pool
+    forward sets a run's peak memory, in this process, the residual
+    tables in a forked child."""
+    path = os.path.join(out_dir, "features.csv")
+    _, frac = _side_by_side("diagnostics", [
+        lambda: diag.export_features(dataset, params, path),
+        lambda: _emit_residual_tables(out_dir, dataset, params, store, d2cfg),
+    ])
+    return frac
+
+
+def _emit_residual_tables(out_dir, dataset, params, store, d2cfg) -> float:
+    """Write the tables of the residual t and the pseudo-label entropy;
+    returns the fraction of |t| below diag.T_CONVERGED."""
     scores = diag.unlabeled_scores(dataset, params, store, d2cfg)
     counts, frac = diag.t_histogram(scores[-1])
     diag.write_histogram_csv(counts, os.path.join(out_dir, "t_histogram.csv"))

@@ -42,4 +42,5 @@ class NumericError(D2Error):
 
 
 class WorkerError(D2Error):
-    """The evaluation worker of a run exited before it replied."""
+    """A forked worker exited before it replied: a run's evaluation
+    worker, or the child that writes diagnose's residual tables."""

@@ -446,6 +446,21 @@ class _Ring:
         self.free = list(range(n))[::-1]
 
 
+def fork_context():
+    """The multiprocessing fork context, or None where fork is
+    unavailable or this process may run on one CPU only: there a forked
+    process adds its messages to the same work and makes the run slower.
+    The rule reads the affinity mask only, so a CPU quota of one CPU
+    with a wider mask still forks. multiprocessing is imported here, so
+    a process that never forks never imports it."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if not hasattr(os, "fork") or len(cpus) < 2:
+        return None
+    import multiprocessing
+
+    return multiprocessing.get_context("fork")
+
+
 class _EpochScorer:
     """Fills in the evaluation columns of each epoch's record: labeled
     and test accuracy and, in stage 2, the full-pool metrics, which no
@@ -521,18 +536,14 @@ class _EpochScorer:
         return self.rings[1].slots[slot, :n_rows * n_classes].reshape(n_rows, n_classes)
 
     def start(self, params: ModelParams) -> _EpochScorer:
-        """Fork the worker, unless fork is unavailable or this process
-        may run on one CPU only, where the worker would add its messages
-        to the same work and make the run slower. The rings are mapped
-        first: one of params slots, one of slots that hold every
+        """Fork the worker where fork_context allows it. The rings are
+        mapped first: one of params slots, one of slots that hold every
         unlabeled row's pseudo-logits."""
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-        if not hasattr(os, "fork") or len(cpus) < 2:
+        ctx = fork_context()
+        if ctx is None:
             return self
-        import multiprocessing
         from multiprocessing.connection import wait
 
-        ctx = multiprocessing.get_context("fork")
         self.layout, self._wait = (params.layer_sizes, params.activation), wait
         pool = self.dataset.unlabeled_indices.size * params.n_classes
         self.rings = (_Ring(params.flat.size), _Ring(pool))

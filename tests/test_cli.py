@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from d2ssl import cli, numerics, trainer
+from d2ssl import diagnostics as diag
 
 from d2ssl.cli import (
     ABLATION_AXES,
@@ -35,7 +36,9 @@ from d2ssl.cli import (
     parse_config,
     strategy_cells,
 )
-from d2ssl.errors import ConfigurationError, D2Error, DimensionError, FrozenUpdateError
+from d2ssl.errors import (
+    ConfigurationError, D2Error, DimensionError, FrozenUpdateError, NumericError,
+)
 from d2ssl.model import init_params, load_checkpoint, save_checkpoint
 from d2ssl.numerics import seeded_rng, softmax_pair
 from d2ssl.pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
@@ -382,12 +385,13 @@ def test_main_diagnose_requires_inputs(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def diagnose_argv(tmp_path, sizes="2,64,2,4", store_rows=None, csv_line=None):
+def diagnose_argv(tmp_path, sizes="2,64,2,4", store_rows=None, csv_line=None, extra=None):
     """Write checkpoint, snapshot and dataset CSV of the tiny config and
     return the diagnose command line over them. sizes gives the
     checkpoint's layer sizes, store_rows cuts the snapshot to its first
-    rows, and csv_line = (k, text) replaces line k of the dataset CSV."""
-    cfg = parse_config("", TINY)
+    rows, csv_line = (k, text) replaces line k of the dataset CSV, and
+    extra holds config keys over the tiny config's."""
+    cfg = parse_config("", {**TINY, **(extra or {})})
     ds = build_dataset(cfg)
     params = init_params([int(v) for v in sizes.split(",")], "tanh", seeded_rng(0))
     store = init_pseudo_labels(ds, init_params(cfg.model_sizes(), "tanh", seeded_rng(0)),
@@ -483,6 +487,104 @@ def test_main_diagnose_non_finite_input_exits_io(tmp_path, capsys, corrupt, mess
     assert main(argv) == EXIT_IO
     assert message in capsys.readouterr().err
     assert not list((tmp_path / "diag").glob("*.csv"))
+
+
+def unlabeled_as_test(tmp_path):
+    csv_path = tmp_path / "dataset.csv"
+    csv_path.write_bytes(csv_path.read_bytes().replace(b",unlabeled,", b",test,"))
+
+
+@pytest.mark.parametrize("extra,flags,edit,tables", [
+    ({}, [], None, 6),
+    ({"ood_count": "20"}, [], None, 6),
+    ({}, ["--beta", "0"], None, 4),
+    ({}, [], unlabeled_as_test, 6),
+], ids=["closed_world", "ood_rows", "beta_0", "no_unlabeled_rows"])
+def test_main_diagnose_writes_the_same_bytes_forked_and_inline(
+        tmp_path, monkeypatch, request, extra, flags, edit, tables):
+    """The residual tables come from a forked child, or from this
+    process on one CPU, and every table is byte-equal."""
+    argv = diagnose_argv(tmp_path, extra=extra)
+    if edit is not None:
+        edit(tmp_path)
+    if extra:  # an OOD row's class field is empty
+        assert b",unlabeled,," in (tmp_path / "dataset.csv").read_bytes()
+    scores, calls = diag.unlabeled_scores, []  # the calls made in this process
+    monkeypatch.setattr(diag, "unlabeled_scores", lambda *args: calls.append(1) or scores(*args))
+    runs = {}
+    for scoring in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(scoring)
+        calls.clear()
+        out = tmp_path / scoring
+        assert main(argv + ["--out", str(out)] + flags) == EXIT_OK
+        runs[scoring] = ({path.name: path.read_bytes() for path in out.glob("*.csv")}, len(calls))
+    (forked, forked_calls), (inline, inline_calls) = runs.values()
+    assert (forked_calls, inline_calls) == (0, 1)
+    assert len(forked) == tables and forked == inline
+
+
+def fail_in_the_flatness_audit(*args):
+    raise NumericError("non-finite residual of sample 3")
+
+
+def stall_in_the_flatness_audit(*args):
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+def test_main_diagnose_residual_table_failure_exits_as_inline(
+        tmp_path, monkeypatch, capsys, request, scoring):
+    request.getfixturevalue(scoring)
+    argv = diagnose_argv(tmp_path)
+    monkeypatch.setattr(diag, "flatness_audit", fail_in_the_flatness_audit)
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric abort: non-finite residual of sample 3\n"
+    assert (tmp_path / "diag" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+@pytest.mark.parametrize("residual", [fail_in_the_flatness_audit, stall_in_the_flatness_audit],
+                         ids=["child_fails", "child_stalls"])
+def test_main_diagnose_feature_failure_wins(tmp_path, monkeypatch, capsys, request, scoring,
+                                            residual):
+    """The feature export is the first job, so its failure is the one
+    reported, whether the child's chain fails too or is still running;
+    the child is stopped at once."""
+    request.getfixturevalue(scoring)
+    argv = diagnose_argv(tmp_path)
+
+    def export_fails(*args):
+        raise OSError("cannot write features.csv")
+
+    monkeypatch.setattr(diag, "export_features", export_fails)
+    monkeypatch.setattr(diag, "flatness_audit", residual)
+    start = time.monotonic()
+    assert main(argv) == EXIT_IO
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == "I/O error: cannot write features.csv\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_main_diagnose_killed_child_exits_internal(tmp_path, monkeypatch, capsys,
+                                                  forked_scoring):
+    # The child stalls in its chain and is killed from outside while the
+    # feature export runs here; the wait for its reply finds it gone.
+    argv = diagnose_argv(tmp_path)
+    export = diag.export_features
+
+    def kill_child(*args):
+        (child,) = multiprocessing.active_children()
+        os.kill(child.pid, signal.SIGKILL)
+        return export(*args)
+
+    monkeypatch.setattr(diag, "export_features", kill_child)
+    monkeypatch.setattr(diag, "flatness_audit", stall_in_the_flatness_audit)
+    start = time.monotonic()
+    assert main(argv) == EXIT_INTERNAL
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == (
+        f"internal error: the diagnostics worker exited with code {-signal.SIGKILL}\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_main_ablation(tmp_path):

@@ -76,7 +76,10 @@ def kernel_prints(fmt, value) -> bool:
     return True
 
 
-def test_r2d2_tables_are_well_formed_and_print_each_text_once(tmp_path, monkeypatch):
+def test_r2d2_tables_are_well_formed_and_print_each_text_once(tmp_path, monkeypatch,
+                                                             inline_scoring):
+    # Inline, so that every table is written in this process, where the
+    # spies see it: a forked child writes diagnose's residual tables.
     quoted, fallbacks = spy(monkeypatch, "_quoted"), spy(monkeypatch, "_fallback")
     assert main(tiny_args("r2d2", tmp_path)) == EXIT_OK
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(R2D2_CSVS)
