@@ -49,12 +49,12 @@ import numpy as np
 
 from . import data as data_mod
 from . import diagnostics as diag
-from .errors import ConfigurationError, D2Error, FormatError, NumericError, WorkerError
+from .errors import ConfigurationError, D2Error, FormatError, NumericError
 from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, active_unlabeled, fork_context, head_only_d2, run_r2d2,
+    Child, SchedulePlan, Stage2Segment, active_unlabeled, fork_context, head_only_d2, run_r2d2,
     run_supervised_baseline, write_metrics,
 )
 
@@ -146,6 +146,9 @@ class ExperimentConfig:
         epochs = _number_list(self.stage2_epochs, "stage2_epochs")
         lrs = _number_list(self.stage2_lrs, "stage2_lrs", float)
         reps = _number_list(self.stage2_repredict, "stage2_repredict")
+        if not set(reps) <= {0, 1}:
+            raise ConfigurationError(
+                f"stage2_repredict entries must be 0 or 1, got {self.stage2_repredict}")
         if not len(epochs) == len(lrs) == len(reps):
             raise ConfigurationError(
                 "stage2_epochs, stage2_lrs, stage2_repredict must have equal length"
@@ -308,7 +311,7 @@ def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def dump_config(cfg: ExperimentConfig, path, skip=()) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in _cfg_as_overrides(cfg).items()
                       if key not in skip)
 
@@ -349,46 +352,32 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
 
 def _side_by_side(name: str, jobs: list) -> list:
     """The results of the calls jobs, in input order: the first runs in
-    this process and each other one in a child forked from
-    fork_context, or, where it gives none, each runs here in turn. A
-    result should be small, as it is pickled back. The first failure in
-    input order is raised, and a child that exits before it replies
-    raises WorkerError, as "the {name} worker". Every child is killed
-    and joined on every exit path."""
+    this process and each other one in a trainer.Child, "the {name}
+    worker", forked from fork_context, or, where it gives none, each
+    runs here in turn. A result should be small, as it is pickled back.
+    The first failure in input order is raised. Every child is stopped
+    on every exit path."""
     ctx = fork_context()
     if ctx is None:
         return [job() for job in jobs]
     children = []
     try:
         for job in jobs[1:]:
-            conn, end = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_reply, args=(job, end), daemon=True)
-            child.start()
-            end.close()
-            children.append((child, conn))
+            children.append(Child(ctx, name, _reply, job))
         results = [jobs[0]()]
-        for child, conn in children:
-            try:
-                reply = conn.recv()
-            except EOFError:
-                child.join(1.0)
-                raise WorkerError(f"the {name} worker exited with code {child.exitcode}")
+        for child in children:
+            reply = child.recv()
             if isinstance(reply, Exception):
                 raise reply
             results.append(reply)
         return results
     finally:
-        for child, conn in children:
-            child.kill()
-            child.join()
-            conn.close()
+        for child in children:
+            child.stop()
 
 
-def _reply(job, conn) -> None:
+def _reply(conn, job) -> None:
     """A child of _side_by_side: send job's result, or its failure."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
     try:
         reply = job()
     except Exception as exc:
@@ -758,10 +747,12 @@ def _run(argv: list[str]) -> int:
     text = ""
     if config_path is not None:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise OSError(f"cannot read config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config {config_path} is not UTF-8: {exc}") from None
     given = {key: raw.strip() for _, key, raw in _entries(text)} | overrides
     env_root = os.environ.get("D2SSL_OUT")
     if env_root and "out" not in given:

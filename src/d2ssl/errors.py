@@ -42,5 +42,6 @@ class NumericError(D2Error):
 
 
 class WorkerError(D2Error):
-    """A forked worker exited before it replied: a run's evaluation
-    worker, or the child that writes diagnose's residual tables."""
+    """A trainer.Child exited before it replied: a run's evaluation
+    worker, or diagnose's diagnostics worker, which writes the residual
+    tables."""

@@ -19,7 +19,6 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
 
 import numpy as np
 
@@ -461,6 +460,62 @@ def fork_context():
     return multiprocessing.get_context("fork")
 
 
+class Child:
+    """A process forked from ctx that runs target(conn, *args), where
+    conn is its end of a pipe to this process. The child ignores SIGINT,
+    as this process stops it, and ends normally once this process has
+    gone. Once the child has died, send and recv raise WorkerError: "the
+    {name} worker exited with code N"."""
+
+    def __init__(self, ctx, name: str, target, *args):
+        from multiprocessing.connection import wait
+
+        self.name, self._wait = name, wait
+        self.conn, end = ctx.Pipe()
+        self.process = ctx.Process(target=self._main, args=(target, end, *args), daemon=True)
+        self.process.start()
+        end.close()
+
+    def _main(self, target, conn, *args) -> None:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self.conn.close()  # the parent's end, which would keep the pipe open
+        try:
+            target(conn, *args)
+        except (EOFError, OSError):  # the parent is gone
+            pass
+
+    def send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            self._lost()
+
+    def recv(self, timeout: float | None = None):
+        """The next message that comes within timeout, or with None the
+        next one; None if none came."""
+        ready = self._wait([self.conn, self.process.sentinel], timeout)
+        if not ready:
+            return None
+        if self.conn not in ready:
+            self._lost()
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self._lost()
+
+    def _lost(self):
+        self.process.join(1.0)
+        raise WorkerError(f"the {self.name} worker exited with code {self.process.exitcode}")
+
+    def stop(self) -> None:
+        """Kill and join the child, whatever it is doing, and close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
 class _EpochScorer:
     """Fills in the evaluation columns of each epoch's record: labeled
     and test accuracy and, in stage 2, the full-pool metrics, which no
@@ -473,18 +528,18 @@ class _EpochScorer:
     wait for stage 1's backlog. Each reply names its job's params slot,
     fills that job's record and frees its slots. With no free slot,
     score waits for replies until one frees a slot of that ring. A
-    failure is raised once every older job has replied, so the earliest
-    failure wins, as inline. A context manager: on exit it waits for
-    every reply, so a failure the worker found in an earlier epoch
-    replaces the exception that ends the block, as inline scoring would
-    have raised it first; then it stops the worker and drops the rings,
-    on every exit path."""
+    failure stays pending, with its slots, and is raised once it is the
+    oldest pending job, so the earliest failure wins, as inline. A
+    context manager: on exit it waits for every reply, so a failure the
+    worker found in an earlier epoch replaces the exception that ends
+    the block, as inline scoring would have raised it first; then it
+    stops the worker and drops the rings, on every exit path."""
 
     def __init__(self, dataset: SplitDataset):
         self.dataset = dataset
         # The jobs in flight, oldest first, by params slot: each one's
-        # record and pseudo-logit slot.
-        self.pending: dict[int, tuple[MetricsRecord, int | None]] = {}
+        # record and pseudo-logit slot, or its failure once it replied.
+        self.pending: dict[int, tuple[MetricsRecord, int | None] | Exception] = {}
         self.worker = None
 
     def rows(self, active_unl: np.ndarray | None = None, drift_base=None, cfg=None) -> None:
@@ -494,7 +549,7 @@ class _EpochScorer:
         if self.worker is None:
             self.eval_rows = _eval_rows(self.dataset, active_unl, drift_base, cfg)
         else:
-            self._send(("rows", active_unl, drift_base, cfg))
+            self.worker.send(("rows", active_unl, drift_base, cfg))
 
     def score(self, record: MetricsRecord, params: ModelParams, epoch=None, logits=None,
               active_unl=None) -> None:
@@ -516,9 +571,10 @@ class _EpochScorer:
             return
         params_slot = self._slot(0)
         self.rings[0].slots[params_slot] = params.flat
-        self._send(("score", params_slot, epoch, pseudo_slot, n_rows))
+        self.worker.send(("score", params_slot, epoch, pseudo_slot, n_rows))
         self.pending[params_slot] = (record, pseudo_slot)
-        self._collect(0)
+        while self.pending and self._reply(0):
+            pass
 
     def _slot(self, ring: int) -> int:
         """The most recently freed slot of rings[ring]; with none free,
@@ -542,15 +598,10 @@ class _EpochScorer:
         ctx = fork_context()
         if ctx is None:
             return self
-        from multiprocessing.connection import wait
-
-        self.layout, self._wait = (params.layer_sizes, params.activation), wait
+        self.layout = (params.layer_sizes, params.activation)
         pool = self.dataset.unlabeled_indices.size * params.n_classes
         self.rings = (_Ring(params.flat.size), _Ring(pool))
-        self.conn, child = ctx.Pipe()
-        self.worker = ctx.Process(target=self._serve, args=(child,), daemon=True)
-        self.worker.start()
-        child.close()
+        self.worker = Child(ctx, "evaluation", self._serve)
         return self
 
     def _serve(self, conn) -> None:
@@ -560,53 +611,40 @@ class _EpochScorer:
         job is served. It serves the oldest job that holds a pseudo-logit
         slot, else the oldest job. The reply to a job is its params slot
         and its columns, or the exception its decoding or scoring raised."""
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops it
         queued = (deque(), deque())  # the jobs without, and with, a pseudo-logit slot
-        try:
-            while True:
-                while not (queued[0] or queued[1]) or conn.poll():
-                    kind, *job = conn.recv()
-                    if kind == "rows":
-                        rows = _eval_rows(self.dataset, *job)
-                    else:
-                        queued[job[2] is not None].append((rows, *job))
-                job_rows, params_slot, epoch, pseudo_slot, n_rows = (
-                    queued[1] or queued[0]).popleft()
-                try:
-                    params = ModelParams(*self.layout, self.rings[0].slots[params_slot])
-                    pseudo_logits = (None if pseudo_slot is None
-                                     else self._pseudo_view(pseudo_slot, n_rows))
-                    reply = _epoch_columns(job_rows, params, epoch, pseudo_logits)
-                except Exception as exc:
-                    reply = exc
-                conn.send((params_slot, reply))
-        except (EOFError, OSError):  # the main process is gone
-            pass
-
-    def _send(self, job) -> None:
-        try:
-            self.conn.send(job)
-        except OSError:
-            self._lost()
-
-    def _collect(self, timeout: float | None) -> None:
-        """Fill the pending records from the replies that come within
-        timeout, or with None from all of them."""
-        while self.pending and self._reply(timeout):
-            pass
+        while True:
+            while not (queued[0] or queued[1]) or conn.poll():
+                kind, *job = conn.recv()
+                if kind == "rows":
+                    rows = _eval_rows(self.dataset, *job)
+                else:
+                    queued[job[2] is not None].append((rows, *job))
+            job_rows, params_slot, epoch, pseudo_slot, n_rows = (
+                queued[1] or queued[0]).popleft()
+            try:
+                params = ModelParams(*self.layout, self.rings[0].slots[params_slot])
+                pseudo_logits = (None if pseudo_slot is None
+                                 else self._pseudo_view(pseudo_slot, n_rows))
+                reply = _epoch_columns(job_rows, params, epoch, pseudo_logits)
+            except Exception as exc:
+                reply = exc
+            conn.send((params_slot, reply))
 
     def _reply(self, timeout: float | None) -> bool:
-        """Take the next reply that comes within timeout, or with None
+        """Raise the oldest pending job's failure, if it replied with one;
+        else take the next reply that comes within timeout, or with None
         the next one, and say whether one came. A reply fills its job's
-        record and frees its slots; a failure goes to _fail."""
-        got = self._receive(timeout)
+        record and frees its slots; a failure stays in its job's place."""
+        oldest = next(iter(self.pending.values()), None)
+        if isinstance(oldest, Exception):
+            raise oldest
+        got = self.worker.recv(timeout)
         if got is None:
             return False
         params_slot, reply = got
         if isinstance(reply, Exception):
-            self._fail(params_slot, reply)
+            self.pending[params_slot] = reply
+            return True
         record, pseudo_slot = self.pending.pop(params_slot)
         self.rings[0].free.append(params_slot)
         if pseudo_slot is not None:
@@ -614,53 +652,17 @@ class _EpochScorer:
         vars(record).update(reply)
         return True
 
-    def _receive(self, timeout: float | None):
-        """The next reply that comes within timeout, or with None the
-        next one: its job's params slot and its columns or failure. None
-        if none came; WorkerError if the worker exits first."""
-        ready = self._wait([self.conn, self.worker.sentinel], timeout)
-        if not ready:
-            return None
-        if self.conn not in ready:
-            self._lost()
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            self._lost()
-
-    def _fail(self, params_slot: int, failure: Exception):
-        """Raise the earliest failure, as inline scoring does: wait for
-        the replies to the jobs older than the failed one, and let the
-        failure of an older job take its place."""
-        try:
-            while next(iter(self.pending)) != params_slot:  # an older job is pending
-                slot, reply = self._receive(None)
-                if (isinstance(reply, Exception)
-                        and slot in takewhile(params_slot.__ne__, self.pending)):
-                    params_slot, failure = slot, reply
-                else:
-                    del self.pending[slot]
-        finally:
-            self.pending.clear()
-        raise failure
-
-    def _lost(self):
-        self.pending.clear()
-        self.worker.join(1.0)
-        raise WorkerError(f"the evaluation worker exited with code {self.worker.exitcode}")
-
     def __enter__(self) -> _EpochScorer:
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
         try:
             if kind is None or issubclass(kind, Exception):
-                self._collect(None)
+                while self.pending:
+                    self._reply(None)
         finally:
             if self.worker is not None:
-                self.worker.kill()
-                self.worker.join()
-                self.conn.close()
+                self.worker.stop()
                 # Unmapped once no view is left, such as one a traceback holds.
                 self.rings = ()
 

@@ -161,6 +161,16 @@ def test_main_missing_config_file(tmp_path):
     assert main(["r2d2", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
 
+def test_main_config_file_not_utf8_exits_config_before_out(tmp_path, capsys):
+    # A UTF-16 document: its byte-order mark is no UTF-8.
+    cfg_path, out = tmp_path / "bad.cfg", tmp_path / "out"
+    cfg_path.write_bytes(b"\xff\xfe" + f"out = {out}\n".encode("utf-16-le"))
+    assert main(["r2d2", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: config {cfg_path} is not UTF-8: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["batch_labeled", "batch_unlabeled"])
 def test_main_batch_size_below_one(tmp_path, key):
     assert main(tiny_args("r2d2", tmp_path, {key: "0"})) == EXIT_CONFIG
@@ -256,6 +266,7 @@ BAD_SETTINGS = [
     ("dataset", "spiral", "unknown dataset"), ("dataset", "idx", "idx_images"),
     ("gauss_per_class", "0", "gauss_per_class"),
     ("gauss_center_scale", "0", "duplicate centers"),
+    ("stage2_repredict", "0,2", "stage2_repredict"),
 ]
 
 

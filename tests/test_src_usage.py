@@ -11,7 +11,8 @@ open-world switch is read only where the config builds the plan and
 where trainer._discard_count sizes the discarded rows. And the binary
 readers check lengths against the file size only in errors.read_checked.
 And importing the CLI imports neither multiprocessing nor mmap, which
-only a run's evaluation worker needs."""
+only a run's evaluation worker needs. And trainer.Child is the one home
+of a forked child's lifecycle: no other module reads Process or Pipe."""
 
 import ast
 import os
@@ -114,6 +115,14 @@ def test_only_pseudo_reads_convergence_residual():
                if path.name != "pseudo.py"
                and "convergence_residual" in read_names(ast.parse(path.read_text()))]
     assert not readers, "convergence_residual read outside pseudo.py by: " + ", ".join(readers)
+
+
+def test_only_trainer_reads_process_or_pipe():
+    readers = [str(path.relative_to(ROOT))
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               if path.name != "trainer.py"
+               and read_names(ast.parse(path.read_text())) & {"Process", "Pipe"}]
+    assert not readers, "Process or Pipe read outside trainer.py by: " + ", ".join(readers)
 
 
 def scopes_reading(node, attr, scope):

@@ -4,6 +4,9 @@ import contextlib
 import math
 import mmap
 import os
+import signal
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import astuple
@@ -883,7 +886,7 @@ def _spy_on_replies(monkeypatch):
         start(self, params)
         if self.worker is None:  # inline: no replies
             return self
-        recv = self.conn.recv
+        recv = self.worker.conn.recv
 
         def spy():
             reply = recv()
@@ -891,7 +894,7 @@ def _spy_on_replies(monkeypatch):
             order.append((record.stage, record.epoch))
             return reply
 
-        self.conn.recv = spy
+        self.worker.conn.recv = spy
         return self
 
     monkeypatch.setattr(trainer._EpochScorer, "start", spying_start)
@@ -944,18 +947,30 @@ def test_stage2_jobs_are_served_before_stage1_backlog(monkeypatch, tmp_path, ope
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
-@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+# scoring, the stage-1 epoch whose scoring fails or None, the error that stops the run
+LATER_FAILURE_RUNS = {
+    "forked_scoring": ("forked_scoring", 5, "acc_test at stage1 epoch 5"),
+    "inline_scoring": ("inline_scoring", 5, "acc_test at stage1 epoch 5"),
+    "forked_scoring-stage2_only": ("forked_scoring", None, "t_abs_p95 at stage2 epoch 0"),
+    "inline_scoring-stage2_only": ("inline_scoring", None, "t_abs_p95 at stage2 epoch 0"),
+}
+
+
+@pytest.mark.parametrize("scoring,fail_at,error", LATER_FAILURE_RUNS.values(),
+                         ids=LATER_FAILURE_RUNS.keys())
 def test_earliest_failure_wins_over_a_later_failure_that_replies_first(
-    monkeypatch, request, scoring
+    monkeypatch, request, scoring, fail_at, error
 ):
-    """The scoring fails at every stage-2 epoch and at stage-1 epoch 5.
-    The worker serves stage 2 before stage 1's backlog, so epoch 0's
-    failure replies first, and the later ones while the main process
-    waits for stage 1's replies; the run still stops with the failure of
-    stage-1 epoch 5, as it does inline, where stage 2 never starts."""
+    """The scoring fails at every stage-2 epoch, and at stage-1 epoch 5
+    or nowhere in stage 1. The worker serves stage 2 before stage 1's
+    backlog, so epoch 0's failure replies first, and the later ones while
+    the main process waits for stage 1's replies; the run still stops
+    with the failure of stage-1 epoch 5, as it does inline, where stage 2
+    never starts. With no stage-1 failure, the run stops with stage-2
+    epoch 0's failure only once stage 1's whole backlog has replied."""
     request.getfixturevalue(scoring)
     order = _spy_on_replies(monkeypatch)
-    _slow_first_worker_scoring(monkeypatch, fail_at=5)
+    _slow_first_worker_scoring(monkeypatch, fail_at=fail_at)
     metrics, stage2 = trainer._stage2_epoch_metrics, []
 
     def nan_metrics(*args):
@@ -963,12 +978,16 @@ def test_earliest_failure_wins_over_a_later_failure_that_replies_first(
         return {**metrics(*args), "t_abs_p95": math.nan}
 
     monkeypatch.setattr(trainer, "_stage2_epoch_metrics", nan_metrics)
-    with pytest.raises(NumericError, match=r"^non-finite acc_test at stage1 epoch 5: nan$"):
+    with pytest.raises(NumericError, match=rf"^non-finite {error}: nan$"):
         run_r2d2(tiny_dataset(), [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
-    if scoring == "forked_scoring":
+    if scoring == "inline_scoring":
+        assert order == [] and len(stage2) == (0 if fail_at else 1)
+    elif fail_at:
         assert order.index(("stage2", 0)) < order.index(("stage2", 1)) < order.index(("stage1", 5))
     else:
-        assert order == [] and stage2 == []
+        assert order.index(("stage2", 0)) < order.index(("stage1", 1))
+        assert [job for job in order if job[0] != "stage2"] == [
+            ("stage1", epoch) for epoch in range(20)]
 
 
 def test_each_epoch_is_one_score_message_of_ints(monkeypatch, forked_scoring):
@@ -979,8 +998,8 @@ def test_each_epoch_is_one_score_message_of_ints(monkeypatch, forked_scoring):
 
     def spying_start(self, params):
         start(self, params)
-        send = self.conn.send
-        self.conn.send = lambda job: sent.append(job) or send(job)
+        send = self.worker.conn.send
+        self.worker.conn.send = lambda job: sent.append(job) or send(job)
         return self
 
     monkeypatch.setattr(trainer._EpochScorer, "start", spying_start)
@@ -1004,12 +1023,13 @@ def test_a_worker_that_keeps_up_reuses_the_same_slots(forked_scoring):
     unl = ds.unlabeled_indices
     with trainer._EpochScorer(ds).start(params) as scorer:
         scorer.rows(unl, store.logits[unl].sum(axis=1), cfg)
-        send, sent = scorer.conn.send, []
-        scorer.conn.send = lambda job: sent.append(job) or send(job)
+        send, sent = scorer.worker.conn.send, []
+        scorer.worker.conn.send = lambda job: sent.append(job) or send(job)
         for epoch in range(4):
             scorer.score(trainer.MetricsRecord("stage2", epoch, 0.01), params, epoch,
                          store.logits, unl)
-            scorer._collect(None)
+            while scorer.pending:
+                scorer._reply(None)
     assert [(job[1], job[3]) for job in sent] == [(0, 0)] * 4
 
 
@@ -1048,8 +1068,35 @@ def test_exit_unmaps_both_rings(monkeypatch, forked_scoring, fails):
         ) as scorer:
             if fails:
                 raise KeyError("body")
-    assert scorer.rings == () and not scorer.worker.is_alive()
+    assert scorer.rings == () and not scorer.worker.process.is_alive()
     assert len(maps) == 2 and [ref() for ref in maps] == [None, None]
+
+
+def test_a_child_ends_once_its_parent_has_gone(tmp_path):
+    """A child whose parent is killed reads the end of its pipe and ends,
+    rather than waiting for a message that cannot come."""
+    ended, pid_file = tmp_path / "ended", tmp_path / "pid"
+    code = (
+        "import multiprocessing, os, signal\n"
+        "from d2ssl.trainer import Child\n"
+        "def serve(conn, path):\n"
+        "    try:\n"
+        "        conn.recv()\n"
+        "    finally:\n"
+        "        open(path, 'w').close()\n"
+        f"child = Child(multiprocessing.get_context('fork'), 'test', serve, {str(ended)!r})\n"
+        f"open({str(pid_file)!r}, 'w').write(str(child.process.pid))\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60)
+    deadline = time.monotonic() + 10
+    while not ended.exists() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not ended.exists():
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+    assert ended.exists()
 
 
 def _per_batch_supervised(features, params, plan, rng, ids, targets, batch, epochs, horizon,
