@@ -49,12 +49,13 @@ import numpy as np
 
 from . import data as data_mod
 from . import diagnostics as diag
+from . import fork
 from .errors import ConfigurationError, D2Error, FormatError, NumericError
 from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    Child, SchedulePlan, Stage2Segment, active_unlabeled, fork_context, head_only_d2, run_r2d2,
+    SchedulePlan, Stage2Segment, active_unlabeled, head_only_d2, run_r2d2,
     run_supervised_baseline, write_metrics,
 )
 
@@ -220,6 +221,10 @@ def _convert(key: str, raw: str, line_no: int | None):
         raise ConfigurationError(f"unknown config key {key!r}{where}")
     target = _FIELD_TYPES[key]
     raw = raw.strip()
+    try:  # an argument's bytes that are not UTF-8 arrive as surrogates
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigurationError(f"config key {key!r}: {raw!r} is not UTF-8 text{where}") from None
     try:
         if target in ("int", int):
             return int(raw)
@@ -350,41 +355,6 @@ def build_dataset(cfg: ExperimentConfig) -> data_mod.SplitDataset:
     return ds
 
 
-def _side_by_side(name: str, jobs: list) -> list:
-    """The results of the calls jobs, in input order: the first runs in
-    this process and each other one in a trainer.Child, "the {name}
-    worker", forked from fork_context, or, where it gives none, each
-    runs here in turn. A result should be small, as it is pickled back.
-    The first failure in input order is raised. Every child is stopped
-    on every exit path."""
-    ctx = fork_context()
-    if ctx is None:
-        return [job() for job in jobs]
-    children = []
-    try:
-        for job in jobs[1:]:
-            children.append(Child(ctx, name, _reply, job))
-        results = [jobs[0]()]
-        for child in children:
-            reply = child.recv()
-            if isinstance(reply, Exception):
-                raise reply
-            results.append(reply)
-        return results
-    finally:
-        for child in children:
-            child.stop()
-
-
-def _reply(conn, job) -> None:
-    """A child of _side_by_side: send job's result, or its failure."""
-    try:
-        reply = job()
-    except Exception as exc:
-        reply = exc
-    conn.send(reply)
-
-
 def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> float:
     """Write the diagnostic tables; returns t_converged_fraction.csv's
     value. The feature export and the residual tables read nothing of
@@ -392,11 +362,12 @@ def _emit_diagnostics(out_dir, dataset, params, store, d2cfg) -> float:
     forward sets a run's peak memory, in this process, the residual
     tables in a forked child."""
     path = os.path.join(out_dir, "features.csv")
-    _, frac = _side_by_side("diagnostics", [
-        lambda: diag.export_features(dataset, params, path),
-        lambda: _emit_residual_tables(out_dir, dataset, params, store, d2cfg),
-    ])
-    return frac
+    results = []
+    fork.side_by_side("diagnostics", [
+        lambda: [diag.export_features(dataset, params, path)],
+        lambda: [_emit_residual_tables(out_dir, dataset, params, store, d2cfg)],
+    ], results.append)
+    return results[1]
 
 
 def _emit_residual_tables(out_dir, dataset, params, store, d2cfg) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fork
 from .errors import ConfigurationError, FormatError, read_checked
 
 ROLE_LABELED = 0
@@ -101,7 +102,9 @@ class SplitDataset:
         exponent form -?D(.D+)?e[+-]DD[D], nan, inf or -inf. Rows are read
         BLOCK_ROWS at a time, each block's field counts first, then its
         columns in the order id, role, class, x0.., so the fault reported
-        is the first of the file's first faulty block."""
+        is the first of the file's first faulty block. The LFs are found
+        first; then fork.in_ranges splits the blocks over the processes
+        that may run, with the arrays and the fault of one process."""
         raw = _read_padded(path)
         if raw.size == _PAD + 1:
             raise FormatError("empty dataset CSV")
@@ -119,26 +122,40 @@ class SplitDataset:
         features = np.empty((n, width - 3))
         classes = np.empty(n, dtype=np.int64)
         roles = np.empty(n, dtype=np.int64)
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            block = _Block(raw, breaks[start:stop + 1], width, start + 2, names)
-            ids, ok = _counts(*block.span(0))
-            block.check(~ok, 0)
-            if not np.array_equal(ids, np.arange(start, stop)):
-                raise FormatError("dataset CSV ids not contiguous")
-            roles[start:stop] = _role_codes(*block.span(1))
-            block.check(roles[start:stop] < 0, 1)
-            span = block.span(2)
-            values, ok = _counts(*span)
-            empty = span[1] == span[2]
-            block.check(~ok & ~empty, 2)
-            classes[start:stop] = np.where(empty, OOD_CLASS, values)
-            # Features of at most BLOCK_ROWS fields at a time.
-            group = max(1, BLOCK_ROWS // (stop - start))
-            for j in range(3, width, group):
-                values, bad = _floats(*block.span(j, min(j + group, width)))
-                block.check(bad.reshape(stop - start, -1), j)
-                features[start:stop, j - 3:j - 3 + group] = values.reshape(stop - start, -1)
+
+        def blocks(starts):
+            """Parse the blocks that begin at starts; yield each one's
+            first row and its slices of roles, classes and features."""
+            for start in starts:
+                stop = min(start + BLOCK_ROWS, n)
+                block = _Block(raw, breaks[start:stop + 1], width, start + 2, names)
+                ids, ok = _counts(*block.span(0))
+                block.check(~ok, 0)
+                if not np.array_equal(ids, np.arange(start, stop)):
+                    raise FormatError("dataset CSV ids not contiguous")
+                roles[start:stop] = _role_codes(*block.span(1))
+                block.check(roles[start:stop] < 0, 1)
+                span = block.span(2)
+                values, ok = _counts(*span)
+                empty = span[1] == span[2]
+                block.check(~ok & ~empty, 2)
+                classes[start:stop] = np.where(empty, OOD_CLASS, values)
+                # Features of at most BLOCK_ROWS fields at a time.
+                group = max(1, BLOCK_ROWS // (stop - start))
+                for j in range(3, width, group):
+                    values, bad = _floats(*block.span(j, min(j + group, width)))
+                    block.check(bad.reshape(stop - start, -1), j)
+                    features[start:stop, j - 3:j - 3 + group] = values.reshape(stop - start, -1)
+                yield start, roles[start:stop], classes[start:stop], features[start:stop]
+
+        def place(part):
+            """Copy a block that a child parsed into place; a block parsed
+            here is in place already, and numpy skips a copy onto itself."""
+            start, *parsed = part
+            for column, values in zip((roles, classes, features), parsed):
+                column[start:start + len(values)] = values
+
+        fork.in_ranges("CSV", range(0, n, BLOCK_ROWS), blocks, place)
         return cls(features, classes, roles, n_classes)
 
 
@@ -358,19 +375,26 @@ def write_csv_columns(path, header: list[str], formats: list[str], n_rows: int, 
     line ends unless line_end says otherwise; header_end ends the header
     line instead when given (metrics.csv has an LF header over CRLF rows).
 
-    A block is one uint8 matrix, written as its valid bytes. Numpy kernels
+    The blocks are made in contiguous ranges, one for each process that
+    fork.in_ranges lets run, and written in order, so the bytes are
+    those of one process. A block is one uint8 matrix, written as its
+    valid bytes. Numpy kernels
     print float64 arrays under %r, %s or %.9g and integer arrays under %s
     or %d, with NUL in their holes, and fmt % value the values they cannot
     print exactly. Any other column is printed by fmt % value and quoted
     once per distinct text (a Coded column once per value)."""
     end = np.frombuffer(line_end.encode(), np.uint8)[None]
-    with open(path, "wb") as fh:
-        fh.write((",".join(map(_quoted, header)) + (header_end or line_end)).encode())
-        for start in range(0, n_rows, BLOCK_ROWS):
+
+    def blocks(starts):
+        for start in starts:
             rows = slice(start, min(start + BLOCK_ROWS, n_rows))
             block = [Coded(c.values, c.codes[rows]) if isinstance(c, Coded) else c[rows]
                      for c in columns]
-            fh.write(_block(formats, block, rows.stop - start, end))
+            yield _block(formats, block, rows.stop - start, end)
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_quoted, header)) + (header_end or line_end)).encode())
+        fork.in_ranges("CSV", range(0, n_rows, BLOCK_ROWS), blocks, fh.write)
 
 
 def _block(formats: list[str], columns, rows: int, end: np.ndarray) -> np.ndarray:

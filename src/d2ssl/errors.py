@@ -42,6 +42,6 @@ class NumericError(D2Error):
 
 
 class WorkerError(D2Error):
-    """A trainer.Child exited before it replied: a run's evaluation
-    worker, or diagnose's diagnostics worker, which writes the residual
-    tables."""
+    """A fork.Child exited before it replied: a run's evaluation worker,
+    diagnose's diagnostics worker, which writes the residual tables, or
+    the CSV worker, which makes or parses a range of a CSV file's blocks."""

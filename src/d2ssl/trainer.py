@@ -16,14 +16,14 @@ the Nesterov step updates their flat buffer in place.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import OOD_CLASS, SplitDataset, write_csv_columns
-from .errors import ConfigurationError, NumericError, WorkerError
+from .errors import ConfigurationError, NumericError
+from .fork import Child, fork_context
 from .model import (
     ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
 )
@@ -443,77 +443,6 @@ class _Ring:
         mapping = mmap.mmap(-1, max(8 * size * n, 1))  # a mapping may not be empty
         self.slots = np.frombuffer(mapping, np.float64, size * n).reshape(n, size)
         self.free = list(range(n))[::-1]
-
-
-def fork_context():
-    """The multiprocessing fork context, or None where fork is
-    unavailable or this process may run on one CPU only: there a forked
-    process adds its messages to the same work and makes the run slower.
-    The rule reads the affinity mask only, so a CPU quota of one CPU
-    with a wider mask still forks. multiprocessing is imported here, so
-    a process that never forks never imports it."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if not hasattr(os, "fork") or len(cpus) < 2:
-        return None
-    import multiprocessing
-
-    return multiprocessing.get_context("fork")
-
-
-class Child:
-    """A process forked from ctx that runs target(conn, *args), where
-    conn is its end of a pipe to this process. The child ignores SIGINT,
-    as this process stops it, and ends normally once this process has
-    gone. Once the child has died, send and recv raise WorkerError: "the
-    {name} worker exited with code N"."""
-
-    def __init__(self, ctx, name: str, target, *args):
-        from multiprocessing.connection import wait
-
-        self.name, self._wait = name, wait
-        self.conn, end = ctx.Pipe()
-        self.process = ctx.Process(target=self._main, args=(target, end, *args), daemon=True)
-        self.process.start()
-        end.close()
-
-    def _main(self, target, conn, *args) -> None:
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        self.conn.close()  # the parent's end, which would keep the pipe open
-        try:
-            target(conn, *args)
-        except (EOFError, OSError):  # the parent is gone
-            pass
-
-    def send(self, message) -> None:
-        try:
-            self.conn.send(message)
-        except OSError:
-            self._lost()
-
-    def recv(self, timeout: float | None = None):
-        """The next message that comes within timeout, or with None the
-        next one; None if none came."""
-        ready = self._wait([self.conn, self.process.sentinel], timeout)
-        if not ready:
-            return None
-        if self.conn not in ready:
-            self._lost()
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            self._lost()
-
-    def _lost(self):
-        self.process.join(1.0)
-        raise WorkerError(f"the {self.name} worker exited with code {self.process.exitcode}")
-
-    def stop(self) -> None:
-        """Kill and join the child, whatever it is doing, and close the pipe."""
-        self.process.kill()
-        self.process.join()
-        self.conn.close()
 
 
 class _EpochScorer:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d2ssl import cli, numerics, trainer
+from d2ssl import cli, fork, numerics, trainer
+from d2ssl import data as data_mod
 from d2ssl import diagnostics as diag
 
 from d2ssl.cli import (
@@ -169,6 +170,19 @@ def test_main_config_file_not_utf8_exits_config_before_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"configuration error: config {cfg_path} is not UTF-8: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,key", [("r2d2", "out"), ("diagnose", "checkpoint")])
+def test_main_setting_not_utf8_exits_config_before_out(tmp_path, capsys, mode, key):
+    # Python passes an argument's non-UTF-8 bytes on as surrogates, which
+    # config_resolved.cfg, a UTF-8 file, cannot hold.
+    bad = str(tmp_path) + os.fsdecode(b"/bad\xffname")
+    settings = {"out": str(tmp_path / "out"), key: bad}
+    argv = [mode] + [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: config key {key!r}: {bad!r} is not UTF-8 text\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("key", ["batch_labeled", "batch_unlabeled"])
@@ -532,6 +546,29 @@ def test_main_diagnose_writes_the_same_bytes_forked_and_inline(
     (forked, forked_calls), (inline, inline_calls) = runs.values()
     assert (forked_calls, inline_calls) == (0, 1)
     assert len(forked) == tables and forked == inline
+
+
+def test_main_diagnose_child_writes_long_tables_inline(tmp_path, monkeypatch, capsys, request):
+    """With every CSV longer than one block, dataset.csv is parsed in two
+    processes; then the diagnostics worker writes flatness_audit.csv
+    itself, as a child never forks, and this process writes features.csv
+    itself, as no CPU is free while that child runs. The tables are
+    those of the one-CPU path."""
+    argv = diagnose_argv(tmp_path)
+    monkeypatch.setattr(data_mod, "BLOCK_ROWS", 5)
+    made, child = [], fork.Child
+    monkeypatch.setattr(fork, "Child", lambda ctx, name, *args: made.append(name)
+                        or child(ctx, name, *args))
+    runs = []
+    for cpus in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(cpus)
+        out = tmp_path / cpus
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        runs.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
+    assert runs[0] == runs[1] and len(runs[0]) == 6
+    assert runs[0]["flatness_audit.csv"].count(b"\n") > 5 + 1
+    assert made == ["CSV", "diagnostics"]
+    assert capsys.readouterr().err == ""
 
 
 def fail_in_the_flatness_audit(*args):

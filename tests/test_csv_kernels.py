@@ -3,9 +3,14 @@ and integer arrays under %d and %s with numpy kernels; every field must
 be what Python's % prints, and every table the bytes of the %-based
 printer of csv_oracle.py. SplitDataset.load_csv reads the repr() of a
 float64 with a numpy kernel too; every feature it reads must be what
-float() makes of the same text, bit for bit."""
+float() makes of the same text, bit for bit. Both split a file of more
+than one block over a forked child, with the faults of the one-CPU path."""
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,7 +20,10 @@ from hypothesis import strategies as st
 
 from csv_oracle import oracle_csv_bytes
 from d2ssl import data as data_mod
+from d2ssl import fork
+from d2ssl.cli import EXIT_INTERNAL, run_guarded
 from d2ssl.data import BLOCK_ROWS, ROLE_TEST, Coded, SplitDataset, write_csv_columns
+from d2ssl.errors import FormatError
 
 FLOAT_FORMATS = ("%r", "%s", "%.9g")
 
@@ -187,3 +195,87 @@ def test_load_csv_reads_decimals_as_float_across_block_edges(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.uniform(1, 10, 3 * BLOCK_ROWS) * 10.0 ** rng.integers(-5, 17, 3 * BLOCK_ROWS)
     check_read_back(tmp_path, values * rng.choice([-1.0, 1.0], values.size), BLOCK_ROWS)
+
+
+# Four blocks of 5 rows: this process takes file lines 2-11 and a forked
+# child lines 12-21.
+SPLIT_ROWS = 20
+
+
+def split_pool():
+    return SplitDataset(np.arange(2.0 * SPLIT_ROWS).reshape(SPLIT_ROWS, 2),
+                        np.zeros(SPLIT_ROWS, np.int64), np.full(SPLIT_ROWS, ROLE_TEST), 4)
+
+
+@pytest.mark.parametrize("faults,want", [
+    ({17: (4, b"half")}, "line 17: bad x1 'half'"),
+    ({14: (0, b"9x"), 20: (4, b"half")}, "line 14: bad id '9x'"),
+    ({4: (4, b"half"), 17: (0, b"9x")}, "line 4: bad x1 'half'"),
+], ids=["child", "child_twice", "both"])
+def test_load_csv_split_over_processes_raises_the_inline_fault(tmp_path, request, faults, want):
+    """A fault in the child's range reads as inline, and where both
+    ranges hold one, this process's, the earlier, wins."""
+    path = tmp_path / "ds.csv"
+    split_pool().save_csv(path)
+    lines = path.read_bytes().split(b"\r\n")
+    for line, (field, text) in faults.items():
+        fields = lines[line - 1].split(b",")
+        fields[field] = text
+        lines[line - 1] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    for cpus in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(cpus)
+        with mock.patch.object(data_mod, "BLOCK_ROWS", 5), pytest.raises(FormatError) as got:
+            SplitDataset.load_csv(path, 4)
+        assert str(got.value) == f"dataset CSV {want}", cpus
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("row 17 cannot be printed")
+
+
+def test_write_csv_failure_split_over_processes_leaves_the_inline_bytes(tmp_path, request):
+    """A child sends the blocks it made before it failed, then its
+    failure, so the file ends where the inline writer stopped."""
+    column = [str(i) for i in range(SPLIT_ROWS)]
+    column[17] = Unprintable()
+    files = []
+    for cpus in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(cpus)
+        path = tmp_path / f"{cpus}.csv"
+        with mock.patch.object(data_mod, "BLOCK_ROWS", 5), pytest.raises(ValueError, match="17"):
+            write_csv_columns(path, ["a"], ["%s"], SPLIT_ROWS, [column])
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == b"a\r\n" + b"".join(b"%d\r\n" % i for i in range(15))
+
+
+@pytest.mark.parametrize("stage,kernel", [("write", "_block"), ("parse", "_floats")])
+def test_killed_csv_worker_exits_internal(tmp_path, monkeypatch, capsys, forked_scoring,
+                                          stage, kernel):
+    """The child is killed mid-job while this process works on its own
+    range; the wait for the child's blocks finds it gone."""
+    path, stalled, real = tmp_path / "ds.csv", tmp_path / "stalled", getattr(data_mod, kernel)
+    if stage == "parse":
+        split_pool().save_csv(path)
+
+    def stall_or_kill(*args):
+        if fork._in_child:
+            stalled.touch()
+            time.sleep(60)
+        deadline = time.monotonic() + 10
+        while not stalled.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(data_mod, kernel, stall_or_kill)
+    monkeypatch.setattr(data_mod, "BLOCK_ROWS", 5)
+    job = split_pool().save_csv if stage == "write" else SplitDataset.load_csv
+    start = time.monotonic()
+    assert run_guarded(job, path, *([4] if stage == "parse" else [])) == EXIT_INTERNAL
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == (
+        f"internal error: the CSV worker exited with code {-signal.SIGKILL}\n")
+    assert multiprocessing.active_children() == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import oracle_load_csv
+from d2ssl import fork
 from d2ssl.cli import build_dataset, parse_config
 from d2ssl.data import (
     BLOCK_ROWS,
@@ -217,6 +218,29 @@ def test_save_csv_bytes_and_round_trip_at_block_edges(tmp_path, n_rows):
     assert loaded.features.tobytes() == ds.features.tobytes()
     assert loaded.true_classes.tobytes() == ds.true_classes.tobytes()
     assert loaded.roles.tobytes() == ds.roles.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+def test_save_and_load_csv_split_over_processes_match_inline(tmp_path, monkeypatch, request,
+                                                              n_rows):
+    """On two CPUs a file of more than one block is written and parsed by
+    this process and a forked child, each over a contiguous range of
+    blocks; the bytes and the arrays are those of the one-CPU path."""
+    ds = block_pool(n_rows)
+    made, child = [], fork.Child
+    monkeypatch.setattr(fork, "Child", lambda ctx, name, *args: made.append(name)
+                        or child(ctx, name, *args))
+    runs = []
+    for cpus in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(cpus)
+        path = tmp_path / f"{cpus}.csv"
+        ds.save_csv(path)
+        loaded = SplitDataset.load_csv(path, ds.n_classes)
+        runs.append([path.read_bytes()] + [a.tobytes() for a in (
+            loaded.features, loaded.true_classes, loaded.roles)])
+    assert runs[0] == runs[1]
+    assert runs[0][1:] == [a.tobytes() for a in (ds.features, ds.true_classes, ds.roles)]
+    assert made == (["CSV", "CSV"] if n_rows > BLOCK_ROWS else [])
 
 
 @pytest.mark.parametrize("field,text,what", [

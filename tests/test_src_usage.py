@@ -11,8 +11,8 @@ open-world switch is read only where the config builds the plan and
 where trainer._discard_count sizes the discarded rows. And the binary
 readers check lengths against the file size only in errors.read_checked.
 And importing the CLI imports neither multiprocessing nor mmap, which
-only a run's evaluation worker needs. And trainer.Child is the one home
-of a forked child's lifecycle: no other module reads Process or Pipe."""
+only a process that forks needs. And fork.Child is the one home of a
+forked child's lifecycle: no other module reads Process or Pipe."""
 
 import ast
 import os
@@ -117,12 +117,12 @@ def test_only_pseudo_reads_convergence_residual():
     assert not readers, "convergence_residual read outside pseudo.py by: " + ", ".join(readers)
 
 
-def test_only_trainer_reads_process_or_pipe():
+def test_only_fork_reads_process_or_pipe():
     readers = [str(path.relative_to(ROOT))
                for path in sorted((ROOT / "src").rglob("*.py"))
-               if path.name != "trainer.py"
+               if path.name != "fork.py"
                and read_names(ast.parse(path.read_text())) & {"Process", "Pipe"}]
-    assert not readers, "Process or Pipe read outside trainer.py by: " + ", ".join(readers)
+    assert not readers, "Process or Pipe read outside fork.py by: " + ", ".join(readers)
 
 
 def scopes_reading(node, attr, scope):
@@ -165,9 +165,9 @@ def test_only_read_checked_and_the_csv_buffer_read_the_file_size():
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # trainer imports them only where a run forks its evaluation worker
-    # and maps its rings, so every interpreter that only parses a config
-    # skips their cost.
+    # fork and trainer import them only where a process forks a child
+    # and a run maps its rings, so every interpreter that only parses a
+    # config skips their cost.
     code = ("import sys; from d2ssl import cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'mmap')))")

@@ -764,7 +764,7 @@ def test_forked_scoring_equals_inline_scoring(monkeypatch, tmp_path, open_world)
     monkeypatch.setattr(trainer, "_accuracy", lambda *args: calls.append(args) or accuracy(*args))
     runs = []
     for cpus in ({0, 1}, {0}):  # a forked worker, then inline
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         calls.clear()
         runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3) + (len(calls),))
     forked, inline = runs
@@ -864,7 +864,7 @@ def test_two_slot_rings_under_a_slow_worker_equal_inline_scoring(
     cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
     runs = []
     for cpus in ({0, 1}, {0}):  # a forked worker, then inline
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3))
     forked, inline = runs
     assert sizes == {2} and set(exhausted) == {0, 1}
@@ -933,7 +933,7 @@ def test_stage2_jobs_are_served_before_stage1_backlog(monkeypatch, tmp_path, ope
     cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0)
     runs = []
     for cpus in ({0, 1}, {0}):  # a forked worker, then inline
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         runs.append(run_r2d2(ds, [2, 8, 3, 4], "tanh", cfg, plan, seed=3))
     forked, inline = runs
     assert order == ([("stage1", 0)] + [("stage2", epoch) for epoch in range(6)]
@@ -1078,7 +1078,7 @@ def test_a_child_ends_once_its_parent_has_gone(tmp_path):
     ended, pid_file = tmp_path / "ended", tmp_path / "pid"
     code = (
         "import multiprocessing, os, signal\n"
-        "from d2ssl.trainer import Child\n"
+        "from d2ssl.fork import Child\n"
         "def serve(conn, path):\n"
         "    try:\n"
         "        conn.recv()\n"
