@@ -205,7 +205,7 @@ class ExperimentConfig:
             )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}  # "int", "float", ...
 
 
 def _number_list(text: str, key: str, kind=int) -> list:
@@ -226,11 +226,11 @@ def _convert(key: str, raw: str, line_no: int | None):
     except UnicodeEncodeError:
         raise ConfigurationError(f"config key {key!r}: {raw!r} is not UTF-8 text{where}") from None
     try:
-        if target in ("int", int):
+        if target == "int":
             return int(raw)
-        if target in ("float", float):
+        if target == "float":
             return float(raw)
-        if target in ("bool", bool):
+        if target == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
@@ -257,7 +257,7 @@ def _entries(text: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None,
+def parse_config(text: str, overrides: dict[str, str],
                  preset: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse a flat key=value document over a preset's values, then apply
     flag overrides."""
@@ -266,7 +266,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None,
         setattr(cfg, key, _convert(key, raw, None))
     for line_no, key, raw in _entries(text):
         setattr(cfg, key, _convert(key, raw, line_no))
-    for key, raw in (overrides or {}).items():
+    for key, raw in overrides.items():
         setattr(cfg, key, _convert(key, raw, None))
     cfg.d2_config()       # validate hyperparameters now
     cfg.schedule_plan()   # the schedule
@@ -315,7 +315,7 @@ def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
     return out
 
 
-def dump_config(cfg: ExperimentConfig, path, skip=()) -> None:
+def dump_config(cfg: ExperimentConfig, path, skip) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in _cfg_as_overrides(cfg).items()
                       if key not in skip)
@@ -423,7 +423,7 @@ def run_mode_baseline(cfg: ExperimentConfig, out_dir: str) -> None:
     save_checkpoint(params, os.path.join(out_dir, "model.d2ck"))
 
 
-def convergence_audit(cfg: ExperimentConfig, steps: int = AUDIT_STEPS, lr: float = AUDIT_LR):
+def convergence_audit(cfg: ExperimentConfig, steps: int, lr: float):
     """The audit of the paper's stationarity claims (acceptance criteria
     3-5): the supervised warm-up, pseudo-labels from its head, then
     head_only_d2 with the backbone frozen, under cfg's loss. Returns

@@ -42,6 +42,7 @@ class NumericError(D2Error):
 
 
 class WorkerError(D2Error):
-    """A fork.Child exited before it replied: a run's evaluation worker,
+    """A fork.Child exited before it replied: the evaluation worker that
+    run_r2d2 and run_supervised_baseline start where a CPU is spare,
     diagnose's diagnostics worker, which writes the residual tables, or
     the CSV worker, which makes or parses a range of a CSV file's blocks."""

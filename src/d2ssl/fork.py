@@ -21,36 +21,29 @@ _in_child = False  # whether this process is itself a Child
 def spare_cpus() -> int:
     """How many more processes may run now: the CPUs of this process's
     affinity mask that neither it nor a live child holds; 0 in a child
-    and where fork is unavailable. The rule reads the affinity mask
-    only, so a CPU quota of one CPU with a wider mask still forks."""
+    and where fork is unavailable. The one check made before a fork:
+    where it is 0, a forked process adds its messages to the same work
+    and makes the run slower. The rule reads the affinity mask only, so
+    a CPU quota of one CPU with a wider mask still forks."""
     if _in_child or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     return max(0, len(os.sched_getaffinity(0)) - 1 - _live)
 
 
-def fork_context():
-    """The multiprocessing fork context, or None where spare_cpus allows
-    no other process: there a forked process adds its messages to the
-    same work and makes the run slower."""
-    if spare_cpus() < 1:
-        return None
-    import multiprocessing
-
-    return multiprocessing.get_context("fork")
-
-
 class Child:
-    """A process forked from ctx that runs target(conn, *args), where
-    conn is its end of a pipe to this process. It counts against
-    spare_cpus until stop. The child ignores SIGINT, as this process
-    stops it, never forks, and ends normally once this process has
-    gone. Once the child has died, send and recv raise WorkerError: "the
-    {name} worker exited with code N"."""
+    """A forked process that runs target(conn, *args), where conn is its
+    end of a pipe to this process. It counts against spare_cpus until
+    stop. The child ignores SIGINT, as this process stops it, never
+    forks, and ends normally once this process has gone. Once the child
+    has died, send and recv raise WorkerError: "the {name} worker exited
+    with code N"."""
 
-    def __init__(self, ctx, name: str, target, *args):
+    def __init__(self, name: str, target, *args):
         global _live
+        import multiprocessing
         from multiprocessing.connection import wait
 
+        ctx = multiprocessing.get_context("fork")
         self.name, self._wait = name, wait
         self.conn, end = ctx.Pipe()
         self.process = ctx.Process(target=self._main, args=(target, end, *args), daemon=True)
@@ -113,12 +106,11 @@ def side_by_side(name: str, jobs: list, take) -> None:
     part of a child's at a time. The first failure in job order is
     raised once the parts made before it are taken, as if every job ran
     here in turn. Every child is stopped on every exit path."""
-    ctx = fork_context() if len(jobs) > 1 else None
-    forked = jobs[1:1 + spare_cpus()] if ctx else []
+    forked = jobs[1:1 + spare_cpus()]
     children = []
     try:
         for job in forked:
-            children.append(Child(ctx, name, _serve, job))
+            children.append(Child(name, _serve, job))
         for part in jobs[0]():
             take(part)
         for child in children:

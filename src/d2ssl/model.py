@@ -28,7 +28,7 @@ CHECKPOINT_VERSION = 1
 ACTIVATIONS = ("tanh", "relu", "linear")
 
 
-def _act(tag: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _act(tag: str, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if tag == "tanh":
         return np.tanh(z, out=out)
     if tag == "relu":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import OOD_CLASS, SplitDataset, write_csv_columns
 from .errors import ConfigurationError, NumericError
-from .fork import Child, fork_context
+from .fork import Child, spare_cpus
 from .model import (
     ModelParams, Workspace, backward, forward, forward_features, forward_logits, init_params,
 )
@@ -124,9 +124,10 @@ class SchedulePlan:
             raise ConfigurationError("momentum must be in [0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
-    """One row of metrics.csv; a column the stage does not measure is NaN."""
+    """One row of metrics.csv; a column the stage does not measure is NaN.
+    Slotted, so setting a column it does not have raises AttributeError."""
     stage: str
     epoch: int
     lr: float
@@ -209,12 +210,11 @@ class _EvalRows:
     features: np.ndarray
     truth: np.ndarray  # true classes of the labeled and test rows
     n_labeled: int
-    drift_base: np.ndarray | None = None
-    cfg: D2Config | None = None
+    drift_base: np.ndarray | None
+    cfg: D2Config | None
 
 
-def _eval_rows(dataset: SplitDataset, active_unl: np.ndarray | None = None, drift_base=None,
-               cfg=None) -> _EvalRows:
+def _eval_rows(dataset: SplitDataset, active_unl, drift_base, cfg) -> _EvalRows:
     lab, test = (
         ids[dataset.true_classes[ids] != OOD_CLASS]
         for ids in (dataset.labeled_indices, dataset.test_indices)
@@ -327,7 +327,7 @@ def stage1_supervised(
     params: ModelParams,
     plan: SchedulePlan,
     rng: np.random.Generator,
-    scorer: _EpochScorer | None = None,
+    scorer: _EpochScorer,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     lab = dataset.labeled_indices
     if lab.size == 0:
@@ -335,8 +335,7 @@ def stage1_supervised(
     records = _supervised_stage(
         "stage1", dataset, params, plan, rng, lab, dataset.true_classes[lab],
         min(plan.batch_labeled, lab.size),
-        plan.stage1_epochs, plan.stage1_horizon, plan.stage1_lr,
-        scorer or _EpochScorer(dataset),
+        plan.stage1_epochs, plan.stage1_horizon, plan.stage1_lr, scorer,
     )
     return params, records
 
@@ -420,6 +419,12 @@ def _epoch_columns(rows: _EvalRows, params: ModelParams, epoch, pseudo_logits) -
     return {**columns, **extra}
 
 
+def _fill(record: MetricsRecord, columns: dict) -> None:
+    """Set record's columns; a name that is not one raises AttributeError."""
+    for column, value in columns.items():
+        setattr(record, column, value)
+
+
 # Each of the scorer's two shared rings holds as many slots as fit
 # _RING_BYTES, at least 2 and at most _RING_SLOTS. The cap bounds the
 # jobs in flight, so their replies fit a socket buffer of Linux's
@@ -475,19 +480,20 @@ class _EpochScorer:
         """Score the next epochs on the labeled and test rows, and in
         stage 2 on active_unl with the pseudo-logit sums drift_base and
         the loss config cfg."""
+        self.active_unl = active_unl
         if self.worker is None:
             self.eval_rows = _eval_rows(self.dataset, active_unl, drift_base, cfg)
         else:
             self.worker.send(("rows", active_unl, drift_base, cfg))
 
-    def score(self, record: MetricsRecord, params: ModelParams, epoch=None, logits=None,
-              active_unl=None) -> None:
-        """Fill record's columns from params after its epoch; in stage 2,
-        from the pseudo-logits logits of the rows active_unl too, which
-        are checked here, before any metric column reads them."""
+    def score(self, record: MetricsRecord, params: ModelParams, logits=None) -> None:
+        """Fill record's columns from params after its epoch; in stage 2
+        also from logits, the pseudo-logits, at the last rows call's
+        active rows, checked here before any metric column reads them."""
         pseudo_slot = pseudo_logits = None
-        n_rows = 0 if active_unl is None else active_unl.size
-        if active_unl is not None:
+        epoch, active_unl = record.epoch, self.active_unl
+        n_rows = 0 if logits is None else active_unl.size
+        if logits is not None:
             out = None
             if self.worker is not None:
                 pseudo_slot = self._slot(1)
@@ -496,7 +502,7 @@ class _EpochScorer:
             if not np.isfinite(pseudo_logits).all():
                 raise NumericError(f"non-finite pseudo-logits at stage2 epoch {epoch}")
         if self.worker is None:
-            vars(record).update(_epoch_columns(self.eval_rows, params, epoch, pseudo_logits))
+            _fill(record, _epoch_columns(self.eval_rows, params, epoch, pseudo_logits))
             return
         params_slot = self._slot(0)
         self.rings[0].slots[params_slot] = params.flat
@@ -521,16 +527,15 @@ class _EpochScorer:
         return self.rings[1].slots[slot, :n_rows * n_classes].reshape(n_rows, n_classes)
 
     def start(self, params: ModelParams) -> _EpochScorer:
-        """Fork the worker where fork_context allows it. The rings are
+        """Fork the worker where spare_cpus allows it. The rings are
         mapped first: one of params slots, one of slots that hold every
         unlabeled row's pseudo-logits."""
-        ctx = fork_context()
-        if ctx is None:
+        if spare_cpus() < 1:
             return self
         self.layout = (params.layer_sizes, params.activation)
         pool = self.dataset.unlabeled_indices.size * params.n_classes
         self.rings = (_Ring(params.flat.size), _Ring(pool))
-        self.worker = Child(ctx, "evaluation", self._serve)
+        self.worker = Child("evaluation", self._serve)
         return self
 
     def _serve(self, conn) -> None:
@@ -578,7 +583,7 @@ class _EpochScorer:
         self.rings[0].free.append(params_slot)
         if pseudo_slot is not None:
             self.rings[1].free.append(pseudo_slot)
-        vars(record).update(reply)
+        _fill(record, reply)
         return True
 
     def __enter__(self) -> _EpochScorer:
@@ -623,11 +628,10 @@ def stage2_d2(
     plan: SchedulePlan,
     cfg: D2Config,
     rng: np.random.Generator,
-    scorer: _EpochScorer | None = None,
+    scorer: _EpochScorer,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """The joint segments; run_r2d2 checks first that the unlabeled batch
     fits and, by stage1_supervised, that there are labeled rows."""
-    scorer = scorer or _EpochScorer(dataset)
     lab = dataset.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
@@ -697,7 +701,7 @@ def stage2_d2(
                 loss_total=mean_total, loss_c=mean_c, loss_e=mean_e,
                 acc_pseudo=_pseudo_accuracy(store, *known_unl),
             ))
-            scorer.score(records[-1], params, epoch_global, store.logits, active_unl)
+            scorer.score(records[-1], params, store.logits)
             epoch_global += 1
     _check_params(params, "stage2")
     return params, store, records
@@ -709,11 +713,10 @@ def stage3_finetune(
     store: PseudoLabelStore,
     plan: SchedulePlan,
     rng: np.random.Generator,
-    scorer: _EpochScorer | None = None,
+    scorer: _EpochScorer,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Cross entropy on the labeled rows and the active_unlabeled rows,
     with the arg-max pseudo-labels of the latter as their targets."""
-    scorer = scorer or _EpochScorer(dataset)
     lab = dataset.labeled_indices
     unl = active_unlabeled(store, dataset, plan)
     ids = np.concatenate([lab, unl])
@@ -803,7 +806,8 @@ def run_supervised_baseline(
     plan: SchedulePlan,
     seed: int,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
-    """Stage 1 only: the labeled-data-only reference point."""
+    """Stage 1 only: the labeled-data-only reference point, scored as in run_r2d2."""
     rng = seeded_rng(seed)
     params = init_params(layer_sizes, activation, rng)
-    return stage1_supervised(dataset, params, plan, rng)
+    with _EpochScorer(dataset).start(params) as scorer:
+        return stage1_supervised(dataset, params, plan, rng, scorer)

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from d2ssl.cli import (
+    AUDIT_LR,
+    AUDIT_STEPS,
     PRESETS,
     ExperimentConfig,
     ablation_errors,
@@ -155,7 +157,8 @@ def converged_population():
     """Head-only joint optimization on the reference config: backbone
     frozen after the warm-up, 5000 full-batch steps on the head weights
     and pseudo-logits."""
-    ds, params, store, t, d2 = convergence_audit(parse_config("", {"seed": "0"}, PRESETS["audit"]))
+    cfg = parse_config("", {"seed": "0"}, PRESETS["audit"])
+    ds, params, store, t, d2 = convergence_audit(cfg, AUDIT_STEPS, AUDIT_LR)
     _, p_hat_n, p_tilde_n, loss, _ = unlabeled_scores(ds, params, store, d2)
     return {"cfg": d2, "t": t, "p_hat_n": p_hat_n, "p_tilde_n": p_tilde_n, "loss": loss}
 

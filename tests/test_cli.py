@@ -66,7 +66,7 @@ def tiny_args(mode, out, extra=None):
 
 
 def test_parse_empty_is_defaults():
-    cfg = parse_config("")
+    cfg = parse_config("", {})
     assert cfg == ExperimentConfig()
 
 
@@ -76,58 +76,58 @@ def test_parse_file_and_flag_override():
 
 
 def test_parse_comments_and_blank_lines():
-    cfg = parse_config("# a comment\n\nbeta = 0.05  # trailing\n")
+    cfg = parse_config("# a comment\n\nbeta = 0.05  # trailing\n", {})
     assert cfg.beta == 0.05
 
 
 def test_parse_unknown_key_names_line():
     with pytest.raises(ConfigurationError, match=r"banana_key.*line 2"):
-        parse_config("alpha = 0.1\nbanana_key = 3\n")
+        parse_config("alpha = 0.1\nbanana_key = 3\n", {})
 
 
 def test_parse_bad_value_names_key_and_line():
     with pytest.raises(ConfigurationError, match=r"alpha.*banana.*line 1"):
-        parse_config("alpha = banana\n")
+        parse_config("alpha = banana\n", {})
 
 
 def test_parse_missing_equals():
     with pytest.raises(ConfigurationError, match="line 1"):
-        parse_config("alpha 0.1\n")
+        parse_config("alpha 0.1\n", {})
 
 
 def test_parse_validates_hyperparameters():
     with pytest.raises(ConfigurationError):
-        parse_config("alpha = -1\n")
+        parse_config("alpha = -1\n", {})
     with pytest.raises(ConfigurationError):
-        parse_config("stage2_lrs = 0.1\n")  # length mismatch with epochs
+        parse_config("stage2_lrs = 0.1\n", {})  # length mismatch with epochs
 
 
 def test_dump_round_trip(tmp_path):
     cfg = parse_config("", {"alpha": "0.25", "dataset": "two_moons",
                             "layer_sizes": "2,64,2,2", "open_world": "true"})
     path = tmp_path / "cfg"
-    dump_config(cfg, path)
-    again = parse_config(path.read_text())
+    dump_config(cfg, path, ())
+    again = parse_config(path.read_text(), {})
     assert again == cfg
 
 
 def test_default_run_resolved_config_replays_byte_identically(tmp_path):
     text = RESOLVED_FIXTURE.read_text()
     path = tmp_path / RESOLVED_NAME
-    dump_config(parse_config(text, {"out": str(tmp_path)}), path)
+    dump_config(parse_config(text, {"out": str(tmp_path)}), path, ())
     lines = path.read_text().splitlines(keepends=True)
     want = text.splitlines(keepends=True)
     assert [l for l in lines if not l.startswith("out = ")] == [
         l for l in want if not l.startswith("out = ")
     ]
     # The defaults themselves still resolve to the same document.
-    dump_config(parse_config("", {"out": "reference"}), path)
+    dump_config(parse_config("", {"out": "reference"}), path, ())
     assert path.read_text() == text
 
 
 def test_config_defaults_are_the_loss_and_schedule_defaults():
-    assert parse_config("").d2_config() == D2Config()
-    assert parse_config("").schedule_plan() == SchedulePlan()
+    assert parse_config("", {}).d2_config() == D2Config()
+    assert parse_config("", {}).schedule_plan() == SchedulePlan()
 
 
 def test_ablation_axes_values():
@@ -557,8 +557,8 @@ def test_main_diagnose_child_writes_long_tables_inline(tmp_path, monkeypatch, ca
     argv = diagnose_argv(tmp_path)
     monkeypatch.setattr(data_mod, "BLOCK_ROWS", 5)
     made, child = [], fork.Child
-    monkeypatch.setattr(fork, "Child", lambda ctx, name, *args: made.append(name)
-                        or child(ctx, name, *args))
+    monkeypatch.setattr(fork, "Child", lambda name, *args: made.append(name)
+                        or child(name, *args))
     runs = []
     for cpus in ("forked_scoring", "inline_scoring"):
         request.getfixturevalue(cpus)
@@ -704,6 +704,27 @@ def test_main_killed_evaluation_worker_exits_internal(tmp_path, monkeypatch, cap
     monkeypatch.setattr(trainer, "init_pseudo_labels", kill_worker)
     start = time.monotonic()
     assert main(tiny_args("r2d2", tmp_path)) == EXIT_INTERNAL
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == (
+        f"internal error: the evaluation worker exited with code {-signal.SIGKILL}\n")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_main_baseline_killed_evaluation_worker_exits_internal(tmp_path, monkeypatch, capsys,
+                                                              forked_scoring):
+    # supervised_baseline scores stage 1 in the evaluation worker too;
+    # killed before stage 1 trains, the next send or reply finds it gone.
+    stage1 = trainer.stage1_supervised
+
+    def kill_worker(*args):
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        return stage1(*args)
+
+    monkeypatch.setattr(trainer, "stage1_supervised", kill_worker)
+    start = time.monotonic()
+    assert main(tiny_args("supervised_baseline", tmp_path)) == EXIT_INTERNAL
     assert time.monotonic() - start < 10
     assert capsys.readouterr().err == (
         f"internal error: the evaluation worker exited with code {-signal.SIGKILL}\n")
@@ -905,7 +926,7 @@ def test_reference_script_parses_flags_like_the_cli(monkeypatch, tmp_path, capsy
     runs.clear()
     assert main(argv + ["--dataset", "two_moons", "--moons_per_class", "30"]) == EXIT_OK
     assert [run[:2] for run in runs] == [(60, [2, 64, 2, 2])] * 2
-    cfg = parse_config((tmp_path / RESOLVED_NAME).read_text())
+    cfg = parse_config((tmp_path / RESOLVED_NAME).read_text(), {})
     assert [s.epochs for s in cfg.schedule_plan().stage2_segments] == [100, 100, 100, 100]
     assert main(argv + ["--open_world", "maybe"]) == EXIT_CONFIG
     assert capsys.readouterr().err.endswith(

@@ -228,8 +228,8 @@ def test_save_and_load_csv_split_over_processes_match_inline(tmp_path, monkeypat
     blocks; the bytes and the arrays are those of the one-CPU path."""
     ds = block_pool(n_rows)
     made, child = [], fork.Child
-    monkeypatch.setattr(fork, "Child", lambda ctx, name, *args: made.append(name)
-                        or child(ctx, name, *args))
+    monkeypatch.setattr(fork, "Child", lambda name, *args: made.append(name)
+                        or child(name, *args))
     runs = []
     for cpus in ("forked_scoring", "inline_scoring"):
         request.getfixturevalue(cpus)

@@ -183,7 +183,7 @@ def _old_trace_and_backward(params, x, g):
     a = x
     for layer in params.layers:
         z = a @ layer.weight + layer.bias
-        a = _act(params.activation, z)
+        a = _act(params.activation, z, None)
         pre.append(z)
         act.append(a)
     head_grad = a.T @ g
@@ -223,9 +223,9 @@ def test_backward_into_buffer_bit_equal_to_old_backward(sizes, activation):
 def test_act_grad_from_output_bit_equal_to_old():
     z = np.array([-2.0, -1e-300, -0.0, 0.0, 5e-324, 1.5, np.nan, np.inf, -np.inf])
     out = np.empty_like(z)
-    relu = _act("relu", z.copy())
+    relu = _act("relu", z.copy(), None)
     assert _act_grad("relu", relu, out).tobytes() == (z > 0.0).astype(np.float64).tobytes()
-    tanh = _act("tanh", z.copy())
+    tanh = _act("tanh", z.copy(), None)
     assert _act_grad("tanh", tanh, out).tobytes() == (1.0 - tanh * tanh).tobytes()
     assert _act_grad("linear", z, out).tobytes() == np.ones_like(z).tobytes()
 

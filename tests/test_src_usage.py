@@ -12,7 +12,9 @@ where trainer._discard_count sizes the discarded rows. And the binary
 readers check lengths against the file size only in errors.read_checked.
 And importing the CLI imports neither multiprocessing nor mmap, which
 only a process that forks needs. And fork.Child is the one home of a
-forked child's lifecycle: no other module reads Process or Pipe."""
+forked child's lifecycle: no other module reads Process, Pipe or
+get_context. And no default argument of src/ is one that only tests
+leave out."""
 
 import ast
 import os
@@ -118,11 +120,73 @@ def test_only_pseudo_reads_convergence_residual():
 
 
 def test_only_fork_reads_process_or_pipe():
+    # fork.Child also picks the multiprocessing context, so no other
+    # module reads get_context either.
     readers = [str(path.relative_to(ROOT))
                for path in sorted((ROOT / "src").rglob("*.py"))
                if path.name != "fork.py"
-               and read_names(ast.parse(path.read_text())) & {"Process", "Pipe"}]
-    assert not readers, "Process or Pipe read outside fork.py by: " + ", ".join(readers)
+               and read_names(ast.parse(path.read_text())) & {"Process", "Pipe", "get_context"}]
+    assert not readers, ("Process, Pipe or get_context read outside fork.py by: "
+                         + ", ".join(readers))
+
+
+def defaulted_parameters(tree):
+    """(called name, parameter, position, line) of each parameter with a
+    default of a def in tree. The called name of __init__ is its class's;
+    a method's position leaves out self; a keyword-only parameter has
+    position None."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef | ast.Module):
+            continue
+        cls = node.name if isinstance(node, ast.ClassDef) else None
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+                continue
+            args = fn.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            name = cls if cls and fn.name == "__init__" else fn.name
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(name, arg.arg, i - bound, fn.lineno)
+                    for i, arg in enumerate(positional[first:], first)]
+            out += [(name, arg.arg, None, fn.lineno)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def leaves_out(call, parameter, position):
+    """Whether call leaves the parameter at position out; a call with
+    *args or **kwargs counts as leaving it out."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return True
+    if parameter in {kw.arg for kw in call.keywords}:
+        return False
+    return position is None or len(call.args) <= position
+
+
+def test_every_default_is_left_out_by_a_call_in_the_program():
+    # Calls are matched by the called name alone, as f(...) or x.f(...).
+    calls = {}
+    for top in PROGRAM:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    test_only = [
+        f"{path.relative_to(ROOT)}:{line} {name}({parameter})"
+        for path in sorted((ROOT / "src" / "d2ssl").glob("*.py"))
+        for name, parameter, position, line in defaulted_parameters(ast.parse(path.read_text()))
+        if not any(leaves_out(call, parameter, position) for call in calls.get(name, []))
+    ]
+    assert not test_only, "defaults that no call in the program uses: " + ", ".join(test_only)
 
 
 def scopes_reading(node, attr, scope):

@@ -30,6 +30,7 @@ from d2ssl.pseudo import (
 )
 from d2ssl.trainer import (
     METRICS_HEADER,
+    _EpochScorer,
     _draw_labeled,
     _labeled_config,
     OptimizerState,
@@ -79,7 +80,9 @@ def test_cosine_lr_outside_horizon():
     _plan_error(stage3_epochs=1, stage3_horizon=0)
     rng = seeded_rng(0)
     plan = tiny_plan(stage1_epochs=3, stage1_horizon=2)  # the last step is the horizon
-    _, records = stage1_supervised(tiny_dataset(), init_params([2, 5, 4], "tanh", rng), plan, rng)
+    ds = tiny_dataset()
+    _, records = stage1_supervised(ds, init_params([2, 5, 4], "tanh", rng), plan, rng,
+                                   _EpochScorer(ds))
     assert [r.lr for r in records] == [cosine_lr(t, 2, 0.05) for t in range(3)]
 
 
@@ -181,7 +184,7 @@ def test_stage1_learns_labeled_set():
     ds = tiny_dataset()
     plan = tiny_plan(stage1_epochs=100, stage1_horizon=100)
     params = init_params([2, 16, 4, 4], "tanh", seeded_rng(0))
-    params, recs = stage1_supervised(ds, params, plan, seeded_rng(0))
+    params, recs = stage1_supervised(ds, params, plan, seeded_rng(0), _EpochScorer(ds))
     assert recs[-1].acc_labeled == pytest.approx(1.0)
     assert recs[-1].acc_test > 0.8
 
@@ -192,7 +195,7 @@ def test_stage1_requires_labels():
     with pytest.raises(ConfigurationError):
         stage1_supervised(
             ds, init_params([2, 4, 4], "tanh", seeded_rng(0)),
-            tiny_plan(), seeded_rng(0),
+            tiny_plan(), seeded_rng(0), _EpochScorer(ds),
         )
 
 
@@ -346,7 +349,7 @@ def test_repredict_segment_resets_pseudo_logits():
     plan = tiny_plan(stage2_segments=[
         Stage2Segment(2, 0.01, False), Stage2Segment(2, 0.01, True),
     ])
-    _, store, _ = stage2_d2(ds, params, store, plan, cfg, seeded_rng(0))
+    _, store, _ = stage2_d2(ds, params, store, plan, cfg, seeded_rng(0), _EpochScorer(ds))
     unl = ds.unlabeled_indices
     assert not np.allclose(store.logits[unl], before[unl])
 
@@ -413,11 +416,12 @@ def test_stage2_metrics_equal_per_subset_formulas(case):
     cfg = D2Config(alpha=0.1, beta=0.03, lam=100.0,
                    labeled_full_loss=case != "labeled_matching_only")
     rng = seeded_rng(2)
-    params, _ = stage1_supervised(ds, init_params([2, 8, 3, 4], "tanh", rng), plan, rng)
+    params, _ = stage1_supervised(ds, init_params([2, 8, 3, 4], "tanh", rng), plan, rng,
+                                  _EpochScorer(ds))
     store = init_pseudo_labels(ds, params, cfg)
     drift_base = store.logits.sum(axis=1)
     active = active_unlabeled(store, ds, plan)
-    params, store, records = stage2_d2(ds, params, store, plan, cfg, rng)
+    params, store, records = stage2_d2(ds, params, store, plan, cfg, rng, _EpochScorer(ds))
     if case == "open_world":
         assert np.any(ds.true_classes[active] == OOD_CLASS)
     expected = _per_subset_stage2_metrics(ds, params, store, cfg, active, drift_base)
@@ -543,7 +547,7 @@ def test_stage2_abort_at_the_batch_of_a_nan_pseudo_logit():
     store.logits[bad, 0] = np.nan
     before = store.logits.copy()
     with pytest.raises(NumericError, match=r"non-finite loss at stage2 epoch 0 batch 1: nan"):
-        stage2_d2(ds, params, store, plan, cfg, seeded_rng(1))
+        stage2_d2(ds, params, store, plan, cfg, seeded_rng(1), _EpochScorer(ds))
     # The loss is checked before the epoch's pseudo-logit step.
     assert store.logits.tobytes() == before.tobytes()
 
@@ -561,7 +565,7 @@ def test_stage3_abort_at_the_batch_of_a_nan_feature():
     # position batch + 3 of epoch 0 is in its second batch of three.
     ds.features[ids[seeded_rng(1).permutation(ids.size)[batch + 3]]] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite loss at stage3 epoch 0 batch 1: nan$"):
-        stage3_finetune(ds, params, store, plan, seeded_rng(1))
+        stage3_finetune(ds, params, store, plan, seeded_rng(1), _EpochScorer(ds))
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 7, 8, 11])
@@ -724,7 +728,8 @@ def test_epoch_pseudo_step_equals_per_batch_steps(loss, n_classes, open_world, l
     want_params = params.copy()
     want_store = PseudoLabelStore(store.logits.copy(), store.frozen.copy())
     want = _per_batch_stage2(ds, want_params, want_store, plan, cfg, seeded_rng(3))
-    params, store, records = stage2_d2(ds, params, store, plan, cfg, seeded_rng(3))
+    params, store, records = stage2_d2(ds, params, store, plan, cfg, seeded_rng(3),
+                                       _EpochScorer(ds))
     assert params.flat.tobytes() == want_params.flat.tobytes()
     assert store.logits.tobytes() == want_store.logits.tobytes()
     assert [(r.loss_total, r.loss_c, r.loss_e) for r in records] == want
@@ -776,6 +781,40 @@ def test_forked_scoring_equals_inline_scoring(monkeypatch, tmp_path, open_world)
     write_metrics(forked[2], tmp_path / "forked.csv")
     write_metrics(inline[2], tmp_path / "inline.csv")
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_baseline_forked_scoring_equals_inline_scoring(monkeypatch, tmp_path, request):
+    """run_supervised_baseline scores through a started scorer, as
+    run_r2d2 does: it forks one evaluation worker where a CPU is spare
+    and none where none is, with bit-equal records, params and
+    metrics.csv."""
+    ds, plan = tiny_dataset(), tiny_plan()
+    child, made = trainer.Child, []
+    monkeypatch.setattr(trainer, "Child", lambda name, *args: made.append(name)
+                        or child(name, *args))
+    runs = []
+    for scoring in ("forked_scoring", "inline_scoring"):
+        request.getfixturevalue(scoring)
+        made.clear()
+        params, records = run_supervised_baseline(ds, [2, 8, 3, 4], "tanh", plan, seed=3)
+        write_metrics(records, tmp_path / f"{scoring}.csv")
+        runs.append(([repr(astuple(r)) for r in records], params.flat.tobytes(),
+                     (tmp_path / f"{scoring}.csv").read_bytes(), list(made)))
+    forked, inline = runs
+    assert forked[3] == ["evaluation"] and inline[3] == []
+    assert forked[:3] == inline[:3] and len(forked[0]) == plan.stage1_epochs
+
+
+@pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
+def test_a_column_that_is_not_a_metric_raises(monkeypatch, request, scoring):
+    """A metric the scoring names that metrics.csv has no column for is
+    an AttributeError, not a value that never reaches the file."""
+    request.getfixturevalue(scoring)
+    metrics = trainer._stage2_epoch_metrics
+    monkeypatch.setattr(trainer, "_stage2_epoch_metrics",
+                        lambda *args: {**metrics(*args), "mean_h_pseud": 0.5})
+    with pytest.raises(AttributeError, match="mean_h_pseud"):
+        run_r2d2(tiny_dataset(), [2, 8, 3, 4], "tanh", D2Config(lam=100.0), tiny_plan(), seed=0)
 
 
 @pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
@@ -1011,7 +1050,7 @@ def test_each_epoch_is_one_score_message_of_ints(monkeypatch, forked_scoring):
     assert len(scores) == len(records) == 20 + 12 + 5
     assert len(sent) - len(scores) == 1 + len(segments) + 1  # the rows of each stage and segment
     assert all(value is None or type(value) in (str, int) for job in scores for value in job)
-    assert [job[2] for job in scores] == [None] * 20 + list(range(12)) + [None] * 5
+    assert [job[2] for job in scores] == [*range(20), *range(12), *range(5)]
 
 
 def test_a_worker_that_keeps_up_reuses_the_same_slots(forked_scoring):
@@ -1026,8 +1065,7 @@ def test_a_worker_that_keeps_up_reuses_the_same_slots(forked_scoring):
         send, sent = scorer.worker.conn.send, []
         scorer.worker.conn.send = lambda job: sent.append(job) or send(job)
         for epoch in range(4):
-            scorer.score(trainer.MetricsRecord("stage2", epoch, 0.01), params, epoch,
-                         store.logits, unl)
+            scorer.score(trainer.MetricsRecord("stage2", epoch, 0.01), params, store.logits)
             while scorer.pending:
                 scorer._reply(None)
     assert [(job[1], job[3]) for job in sent] == [(0, 0)] * 4
@@ -1037,7 +1075,7 @@ def test_rings_hold_two_slots_or_more_within_their_byte_budget(forked_scoring):
     """The reference run's rings and an idx-sized run's (784 inputs,
     60,000 x 10 pseudo-logits) hold at least 2 slots, and more only
     within _RING_BYTES."""
-    cfg = parse_config("")
+    cfg = parse_config("", {})
     ds = build_dataset(cfg)
     params = init_params(cfg.model_sizes(), cfg.activation, seeded_rng(0))
     with trainer._EpochScorer(ds).start(params) as scorer:
@@ -1077,14 +1115,14 @@ def test_a_child_ends_once_its_parent_has_gone(tmp_path):
     rather than waiting for a message that cannot come."""
     ended, pid_file = tmp_path / "ended", tmp_path / "pid"
     code = (
-        "import multiprocessing, os, signal\n"
+        "import os, signal\n"
         "from d2ssl.fork import Child\n"
         "def serve(conn, path):\n"
         "    try:\n"
         "        conn.recv()\n"
         "    finally:\n"
         "        open(path, 'w').close()\n"
-        f"child = Child(multiprocessing.get_context('fork'), 'test', serve, {str(ended)!r})\n"
+        f"child = Child('test', serve, {str(ended)!r})\n"
         f"open({str(pid_file)!r}, 'w').write(str(child.process.pid))\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"
     )
@@ -1141,7 +1179,7 @@ def test_supervised_loss_columns_equal_per_batch_sums(n_classes):
     want_params = params.copy()
     want = _per_batch_supervised(ds.features, want_params, plan, seeded_rng(3), lab,
                                  ds.true_classes[lab], 2, 4, 4, plan.stage1_lr)
-    _, records = stage1_supervised(ds, params, plan, seeded_rng(3))
+    _, records = stage1_supervised(ds, params, plan, seeded_rng(3), _EpochScorer(ds))
     assert lab.size // 2 >= 4
     assert [(r.loss_total, r.loss_c, r.loss_e, r.mean_h_pred) for r in records] == [
         (ce, ce, h, h) for ce, h in want]
@@ -1154,7 +1192,7 @@ def test_supervised_loss_columns_equal_per_batch_sums(n_classes):
     want_params = params.copy()
     want = _per_batch_supervised(ds.features, want_params, plan, seeded_rng(4), ids, targets,
                                  19, 3, 3, plan.stage3_lr)
-    _, records = stage3_finetune(ds, params, store, plan, seeded_rng(4))
+    _, records = stage3_finetune(ds, params, store, plan, seeded_rng(4), _EpochScorer(ds))
     assert [(r.loss_total, r.loss_c, r.loss_e, r.mean_h_pred) for r in records] == [
         (ce, ce, h, h) for ce, h in want]
     assert params.flat.tobytes() == want_params.flat.tobytes()
