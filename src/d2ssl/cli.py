@@ -19,15 +19,15 @@ Modes:
                        checkpoint, snapshot and dataset_csv keys
   compare              r2d2 against its own stage 1 on seeds 0 to N-1:
                        comparison.csv, seed<k>/{r2d2,baseline}_metrics.csv.
-                       --seeds N (default 5); dataset gaussians or
+                       --seeds N >= 1 (default 5); dataset gaussians or
                        two_moons, the latter with layer_sizes 2,64,2,2 and
                        stage2_epochs 100,100,100,100
   open_world           each of seeds 0 to N-1 without and with the entropy
-                       filter: open_world.csv. --seeds N (default 5);
+                       filter: open_world.csv. --seeds N >= 1 (default 5);
                        gauss_spread 2.0, ood_count 660, discard_fraction 0.25
   audit                the head-only stationarity audit: the diagnostic
-                       tables. --steps N (default 5000), --lr X (default
-                       8.0); lam 64000
+                       tables. --steps N >= 0 (default 5000), --lr X >= 0.0
+                       (default 8.0); lam 64000
 
 A study mode's key values above sit under the config file and the flags.
 compare and open_world set each run's seed (and open_world its
@@ -55,8 +55,8 @@ from .model import ACTIVATIONS, load_checkpoint, save_checkpoint
 from .numerics import seeded_rng
 from .pseudo import D2Config, init_pseudo_labels, load_snapshot, save_snapshot
 from .trainer import (
-    SchedulePlan, Stage2Segment, active_unlabeled, head_only_d2, run_r2d2,
-    run_supervised_baseline, write_metrics,
+    SchedulePlan, Stage2Segment, active_unlabeled, check_unlabeled_batch, head_only_d2,
+    run_r2d2, run_supervised_baseline, write_metrics,
 )
 
 log = logging.getLogger(__name__)
@@ -306,13 +306,9 @@ def parse_config(text: str, overrides: dict[str, str],
 
 
 def _cfg_as_overrides(cfg: ExperimentConfig) -> dict[str, str]:
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        out[f.name] = str(value)
-    return out
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(ExperimentConfig))
+    return {key: str(value).lower() if isinstance(value, bool) else str(value)
+            for key, value in values}
 
 
 def dump_config(cfg: ExperimentConfig, path, skip) -> None:
@@ -398,10 +394,8 @@ def _write_table(path, header: list[str], formats: list[str], columns: list) -> 
 
 def train_r2d2(cfg: ExperimentConfig, dataset: data_mod.SplitDataset):
     """run_r2d2 on dataset with cfg's model, loss, schedule and seed."""
-    return run_r2d2(
-        dataset, cfg.model_sizes(), cfg.activation,
-        cfg.d2_config(), cfg.schedule_plan(), cfg.seed,
-    )
+    return run_r2d2(dataset, cfg.model_sizes(), cfg.activation, cfg.d2_config(),
+                    cfg.schedule_plan(), cfg.seed)
 
 
 def run_mode_r2d2(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -445,15 +439,40 @@ def run_mode_audit(cfg: ExperimentConfig, out_dir: str, steps: int, lr: float) -
     print(f"diagnostics written to {out_dir}")
 
 
+def study_runs(cfg: ExperimentConfig, seeds, cells: dict[str, dict[str, str]], read):
+    """The runs of a study: cfg with each cell's overrides, on each of
+    seeds. Yields (seed, cell, read(run config, dataset, store, records))
+    as each run ends, seed by seed and cell by cell. Every run's config is
+    parsed and its built data checked before the first run trains. No
+    cell sets a key that build_dataset reads, so a seed's runs share one
+    dataset, built again to train. Runs whose parsed configs are equal
+    share one run (a run is fixed by its config)."""
+    base, studied = _cfg_as_overrides(cfg), {}
+    for seed in seeds:
+        studied[seed] = {cell: parse_config("", {**base, "seed": str(seed), **overrides})
+                         for cell, overrides in cells.items()}
+        dataset = build_dataset(replace(cfg, seed=seed))  # the split, idx sizes and batches
+        for run in studied[seed].values():
+            check_unlabeled_batch(dataset, run.schedule_plan())
+        del dataset  # a study holds one dataset at a time
+    for seed, runs in studied.items():
+        dataset, done = build_dataset(replace(cfg, seed=seed)), {}
+        for cell, run in runs.items():
+            key = astuple(run)
+            if key not in done:
+                done[key] = read(run, dataset, *train_r2d2(run, dataset)[1:])
+            yield seed, cell, done[key]
+        del dataset
+
+
 def compare_baseline(cfg: ExperimentConfig, seeds: int):
     """R2-D2 against the supervised baseline on seeds 0 to seeds-1 of
     cfg. Yields (seed, r2d2 error, baseline error, r2d2 records,
     baseline records) as each seed finishes. The baseline is the run's
     own stage 1: run_r2d2 starts with exactly run_supervised_baseline's
     steps, so cfg needs stage1_epochs >= 1."""
-    for seed in range(seeds):
-        run = replace(cfg, seed=seed)
-        _, _, metrics = train_r2d2(run, build_dataset(run))
+    runs = study_runs(cfg, range(seeds), {"r2d2": {}}, lambda run, ds, store, records: records)
+    for seed, _, metrics in runs:
         baseline = [m for m in metrics if m.stage == "stage1"]
         yield seed, 1 - metrics[-1].acc_test, 1 - baseline[-1].acc_test, metrics, baseline
 
@@ -478,24 +497,19 @@ def open_world_study(cfg: ExperimentConfig, seeds: int):
     seeds-1. Yields (seed, unfiltered error, filtered error, OOD share
     of the pool, OOD share of what the filter discards at the end of the
     filtered run) as each seed finishes."""
-    return (_open_world_seed(replace(cfg, seed=seed)) for seed in range(seeds))
+    cells = {"unfiltered": {"open_world": "false"}, "filtered": {"open_world": "true"}}
+    runs = study_runs(cfg, range(seeds), cells, _open_world_read)
+    for (seed, _, (unfiltered, _, _)), (_, _, (filtered, pool, drop)) in zip(runs, runs):
+        yield seed, unfiltered, filtered, float(np.mean(pool)), float(np.mean(drop))
 
 
-def _open_world_seed(cfg: ExperimentConfig):
-    """open_world_study's row of cfg's seed. Neither open_world nor
-    discard_fraction enters build_dataset, so both runs share one
-    dataset."""
-    ds = build_dataset(cfg)
-    err = {}
-    for open_world in (False, True):
-        run = replace(cfg, open_world=open_world)
-        _, store, metrics = train_r2d2(run, ds)
-        err[open_world] = 1 - metrics[-1].acc_test
+def _open_world_read(run: ExperimentConfig, ds, store, records):
+    """A run's test error and whether each row is OOD, of the unlabeled
+    pool and of the rows the filter discards at the run's end."""
     unl = ds.unlabeled_indices
     dropped = np.setdiff1d(unl, active_unlabeled(store, ds, run.schedule_plan()))
-    pool, drop = (float(np.mean(ds.true_classes[ids] == data_mod.OOD_CLASS))
-                  for ids in (unl, dropped))
-    return cfg.seed, err[False], err[True], pool, drop
+    ood = ds.true_classes == data_mod.OOD_CLASS
+    return 1 - records[-1].acc_test, ood[unl], ood[dropped]
 
 
 def run_mode_open_world(cfg: ExperimentConfig, out_dir: str, seeds: int) -> None:
@@ -545,20 +559,10 @@ def strategy_cells(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
 
 def ablation_errors(cfg: ExperimentConfig, cells: dict[str, dict[str, str]]) -> dict[str, float]:
     """The final test error of each cell: cfg with the cell's overrides,
-    on cfg's dataset. Every cell's config is parsed before any trains,
-    and cells whose configs are equal share one run (a run is fixed by
-    its config)."""
-    configs = {
-        name: parse_config("", {**_cfg_as_overrides(cfg), **overrides})
-        for name, overrides in cells.items()
-    }
-    dataset = build_dataset(cfg)
-    runs = {}  # the error of each distinct config, by its field values
-    for cell in configs.values():
-        key = astuple(cell)
-        if key not in runs:
-            runs[key] = 1.0 - train_r2d2(cell, dataset)[2][-1].acc_test
-    return {name: runs[astuple(cell)] for name, cell in configs.items()}
+    on cfg's seed."""
+    runs = study_runs(cfg, [cfg.seed], cells,
+                      lambda run, ds, store, records: 1.0 - records[-1].acc_test)
+    return {cell: error for _, cell, error in runs}
 
 
 def run_mode_ablation(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -673,16 +677,12 @@ def parse_flags(args: list[str]) -> dict[str, str]:
     """The --key value pairs of a command line, the last value of a
     repeated key winning."""
     flags = {}
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if not arg.startswith("--"):
-            raise ConfigurationError(f"unexpected argument {arg!r}")
-        key = arg[2:]
-        if i + 1 >= len(args):
-            raise ConfigurationError(f"flag --{key} needs a value")
-        flags[key] = args[i + 1]
-        i += 2
+    for i in range(0, len(args), 2):
+        if not args[i].startswith("--"):
+            raise ConfigurationError(f"unexpected argument {args[i]!r}")
+        if i + 1 == len(args):
+            raise ConfigurationError(f"flag {args[i]} needs a value")
+        flags[args[i][2:]] = args[i + 1]
     return flags
 
 

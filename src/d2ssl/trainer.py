@@ -330,14 +330,11 @@ def stage1_supervised(
     scorer: _EpochScorer,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     lab = dataset.labeled_indices
-    if lab.size == 0:
-        raise ConfigurationError("stage 1 requires at least one labeled sample")
-    records = _supervised_stage(
+    return params, _supervised_stage(
         "stage1", dataset, params, plan, rng, lab, dataset.true_classes[lab],
         min(plan.batch_labeled, lab.size),
         plan.stage1_epochs, plan.stage1_horizon, plan.stage1_lr, scorer,
     )
-    return params, records
 
 
 def _discard_count(count: int, plan: SchedulePlan) -> int:
@@ -361,7 +358,7 @@ def active_unlabeled(
     return np.sort(unl[order[n_drop:]])
 
 
-def _check_unlabeled_batch(dataset: SplitDataset, plan: SchedulePlan) -> None:
+def check_unlabeled_batch(dataset: SplitDataset, plan: SchedulePlan) -> None:
     """Stage 2's unlabeled batch against its active pool: the unlabeled
     rows, less the _discard_count rows active_unlabeled drops. An empty
     pool trains no stage-2 batch at all."""
@@ -470,6 +467,9 @@ class _EpochScorer:
     stops the worker and drops the rings, on every exit path."""
 
     def __init__(self, dataset: SplitDataset):
+        # Every run starts with stage 1, on the labeled rows: checked before start forks.
+        if dataset.labeled_indices.size == 0:
+            raise ConfigurationError("stage 1 requires at least one labeled sample")
         self.dataset = dataset
         # The jobs in flight, oldest first, by params slot: each one's
         # record and pseudo-logit slot, or its failure once it replied.
@@ -631,7 +631,7 @@ def stage2_d2(
     scorer: _EpochScorer,
 ) -> tuple[ModelParams, PseudoLabelStore, list[MetricsRecord]]:
     """The joint segments; run_r2d2 checks first that the unlabeled batch
-    fits and, by stage1_supervised, that there are labeled rows."""
+    fits and, by its scorer, that there are labeled rows."""
     lab = dataset.labeled_indices
     state = OptimizerState(params, plan.momentum, plan.weight_decay)
     records = []
@@ -788,7 +788,7 @@ def run_r2d2(
     joint segments, hard-label finetune. Deterministic given the seed;
     each epoch is scored in a forked worker where _EpochScorer.start
     can fork one, with the same records as inline scoring."""
-    _check_unlabeled_batch(dataset, plan)
+    check_unlabeled_batch(dataset, plan)
     rng = seeded_rng(seed)
     params = init_params(layer_sizes, activation, rng)
     with _EpochScorer(dataset).start(params) as scorer:

@@ -29,6 +29,7 @@ from d2ssl.cli import (
     open_world_study,
     parse_config,
     strategy_cells,
+    study_runs,
     train_r2d2,
 )
 from d2ssl.data import load_idx
@@ -207,19 +208,13 @@ def test_criterion_06_reprediction_lowers_pseudo_entropy():
     step scale): with repredictions + decreasing lr, final mean
     pseudo-label entropy is strictly lower than without (no
     repredictions, constant lr) on 5/5 seeds."""
-    wins = 0
-    details = []
-    for seed in range(5):
-        h = {}
-        for tag, extra in [
-            ("r2", {}),
-            ("no", {"stage2_lrs": "0.01,0.01,0.01,0.01",
-                    "stage2_repredict": "0,0,0,0"}),
-        ]:
-            _, _, _, _, metrics = run_experiment(seed=seed, lam=1.0, **extra)
-            h[tag] = final_stage2(metrics).mean_h_pseudo
-        wins += h["r2"] < h["no"]
-        details.append(f"seed {seed}: {h['r2']:.4f} vs {h['no']:.4f}")
+    cells = {"r2": {}, "no": {"stage2_lrs": "0.01,0.01,0.01,0.01",
+                              "stage2_repredict": "0,0,0,0"}}
+    h = {(seed, cell): value for seed, cell, value in study_runs(
+        ExperimentConfig(lam=1.0), range(5), cells,
+        lambda run, ds, store, records: final_stage2(records).mean_h_pseudo)}
+    wins = sum(h[seed, "r2"] < h[seed, "no"] for seed in range(5))
+    details = [f"seed {seed}: {h[seed, 'r2']:.4f} vs {h[seed, 'no']:.4f}" for seed in range(5)]
     report(6, wins == 5,
            f"{wins}/5 seeds with strictly lower pseudo entropy ({'; '.join(details)})")
 
@@ -260,12 +255,10 @@ def test_criterion_09_negative_control():
     """With the entropy weight above the matching weight (alpha=0.01 <
     beta=0.03) and a weak warm-up, final pseudo-label accuracy falls at
     least 20 points below the alpha=0.1 run on the same seed."""
-    acc = {}
-    for alpha in (0.1, 0.01):
-        _, _, _, _, metrics = run_experiment(
-            seed=1, alpha=alpha, stage1_epochs=10, stage1_horizon=10,
-        )
-        acc[alpha] = final_stage2(metrics).acc_pseudo
+    base = ExperimentConfig(stage1_epochs=10, stage1_horizon=10)
+    acc = {float(cell): value for _, cell, value in study_runs(
+        base, [1], {"0.1": {"alpha": "0.1"}, "0.01": {"alpha": "0.01"}},
+        lambda run, ds, store, records: final_stage2(records).acc_pseudo)}
     gap = acc[0.1] - acc[0.01]
     report(9, gap >= 0.20,
            f"pseudo accuracy {acc[0.1]:.3f} (alpha 0.1) vs {acc[0.01]:.3f} "

@@ -762,6 +762,17 @@ def test_alpha_not_above_beta_warns_once_per_parsed_config(tmp_path, monkeypatch
     assert warnings() == 1 + 4 + 5 + 3 + 5
 
 
+def test_alpha_not_above_beta_warns_once_per_study_run(tmp_path, monkeypatch, caplog):
+    # A study parses each of its runs' configs, so each run warns.
+    monkeypatch.setattr(cli, "run_r2d2", lambda *args: (
+        None, None, [MetricsRecord("stage1", 0, 0.0, acc_test=1.0)]))
+    extra = {"alpha": "0.02", "beta": "0.03"}
+    with caplog.at_level(logging.WARNING, logger="d2ssl"):
+        assert main(tiny_args("compare", tmp_path, extra) + ["--seeds", "3"]) == EXIT_OK
+    # The study's config, then each of its three runs.
+    assert sum("<= beta=" in r.getMessage() for r in caplog.records) == 1 + 3
+
+
 # Documented exit codes and their stderr prefixes (cli module docstring).
 EXIT_PREFIXES = {
     EXIT_OK: "", EXIT_CONFIG: "configuration error: ", EXIT_IO: "I/O error: ",
@@ -919,7 +930,7 @@ def test_reference_script_parses_flags_like_the_cli(monkeypatch, tmp_path, capsy
         return None, None, [MetricsRecord("stage1", 0, 0.0, acc_test=1.0)]
 
     monkeypatch.setattr(cli, "run_r2d2", run_r2d2)
-    argv = ["compare", "--out", str(tmp_path), "--seeds", "2"]
+    argv = ["compare", "--out", str(tmp_path), "--seeds", "2", "--batch_unlabeled", "20"]
     assert main(argv + ["--open_world", "false", "--alpha", "0.2",
                         "--gauss_per_class", "30"]) == EXIT_OK
     assert runs == [(120, [2, 64, 2, 4], 0.2, False, seed) for seed in (0, 1)]
@@ -938,6 +949,27 @@ def test_usage_names_every_mode(capsys):
     usage = capsys.readouterr().out
     assert usage == cli.__doc__ + "\n"
     assert all(re.search(rf"^  {mode} ", usage, re.M) for mode in MODES)
+
+
+def test_usage_states_every_preset_and_study_setting():
+    # The usage text restates cli.PRESETS and cli.STUDY_SETTINGS by hand;
+    # each value must be in its mode's entry, a float that is whole
+    # written either way (lam 64000.0 as 64000).
+    entries = {mode: " ".join(text.split()) for mode, text in re.findall(
+        r"^  (\w+) +(.*?)(?=^  \w|^$)", cli.__doc__, re.M | re.S)}
+
+    def states(mode, key, value):
+        return any(re.search(rf"\b{key} {re.escape(form)}(?![\w.])", entries[mode])
+                   for form in (value, value.removesuffix(".0")))
+
+    presets = [(mode, key, value) for mode, preset in cli.PRESETS.items()
+               for values in (preset.values() if mode == "compare" else [preset])
+               for key, value in values.items()]
+    assert len(presets) == 6 and all(states(*preset) for preset in presets)
+    for mode, settings in cli.STUDY_SETTINGS.items():
+        for key, (default, low) in settings.items():
+            stated = rf"--{key} \w+ >= {re.escape(str(low))} \(default {re.escape(str(default))}\)"
+            assert re.search(stated, entries[mode]), (mode, key)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["r2d2", "--help"], ["r2d2", "--beta", "-h"],

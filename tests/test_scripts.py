@@ -117,6 +117,24 @@ def test_run_reference_makes_out_before_training(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("I/O error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["compare", "--gauss_per_class", "14", "--batch_unlabeled", "4", "--seeds", "5"],
+     "class 1 has 4 train samples, need 5 labeled"),
+    (["open_world", "--seeds", "1", "--batch_unlabeled", "2000"],
+     "unlabeled batch size 2000 exceeds active pool 1980"),
+], ids=["compare", "open_world"])
+def test_study_checks_every_run_before_the_first_trains(tmp_path, monkeypatch, capsys, argv,
+                                                       message):
+    # compare's seed 3 splits too few rows of class 1; open_world's
+    # filtered run keeps too few rows for its batch. Both are refused
+    # before any run of the study trains.
+    calls, real = [], cli.run_r2d2
+    monkeypatch.setattr(cli, "run_r2d2", lambda *args: calls.append(args) or real(*args))
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert calls == [] and not list(tmp_path.glob("seed*"))
+
+
 def test_run_reference_without_stage1_exits_config(tmp_path, capsys):
     # The baseline is stage 1; with no stage-1 epoch it has no test error.
     out = tmp_path / "out"

@@ -8,8 +8,10 @@ data.py is the one module that writes CSV: no other imports csv. And
 pseudo.residual_terms is the one place where logits become the
 residual t: no other module reads convergence_residual. And the
 open-world switch is read only where the config builds the plan and
-where trainer._discard_count sizes the discarded rows. And the binary
-readers check lengths against the file size only in errors.read_checked.
+where trainer._discard_count sizes the discarded rows. And only
+cli.study_runs and the r2d2 mode train a run through cli.train_r2d2, so
+every study is one loop. And the binary readers check lengths against
+the file size only in errors.read_checked.
 And importing the CLI imports neither multiprocessing nor mmap, which
 only a process that forks needs. And fork.Child is the one home of a
 forked child's lifecycle: no other module reads Process, Pipe or
@@ -190,9 +192,10 @@ def test_every_default_is_left_out_by_a_call_in_the_program():
 
 
 def scopes_reading(node, attr, scope):
-    """The dotted class and function scope of each read of the attribute
-    attr under node, starting from scope."""
-    if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+    """The dotted class and function scope of each read of the name or
+    attribute attr under node, starting from scope."""
+    if (getattr(node, "attr", getattr(node, "id", None)) == attr
+            and isinstance(getattr(node, "ctx", None), ast.Load)):
         yield scope
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
@@ -211,6 +214,18 @@ def test_open_world_read_only_by_the_plan_and_the_discard_count():
                for scope in scopes_reading(ast.parse(path.read_text()), "open_world", path.stem)
                if scope not in allowed]
     assert not readers, "open_world read outside the plan and the discard count: " + ", ".join(
+        readers)
+
+
+def test_only_the_study_loop_and_the_r2d2_mode_train_r2d2():
+    # Every study goes through cli.study_runs, which parses and checks
+    # all of its runs before the first trains; a second loop would not.
+    allowed = {"cli.study_runs", "cli.run_mode_r2d2"}
+    readers = [f"{path.relative_to(ROOT)} in {scope}"
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               for scope in scopes_reading(ast.parse(path.read_text()), "train_r2d2", path.stem)
+               if scope not in allowed]
+    assert not readers, "train_r2d2 read outside study_runs and run_mode_r2d2: " + ", ".join(
         readers)
 
 

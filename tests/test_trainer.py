@@ -805,6 +805,21 @@ def test_baseline_forked_scoring_equals_inline_scoring(monkeypatch, tmp_path, re
     assert forked[:3] == inline[:3] and len(forked[0]) == plan.stage1_epochs
 
 
+@pytest.mark.parametrize("run", [run_r2d2, run_supervised_baseline])
+def test_no_labeled_row_raises_before_the_worker_forks(monkeypatch, forked_scoring, run):
+    """Stage 1 needs a labeled row; a dataset without one is refused
+    before the evaluation worker is forked, not after."""
+    ds = tiny_dataset()
+    ds.roles[ds.roles == 0] = 1
+    child, made = trainer.Child, []
+    monkeypatch.setattr(trainer, "Child", lambda name, *args: made.append(name)
+                        or child(name, *args))
+    losses = (D2Config(lam=100.0),) if run is run_r2d2 else ()
+    with pytest.raises(ConfigurationError, match="stage 1 requires at least one labeled sample"):
+        run(ds, [2, 8, 3, 4], "tanh", *losses, tiny_plan(), seed=0)
+    assert made == []
+
+
 @pytest.mark.parametrize("scoring", ["forked_scoring", "inline_scoring"])
 def test_a_column_that_is_not_a_metric_raises(monkeypatch, request, scoring):
     """A metric the scoring names that metrics.csv has no column for is
